@@ -68,8 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         default=None,
-        help="kernel backend (default: $REPRO_BACKEND or 'numpy'); "
-        "'codegen' compiles whole sweeps to cached parallel kernels; "
+        help="kernel backend (default: $REPRO_BACKEND or 'fused-numpy'; "
+        "'numpy' is the reference); 'codegen' compiles whole sweeps to "
+        "cached parallel kernels; "
         "see 'repro info' for the registry",
     )
     run.add_argument(

@@ -517,8 +517,14 @@ def get_backend(name: str) -> Backend:
 
 
 def default_backend_name() -> str:
-    """The backend used when none is named: ``$REPRO_BACKEND`` or ``numpy``."""
-    return os.environ.get(REPRO_BACKEND_ENV, "numpy")
+    """The backend used when none is named: ``$REPRO_BACKEND`` or
+    ``fused-numpy``.
+
+    ``fused-numpy`` binds for every kernel (kernels it cannot lower run its
+    in-place plan) and is bit-identical to ``numpy``, so the default never
+    degrades.  The compiled rungs stay opt-in.
+    """
+    return os.environ.get(REPRO_BACKEND_ENV, "fused-numpy")
 
 
 def wrap_kernel(kernel: PlaneKernel, backend: str | None = None) -> PlaneKernel:

@@ -634,6 +634,8 @@ class CodegenSweepKernel(FusedSweepKernel):
         by identity of the executor and ping/pong buffer pairing.
         """
         FAULTS.fire("backend.compute", detail="codegen")
+        if FAULTS.armed("memory.flip"):
+            return None  # the ring flip site is in the stepwise path
         cache = self.__dict__.setdefault("_sweep_runners", [])
         for runner in cache:
             if (

@@ -39,6 +39,8 @@ one-barrier-per-z property.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from ..core.schedule import Schedule, StepKind
@@ -98,10 +100,14 @@ class FusedSweepKernel(InplaceKernel):
         Runners are cached on the tile context and matched by *identity* of
         the source/destination arrays and schedule (the double-buffer swap
         between rounds alternates between two runners).  Returns ``None``
-        when no fused execution is possible (never happens for the numpy
-        engine, which has a universal fallback).
+        while a ``memory.flip`` fault is armed: its ring site sits in the
+        executor's stepwise LOAD path, which then runs this round with
+        identical bits.  Otherwise the numpy engine always fuses (it has a
+        universal fallback).
         """
         FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
+        if FAULTS.armed("memory.flip"):
+            return None
         cache = ctx.fused
         if cache is None:
             cache = ctx.fused = []
@@ -192,14 +198,7 @@ class _RunnerBase:
     def sync(self, ctx) -> None:
         """Refresh any engine-private copies of per-run tile state."""
 
-    # -- plane views ----------------------------------------------------
-    def _plane3(self, t: int, z: int) -> np.ndarray:
-        """Plane ``z`` as read by instance ``t+1`` — ``(ncomp, eny, enx)``."""
-        p = self.shell.get(z)
-        if p is not None:
-            return p
-        return self.rings[t][z % self.slots]
-
+    # -- plane geometry -------------------------------------------------
     def _is_shell(self, z: int) -> bool:
         return z in self.shell
 
@@ -226,6 +225,16 @@ class _NumpyFusedRunner(_RunnerBase):
     traffic record.  ``run_iteration`` replays the list — all slicing,
     region arithmetic, shell lookups and liveness reasoning happened once,
     at bind time.
+
+    Plans are interned while they are emitted.  A ring plane lives in slot
+    ``z % slots``, so the instructions of a ring-target compute step repeat
+    with that period in z: each distinct step is lowered once and its
+    instruction block reused.  Every view of a ring or shell plane is made
+    once, keyed by plane and bounds.  Both memos belong to the tile (its
+    rings and shell planes), so the ping and pong runners of a tile share
+    them.  Views of the source and destination grids are made fresh: each
+    is used by one z only, and a tile-lifetime memo would pin grids that a
+    stale runner no longer uses.
     """
 
     def __init__(self, kernel, executor, src, dst, ctx, schedule, round_t):
@@ -256,8 +265,23 @@ class _NumpyFusedRunner(_RunnerBase):
             nz, ny, nx = self.nz, self.ny, self.nx
             self._src2 = self.src_data[0]
             self._dst2 = self.dst_data[0]
-            self._srcflat = self.src_data[0].reshape(nz, ny * nx)
             self._dstflat = self.dst_data[0].reshape(nz, ny * nx)
+        # these lowerings depend on z only through the planes they touch,
+        # so compute steps with equal plane keys emit equal instructions
+        self._z_free = self._impl in ("7pt", "27pt", "generic")
+        self._views, self._blocks = self._tile_memo(ctx)
+
+    def _tile_memo(self, ctx) -> tuple[dict, dict]:
+        """The view and block memos, shared with the tile's other runners."""
+        for other in ctx.fused or ():
+            if (
+                isinstance(other, _NumpyFusedRunner)
+                and other.kernel is self.kernel
+                and other._impl == self._impl
+                and other.src_data.shape == self.src_data.shape
+            ):
+                return other._views, other._blocks
+        return {}, {}
 
     # ------------------------------------------------------------------
     def run_iteration(self, k: int, rows=None, traffic=None) -> None:
@@ -284,6 +308,57 @@ class _NumpyFusedRunner(_RunnerBase):
                     traffic.write(wb, planes=wp)
                 if pts:
                     traffic.update(pts, self.ops_per_update)
+
+    # ------------------------------------------------------------------
+    # interned operands
+    # ------------------------------------------------------------------
+    # A plane key names a ``(ncomp, eny, enx)`` plane: ``(t, slot)`` is a
+    # ring plane, ``("s", z)`` a shell plane and ``("d", z)`` the tile
+    # extent of destination plane ``z``.
+    def _pkey(self, t: int, z: int) -> tuple:
+        """Key of plane ``z`` as read by instance ``t+1`` (shell planes are
+        shared by every instance)."""
+        return ("s", z) if z in self.shell else (t, z % self.slots)
+
+    def _plane(self, pk) -> np.ndarray:
+        kind, i = pk
+        if kind == "s":
+            return self.shell[i]
+        if kind == "d":
+            return self.dst_data[:, i, self.ey0 : self.ey1, self.ex0 : self.ex1]
+        v = self._views.get(pk)
+        if v is None:
+            v = self._views[pk] = self.rings[kind][i]
+        return v
+
+    def _view(self, pk, form: int, y0: int, y1: int, x0=0, x1=0) -> np.ndarray:
+        """A view of plane ``pk``, made once per tile unless it is a grid view.
+
+        ``form`` 1 is the window ``[y0, y1)`` of the flattened first
+        component, 2 is ``plane[0, y0:y1, x0:x1]`` and 3 is
+        ``plane[:, y0:y1, x0:x1]``.
+        """
+        key = (pk, form, y0, y1, x0, x1)
+        v = self._views.get(key)
+        if v is None:
+            if form == 1:
+                v = self._flat(pk)[y0:y1]
+            elif form == 2:
+                v = self._plane(pk)[0, y0:y1, x0:x1]
+            else:
+                v = self._plane(pk)[:, y0:y1, x0:x1]
+            if pk[0] != "d":
+                self._views[key] = v
+        return v
+
+    def _flat(self, pk) -> np.ndarray:
+        if pk[0] == "d":
+            return self._dstflat[pk[1]]
+        key = (pk, "flat")
+        v = self._views.get(key)
+        if v is None:
+            v = self._views[key] = self._plane(pk)[0].reshape(-1)
+        return v
 
     # ------------------------------------------------------------------
     # plan construction
@@ -320,7 +395,7 @@ class _NumpyFusedRunner(_RunnerBase):
         ly0, ly1 = self._rows_local(rows)
         if ly0 >= ly1:
             return 0
-        dst = self._plane3(0, z)[:, ly0:ly1, :]
+        dst = self._view(self._pkey(0, z), 3, ly0, ly1, 0, self.enx)
         gy0, gy1 = self.ey0 + ly0, self.ey0 + ly1
         src = self.src_data[:, z, gy0:gy1, self.ex0 : self.ex1]
         ops.append((_copy, dst, src, None))
@@ -332,25 +407,33 @@ class _NumpyFusedRunner(_RunnerBase):
             gy0, gy1 = max(gy0, rows[0]), min(gy1, rows[1])
         return gy0, gy1, gx0, gx1
 
+    def _source_keys(self, t, z) -> tuple:
+        r = self.radius
+        return tuple(self._pkey(t - 1, z + dz) for dz in range(-r, r + 1))
+
     def _emit_compute(self, ops, t, z, rows) -> int:
         """Ring-target stencil step plus its boundary-strip refresh."""
         gy0, gy1, gx0, gx1 = self._clip_region(t, rows)
-        out3 = self.rings[t][z % self.slots]
-        prev3 = self._plane3(t - 1, z)
-        points = 0
-        if gy0 < gy1:
-            a0, a1 = gy0 - self.ey0, gy1 - self.ey0
-            x0, x1 = gx0 - self.ex0, gx1 - self.ex0
-            srcs = [
-                self._plane3(t - 1, z + dz)
-                for dz in range(-self.radius, self.radius + 1)
-            ]
-            self._emit_stencil(
-                ops, out3, srcs, a0, a1, x0, x1, z, direct_seam=True
-            )
-            points = (gy1 - gy0) * (gx1 - gx0)
-        self._emit_strips(ops, out3, prev3, rows)
-        return points
+        okey = (t, z % self.slots)
+        srcks = self._source_keys(t, z)
+        key = block = None
+        if self._z_free:
+            # scratch comes from the building thread's arena pool
+            key = (threading.get_ident(), okey, srcks, rows)
+            block = self._blocks.get(key)
+        if block is None:
+            block = []
+            if gy0 < gy1:
+                a0, a1 = gy0 - self.ey0, gy1 - self.ey0
+                x0, x1 = gx0 - self.ex0, gx1 - self.ex0
+                self._emit_stencil(
+                    block, okey, srcks, a0, a1, x0, x1, z, flat=True, seam=True
+                )
+            self._emit_strips(block, okey, srcks[self.radius], rows)
+            if key is not None:
+                block = self._blocks[key] = tuple(block)
+        ops += block
+        return (gy1 - gy0) * (gx1 - gx0) if gy0 < gy1 else 0
 
     def _emit_store(self, ops, t, z, rows) -> int:
         gy0, gy1, gx0, gx1 = self._clip_region(t, rows)
@@ -358,18 +441,12 @@ class _NumpyFusedRunner(_RunnerBase):
             return 0
         a0, a1 = gy0 - self.ey0, gy1 - self.ey0
         x0, x1 = gx0 - self.ex0, gx1 - self.ex0
-        srcs = [
-            self._plane3(t - 1, z + dz)
-            for dz in range(-self.radius, self.radius + 1)
-        ]
+        srcks = self._source_keys(t, z)
         if self.full_plane and self._impl is not None:
             # direct flat store: compute into the destination plane's own
             # rows, then restore the constant x-boundary columns the flat
             # seam lanes clobbered (the y-boundary rows are never written).
-            self._emit_stencil(
-                ops, None, srcs, a0, a1, x0, x1, z, direct_seam=False,
-                dst_plane=z,
-            )
+            self._emit_stencil(ops, ("d", z), srcks, a0, a1, x0, x1, z, flat=True)
             r = self.radius
             if r:
                 ops.append((
@@ -385,87 +462,62 @@ class _NumpyFusedRunner(_RunnerBase):
                     None,
                 ))
         else:
-            out3 = self.dst_data[:, z, self.ey0 : self.ey1, self.ex0 : self.ex1]
-            self._emit_region_stencil(ops, out3, srcs, a0, a1, x0, x1, z)
+            self._emit_stencil(ops, ("d", z), srcks, a0, a1, x0, x1, z, flat=False)
         return (gy1 - gy0) * (gx1 - gx0)
 
-    def _emit_strips(self, ops, out3, prev3, rows) -> None:
+    def _emit_strips(self, ops, okey, pkey, rows) -> None:
         ly0, ly1 = self._rows_local(rows)
         if ly0 >= ly1:
             return
+        view, enx = self._view, self.enx
+        boxes = []
         if self.sy_lo:
             hi = min(self.sy_lo, ly1)
             if hi > ly0:
-                ops.append((_copy, out3[:, ly0:hi, :], prev3[:, ly0:hi, :], None))
+                boxes.append((ly0, hi, 0, enx))
         if self.sy_hi < self.eny:
             lo = max(self.sy_hi, ly0)
             if ly1 > lo:
-                ops.append((_copy, out3[:, lo:ly1, :], prev3[:, lo:ly1, :], None))
+                boxes.append((lo, ly1, 0, enx))
         if self.sx_lo:
-            ops.append((
-                _copy,
-                out3[:, ly0:ly1, : self.sx_lo],
-                prev3[:, ly0:ly1, : self.sx_lo],
-                None,
-            ))
+            boxes.append((ly0, ly1, 0, self.sx_lo))
         if self.sx_hi:
-            ops.append((
-                _copy,
-                out3[:, ly0:ly1, -self.sx_hi :],
-                prev3[:, ly0:ly1, -self.sx_hi :],
-                None,
-            ))
+            boxes.append((ly0, ly1, enx - self.sx_hi, enx))
+        for box in boxes:
+            ops.append((_copy, view(okey, 3, *box), view(pkey, 3, *box), None))
 
     # ------------------------------------------------------------------
     # stencil lowering (each mirrors the kernel's compute_plane(_inplace)
-    # operand pairing exactly, so results stay bit-identical)
+    # operand pairing exactly, so results stay bit-identical).  ``tk`` is
+    # the target plane key: a ring plane, or ``("d", z)`` for a store.
     # ------------------------------------------------------------------
-    def _emit_stencil(self, ops, out3, srcs, a0, a1, x0, x1, z, *,
-                      direct_seam, dst_plane=None):
-        """Seam-tolerant target (ring plane, or the flat dst row span)."""
-        impl = self._impl
-        if impl is None:
-            self._emit_fallback(
-                ops, out3, srcs, a0, a1, x0, x1, z, seam=direct_seam
-            )
-            return
-        if dst_plane is not None:
-            oflat = self._dstflat[dst_plane]
-        else:
-            oflat = out3[0].reshape(-1)
-        flats = [p[0].reshape(-1) for p in srcs]
-        if impl == "7pt":
-            self._lower_7pt(ops, oflat, flats, a0, a1)
-        elif impl == "27pt":
-            self._lower_27pt(ops, oflat, flats, a0, a1, x0, x1)
-        elif impl == "generic":
-            self._lower_generic(ops, oflat, flats, a0, a1, x0, x1)
-        else:  # varco has no flat seam path; write the exact region
-            target = (
-                self.dst_data[:, dst_plane, self.ey0 : self.ey1, self.ex0 : self.ex1]
-                if dst_plane is not None
-                else out3
-            )
-            self._lower_varco(ops, target, srcs, a0, a1, x0, x1, z)
-
-    def _emit_region_stencil(self, ops, out3, srcs, a0, a1, x0, x1, z):
-        """Exact-region target (strided store view): 2-D lowering."""
+    def _emit_stencil(self, ops, tk, srcks, a0, a1, x0, x1, z, *, flat,
+                      seam=False):
+        """One stencil step into target ``tk``.  ``flat`` targets (ring
+        planes, whole-plane stores) take the seam-tolerant flat spans; the
+        others (strided store views) get exact 2-D regions.  ``seam`` is the
+        fallback's seam-writable promise."""
         impl = self._impl
         if impl == "7pt":
-            self._lower_7pt_2d(ops, out3, srcs, a0, a1, x0, x1)
+            if flat:
+                self._lower_7pt(ops, tk, srcks, a0, a1)
+            else:
+                self._lower_7pt_2d(ops, tk, srcks, a0, a1, x0, x1)
         elif impl == "27pt":
-            self._lower_27pt_2d(ops, out3, srcs, a0, a1, x0, x1)
+            self._lower_27pt(ops, tk, srcks, a0, a1, x0, x1, flat)
         elif impl == "generic":
-            self._lower_generic_2d(ops, out3, srcs, a0, a1, x0, x1)
-        elif impl == "varco":
-            self._lower_varco(ops, out3, srcs, a0, a1, x0, x1, z)
+            self._lower_generic(ops, tk, srcks, a0, a1, x0, x1, flat)
+        elif impl == "varco":  # no flat seam path: writes the exact region
+            self._lower_varco(ops, tk, srcks, a0, a1, x0, x1, z)
         else:
-            self._emit_fallback(ops, out3, srcs, a0, a1, x0, x1, z, seam=False)
+            self._emit_fallback(ops, tk, srcks, a0, a1, x0, x1, z, seam=seam)
 
-    def _emit_fallback(self, ops, out3, srcs, a0, a1, x0, x1, z, *, seam):
+    def _emit_fallback(self, ops, tk, srcks, a0, a1, x0, x1, z, *, seam):
         """Any kernel: one prebound in-place call per step (t-loop fused)."""
         kernel, arena = self.inner, self.arena
         gy0, gx0 = self.ey0, self.ex0
+        out3 = self._plane(tk)
+        srcs = [self._plane(k) for k in srcks]
 
         def step(out3=out3, srcs=srcs, yr=(a0, a1), xr=(x0, x1), z=z, seam=seam):
             kernel.compute_plane_inplace(
@@ -475,61 +527,80 @@ class _NumpyFusedRunner(_RunnerBase):
         ops.append((_invoke, step, None, None))
 
     # -- 7-point -------------------------------------------------------
-    def _scratch(self, tag, n):
-        return self.arena.get(tag, (n,), self.src_data.dtype)
-
-    def _lower_7pt(self, ops, oflat, flats, a0, a1):
+    def _lower_7pt(self, ops, tk, srcks, a0, a1):
         nx = self.enx
         s, e = a0 * nx, a1 * nx
-        fb, fm, fa = flats
-        acc = oflat[s:e]
-        tmp = self._scratch("fused.tmp", e - s)
+        kb, km, ka = srcks
+
+        def w(k, off=0):
+            return self._view(k, 1, s + off, e + off)
+
+        acc = w(tk)
+        tmp = self.arena.get("fused.tmp", (e - s,), self.src_data.dtype)
         dtype = self.src_data.dtype.type
         alpha, beta = dtype(self.inner.alpha), dtype(self.inner.beta)
         ops += [
-            (np.add, fb[s:e], fa[s:e], acc),
-            (np.add, fm[s - nx : e - nx], fm[s + nx : e + nx], tmp),
+            (np.add, w(kb), w(ka), acc),
+            (np.add, w(km, -nx), w(km, nx), tmp),
             (np.add, acc, tmp, acc),
-            (np.add, fm[s - 1 : e - 1], fm[s + 1 : e + 1], tmp),
+            (np.add, w(km, -1), w(km, 1), tmp),
             (np.add, acc, tmp, acc),
-            (np.multiply, fm[s:e], alpha, tmp),
+            (np.multiply, w(km), alpha, tmp),
             (np.multiply, acc, beta, acc),
             (np.add, tmp, acc, acc),
         ]
 
-    def _lower_7pt_2d(self, ops, out3, srcs, a0, a1, x0, x1):
-        below, mid, above = (p[0] for p in srcs)
-        ys, xs = slice(a0, a1), slice(x0, x1)
+    def _lower_7pt_2d(self, ops, tk, srcks, a0, a1, x0, x1):
+        kb, km, ka = srcks
+
+        def w(k, dy=0, dx=0):
+            return self._view(k, 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx)
+
         shape = (a1 - a0, x1 - x0)
         acc = self.arena.get("fused.acc2d", shape, self.src_data.dtype)
         tmp = self.arena.get("fused.tmp2d", shape, self.src_data.dtype)
         dtype = self.src_data.dtype.type
         alpha, beta = dtype(self.inner.alpha), dtype(self.inner.beta)
         ops += [
-            (np.add, below[ys, xs], above[ys, xs], acc),
-            (np.add, mid[a0 - 1 : a1 - 1, xs], mid[a0 + 1 : a1 + 1, xs], tmp),
+            (np.add, w(kb), w(ka), acc),
+            (np.add, w(km, -1), w(km, 1), tmp),
             (np.add, acc, tmp, acc),
-            (np.add, mid[ys, x0 - 1 : x1 - 1], mid[ys, x0 + 1 : x1 + 1], tmp),
+            (np.add, w(km, 0, -1), w(km, 0, 1), tmp),
             (np.add, acc, tmp, acc),
-            (np.multiply, mid[ys, xs], alpha, tmp),
+            (np.multiply, w(km), alpha, tmp),
             (np.multiply, acc, beta, acc),
-            (np.add, tmp, acc, out3[0, ys, xs]),
+            (np.add, tmp, acc, w(tk)),
         ]
 
-    # -- 27-point ------------------------------------------------------
-    def _lower_27pt(self, ops, oflat, flats, a0, a1, x0, x1):
-        nx = self.enx
-        s0 = a0 * nx + x0
-        e0 = (a1 - 1) * nx + x1
-        result = oflat[s0:e0]
-        group = self._scratch("fused27.grp", e0 - s0)
-        dtype = self.src_data.dtype.type
-        inner = self.inner
+    # -- 27-point and generic taps --------------------------------------
+    def _tap_windows(self, tk, srcks, a0, a1, x0, x1, flat):
+        """The target and a ``window(dz, dy, dx)`` accessor of the source
+        windows: spans ``[a0*nx+x0, (a1-1)*nx+x1)`` of the flattened planes
+        (seam lanes computed and discarded) when ``flat``, else exact 2-D
+        regions."""
+        r = self.radius
+        if flat:
+            nx = self.enx
+            s0, e0 = a0 * nx + x0, (a1 - 1) * nx + x1
+
+            def window(dz, dy, dx):
+                off = dy * nx + dx
+                return self._view(srcks[dz + r], 1, s0 + off, e0 + off)
+
+            return self._view(tk, 1, s0, e0), window
 
         def window(dz, dy, dx):
-            off = dy * nx + dx
-            return flats[dz + 1][s0 + off : e0 + off]
+            return self._view(
+                srcks[dz + r], 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx
+            )
 
+        return self._view(tk, 2, a0, a1, x0, x1), window
+
+    def _lower_27pt(self, ops, tk, srcks, a0, a1, x0, x1, flat):
+        result, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat)
+        group = self.arena.get("fused27.grp", result.shape, self.src_data.dtype)
+        dtype = self.src_data.dtype.type
+        inner = self.inner
         ops.append((np.multiply, window(0, 0, 0), dtype(inner.center), result))
         for offsets, w in (
             (_FACES, dtype(inner.face)),
@@ -542,81 +613,41 @@ class _NumpyFusedRunner(_RunnerBase):
             ops.append((np.multiply, group, w, group))
             ops.append((np.add, result, group, result))
 
-    def _lower_27pt_2d(self, ops, out3, srcs, a0, a1, x0, x1):
-        dtype = self.src_data.dtype.type
-        inner = self.inner
-        shape = (a1 - a0, x1 - x0)
-        group = self.arena.get("fused27.grp2d", shape, self.src_data.dtype)
-        result = out3[0, a0:a1, x0:x1]
-
-        def window(dz, dy, dx):
-            return srcs[dz + 1][0][a0 + dy : a1 + dy, x0 + dx : x1 + dx]
-
-        ops.append((np.multiply, window(0, 0, 0), dtype(inner.center), result))
-        for offsets, w in (
-            (_FACES, dtype(inner.face)),
-            (_EDGES, dtype(inner.edge)),
-            (_CORNERS, dtype(inner.corner)),
-        ):
-            ops.append((_copy, group, window(*offsets[0]), None))
-            for off in offsets[1:]:
-                ops.append((np.add, group, window(*off), group))
-            ops.append((np.multiply, group, w, group))
-            ops.append((np.add, result, group, result))
-
-    # -- generic taps --------------------------------------------------
-    def _lower_generic(self, ops, oflat, flats, a0, a1, x0, x1):
-        nx = self.enx
-        r = self.radius
-        s0 = a0 * nx + x0
-        e0 = (a1 - 1) * nx + x1
-        acc = oflat[s0:e0]
-        tmp = self._scratch("fusedg.tmp", e0 - s0)
+    def _lower_generic(self, ops, tk, srcks, a0, a1, x0, x1, flat):
+        acc, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat)
+        tmp = self.arena.get("fusedg.tmp", acc.shape, self.src_data.dtype)
         dtype = self.src_data.dtype.type
         inner = self.inner
         ops.append((_zero, acc, None, None))
         for dz, dy, dx in inner._order:
             w = dtype(inner.taps[(dz, dy, dx)])
-            off = dy * nx + dx
-            ops.append((np.multiply, flats[dz + r][s0 + off : e0 + off], w, tmp))
-            ops.append((np.add, acc, tmp, acc))
-
-    def _lower_generic_2d(self, ops, out3, srcs, a0, a1, x0, x1):
-        r = self.radius
-        dtype = self.src_data.dtype.type
-        inner = self.inner
-        tmp = self.arena.get(
-            "fusedg.tmp2d", (a1 - a0, x1 - x0), self.src_data.dtype
-        )
-        acc = out3[0, a0:a1, x0:x1]
-        ops.append((_zero, acc, None, None))
-        for dz, dy, dx in inner._order:
-            w = dtype(inner.taps[(dz, dy, dx)])
-            window = srcs[dz + r][0][a0 + dy : a1 + dy, x0 + dx : x1 + dx]
-            ops.append((np.multiply, window, w, tmp))
+            ops.append((np.multiply, window(dz, dy, dx), w, tmp))
             ops.append((np.add, acc, tmp, acc))
 
     # -- variable coefficients ------------------------------------------
-    def _lower_varco(self, ops, out3, srcs, a0, a1, x0, x1, z):
+    def _lower_varco(self, ops, tk, srcks, a0, a1, x0, x1, z):
         inner = self.inner
         gy0, gy1 = self.ey0 + a0, self.ey0 + a1
         gx0, gx1 = self.ex0 + x0, self.ex0 + x1
         a_view = inner.alpha[z, gy0:gy1, gx0:gx1]
         b_view = inner.beta[z, gy0:gy1, gx0:gx1]
-        below, mid, above = (p[0] for p in srcs)
-        ys, xs = slice(a0, a1), slice(x0, x1)
+        kb, km, ka = srcks
+
+        def w(k, dy=0, dx=0):
+            return self._view(k, 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx)
+
         shape = (a1 - a0, x1 - x0)
         acc = self.arena.get("fusedv.acc", shape, self.src_data.dtype)
         tmp = self.arena.get("fusedv.tmp", shape, self.src_data.dtype)
         ops += [
-            (np.add, below[ys, xs], above[ys, xs], acc),
-            (np.add, acc, mid[a0 - 1 : a1 - 1, xs], acc),
-            (np.add, acc, mid[a0 + 1 : a1 + 1, xs], acc),
-            (np.add, acc, mid[ys, x0 - 1 : x1 - 1], acc),
-            (np.add, acc, mid[ys, x0 + 1 : x1 + 1], acc),
-            (np.multiply, a_view, mid[ys, xs], tmp),
+            (np.add, w(kb), w(ka), acc),
+            (np.add, acc, w(km, -1), acc),
+            (np.add, acc, w(km, 1), acc),
+            (np.add, acc, w(km, 0, -1), acc),
+            (np.add, acc, w(km, 0, 1), acc),
+            (np.multiply, a_view, w(km), tmp),
             (np.multiply, b_view, acc, acc),
-            (np.add, tmp, acc, out3[0, ys, xs]),
+            (np.add, tmp, acc, w(tk)),
         ]
 
 

@@ -215,10 +215,13 @@ class GuardedSweep:
         if steps == 0 or done >= steps:
             return state.copy()
 
-        # last verified-good (state, step) pair, for repair-from-checkpoint;
-        # refreshed at every checkpoint boundary (in memory even when no
-        # on-disk store is configured).
-        good_state, good_done = state.copy(), done
+        # last verified-good (state, step) pair, for repair-from-checkpoint
+        # and the SDC replays; refreshed at every checkpoint boundary (in
+        # memory even when no on-disk store is configured).  No other
+        # policy reads it, so it is not copied for them.
+        keep_good = self.health == "repair" or self.sdc is not None
+        good_state = state.copy() if keep_good else None
+        good_done = done
         repairs_left = max(1, self.max_retries) if self.health == "repair" else 0
         rounds_since_snapshot = 0
         retries_before = self.report.retries
@@ -263,7 +266,9 @@ class GuardedSweep:
                     self.sdc.seal(state)
                 rounds_since_snapshot += 1
                 if rounds_since_snapshot >= self.checkpoint_every and done < steps:
-                    good_state, good_done = state.copy(), done
+                    if keep_good:
+                        good_state = state.copy()
+                    good_done = done
                     rounds_since_snapshot = 0
                     if self.checkpoint is not None:
                         self.checkpoint.save(state.data, done, self.meta)

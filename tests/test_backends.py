@@ -12,6 +12,7 @@ from repro.perf.backends import (
     InplaceKernel,
     available_backends,
     backend_names,
+    bound_rung,
     default_backend_name,
     get_backend,
     wrap_kernel,
@@ -61,7 +62,11 @@ class TestRegistry:
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
-        assert default_backend_name() == "numpy"
+        assert default_backend_name() == "fused-numpy"
+        assert bound_rung(wrap_kernel(SevenPointStencil())) == "fused-numpy"
+        monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy")
+        k = SevenPointStencil()
+        assert wrap_kernel(k) is k  # the reference stays one variable away
         monkeypatch.setenv(REPRO_BACKEND_ENV, "numpy-inplace")
         assert default_backend_name() == "numpy-inplace"
         assert isinstance(wrap_kernel(SevenPointStencil()), InplaceKernel)

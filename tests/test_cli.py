@@ -164,6 +164,22 @@ class TestResilienceExitCodes:
         assert "degraded" in out
         assert "backend used : numpy-inplace" in out
 
+    @pytest.mark.parametrize("kernel", ["7pt", "lbm"])
+    def test_default_backend_is_fused_and_clean(self, kernel, capsys, monkeypatch):
+        import warnings
+
+        from repro.perf.backends import REPRO_BACKEND_ENV
+        from repro.resilience import DegradedExecutionWarning
+
+        monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedExecutionWarning)
+            rc = main(self._base + ["--kernel", kernel])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "backend      : fused-numpy" in out
+        assert "bit-identical" in out
+
     def test_no_fallback_fails_with_4(self, capsys):
         from repro.resilience.faultinject import FAULTS
 

@@ -171,6 +171,81 @@ class TestFusedBitExactness:
         assert sizes == [len(c.fused) for c in ctxs if c.fused is not None]
 
 
+def _plan_operands(ex):
+    """Per tile context: (runner count, distinct array operand objects)."""
+    out = []
+    for ctx in ex._contexts.values():
+        runners = ctx.fused or []
+        objs = {
+            id(o): o
+            for r in runners
+            for plan, _ in r._plans.values()
+            for ops in plan.values()
+            for ins in ops
+            for o in ins[1:]
+            if isinstance(o, np.ndarray)
+        }
+        out.append((len(runners), list(objs.values())))
+    return out
+
+
+class TestInternedPlans:
+    """Plans share operands: one object per distinct view of a tile."""
+
+    @pytest.mark.parametrize("name", ["7pt", "27pt", "star-r2"])
+    def test_operands_unique_and_grow_with_nz(self, name):
+        counts = {}
+        for nz in (16, 32):
+            kernel = _kernels((nz, 24, 24))[name]
+            ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 16, 16)
+            field = Field3D.random((nz, 24, 24), dtype=np.float32, seed=3)
+            out = ex.run(field, 5)  # rounds of 2, 2, 1: ping and pong runners
+            assert_fields_equal(out, run_naive(kernel, field, 5))
+            tiles = _plan_operands(ex)
+            assert max(n for n, _ in tiles) == 2
+            for _, objs in tiles:
+                mem = {
+                    (o.__array_interface__["data"][0], o.shape, o.strides)
+                    for o in objs
+                }
+                assert len(mem) == len(objs)  # no two objects alias a view
+            counts[nz] = [(n, len(objs)) for n, objs in tiles]
+        for (n, o16), (_, o32) in zip(counts[16], counts[32]):
+            # only the grid views (one load source, one store target per
+            # z and runner) are per plane; ring-side operands are shared
+            assert o32 - o16 <= 2 * n * 16
+
+
+class TestRingFlipSite:
+    """``memory.flip=ring`` must inject on every rung, not only ``numpy``."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "fused-numpy", "codegen"])
+    def test_flip_fires_once_with_identical_bits(
+        self, backend, tmp_path, monkeypatch
+    ):
+        from repro.perf.codegen import CODEGEN_CACHE_ENV, CODEGEN_MODE_ENV
+        from repro.resilience.faultinject import FAULTS
+
+        monkeypatch.setenv(CODEGEN_MODE_ENV, "python")
+        monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "cg"))
+        kernel = SevenPointStencil()
+        field = Field3D.random((32, 32, 32), dtype=np.float32, seed=4)
+
+        def flipped_run(name):
+            ex = Blocking35D(wrap_kernel(kernel, name), 2, 16, 16)
+            before = len(FAULTS.fired)
+            with FAULTS.injected("memory.flip=ring:1@3"):
+                out = ex.run(field, 4)
+            fired = [s for s, _ in FAULTS.fired[before:] if s == "memory.flip"]
+            return out, len(fired)
+
+        out, fired = flipped_run(backend)
+        ref, ref_fired = flipped_run("numpy")
+        assert fired == ref_fired == 1
+        assert_fields_equal(out, ref)  # the same bit lands in the same plane
+        assert not np.array_equal(out.data, run_naive(kernel, field, 4).data)
+
+
 class TestProbeValidation:
     def test_empirical_rejects_thin_probe(self):
         with pytest.raises(ValueError, match="no interior"):

@@ -362,7 +362,8 @@ class TestServeCore:
         core = ServeCore(state, workers=1, checkpoint_every_rounds=1,
                          fsync=False)
         core.start()
-        spec = JobSpec(grid=16, steps=80, dim_t=2, verify=False)
+        # long enough to still be running at the kill on the fused rung
+        spec = JobSpec(grid=16, steps=240, dim_t=2, verify=False)
         jid = core.submit(spec.to_dict())["id"]
         done_id = core.submit(JobSpec(grid=10, steps=2, priority=0,
                                       verify=False).to_dict())["id"]
