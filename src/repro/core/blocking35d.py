@@ -458,9 +458,10 @@ class Blocking35D:
         traffic: TrafficStats | None,
     ) -> None:
         # Fused-sweep backends (repro.perf.fused) supply a per-tile runner
-        # that executes each z-iteration — all round_t updates plus the
-        # load/store seam planes — in one call, instead of one Python-level
-        # kernel invocation per schedule step.
+        # that executes the whole tile-round — every z-iteration's round_t
+        # updates plus the load/store seam planes — in one call, instead of
+        # one Python-level kernel invocation per schedule step.  Traced runs
+        # replay per z-iteration so each one gets its span.
         tile_runner = getattr(self.kernel, "tile_runner", None)
         if tile_runner is not None:
             runner = tile_runner(self, src, dst, ctx, schedule, round_t)
@@ -470,8 +471,7 @@ class Blocking35D:
                         with TRACE.span("z_iter", k=k, fused=True):
                             runner.run_iteration(k, traffic=traffic)
                 else:
-                    for k in runner.iteration_keys:
-                        runner.run_iteration(k, traffic=traffic)
+                    runner.run_tile(traffic)
                 return
         regions = self.instance_regions(ctx, src.shape, round_t)
         if TRACE.armed:

@@ -18,9 +18,10 @@ Two fused engines share one integration seam (``FusedSweepKernel``):
     instructions whose operands are pre-sliced views of the ring buffers,
     shell planes and source/destination grids.  Executing one z-iteration is
     then a single ``run_iteration`` call that replays ~5 steps' worth of
-    prebound ufuncs — the per-time-instance loop is fused and all per-step
-    interpreter work (slicing, validation, dict lookups) is hoisted out of
-    the sweep entirely.
+    prebound ufuncs, and the serial executor replays a whole tile-round in
+    one ``run_tile`` call — the per-time-instance loop is fused and all
+    per-step interpreter work (slicing, validation, dict lookups) is hoisted
+    out of the sweep entirely.
 ``fused-numba``
     Optional ``@njit`` kernels that execute an *entire* z-iteration — all
     ``dim_T`` ring-plane updates plus the load and store seam planes — in a
@@ -198,6 +199,21 @@ class _RunnerBase:
     def sync(self, ctx) -> None:
         """Refresh any engine-private copies of per-run tile state."""
 
+    def run_tile(self, traffic=None) -> None:
+        """Every z-iteration of the tile, in order, on the whole plane."""
+        for k in self.iteration_keys:
+            self.run_iteration(k, traffic=traffic)
+
+    def _charge(self, traffic, rec) -> None:
+        """Record one aggregate ``(rb, rp, wb, wp, pts)`` traffic charge."""
+        rb, rp, wb, wp, pts = rec
+        if rb or rp:
+            traffic.read(rb, planes=rp)
+        if wb or wp:
+            traffic.write(wb, planes=wp)
+        if pts:
+            traffic.update(pts, self.ops_per_update)
+
     # -- plane geometry -------------------------------------------------
     def _is_shell(self, z: int) -> bool:
         return z in self.shell
@@ -220,11 +236,14 @@ class _NumpyFusedRunner(_RunnerBase):
     """Executes z-iterations by replaying prebound ufunc instructions.
 
     A *plan* (one per row span, built lazily on the thread that will run it
-    so scratch comes from that thread's arena pool) maps each iteration key
-    to a flat list of ``(fn, a, b, out)`` instructions plus an aggregate
-    traffic record.  ``run_iteration`` replays the list — all slicing,
-    region arithmetic, shell lookups and liveness reasoning happened once,
-    at bind time.
+    so scratch comes from that thread's arena pool) is one flat tuple of
+    ``(fn, a, b, out)`` instructions covering every z-iteration in order,
+    the ``[start, end)`` offsets of each iteration key within it, and the
+    per-key and whole-tile traffic records.  ``run_tile`` replays the whole
+    tuple with one aggregate traffic charge (the serial executor's
+    untraced path); ``run_iteration`` replays one key's slice (row spans
+    and traced runs).  All slicing, region arithmetic, shell lookups and
+    liveness reasoning happened once, at bind time.
 
     Plans are interned while they are emitted.  A ring plane lives in slot
     ``z % slots``, so the instructions of a ring-target compute step repeat
@@ -285,29 +304,35 @@ class _NumpyFusedRunner(_RunnerBase):
 
     # ------------------------------------------------------------------
     def run_iteration(self, k: int, rows=None, traffic=None) -> None:
-        plan = self._plans.get(rows)
-        if plan is None:
-            plan = self._plans[rows] = self._build_plan(rows)
-        instrs, stats = plan
-        ops = instrs.get(k)
-        if ops:
-            if self._suppress_fp:
-                with np.errstate(all="ignore"):
-                    for fn, a, b, out in ops:
-                        fn(a, b, out)
-            else:
-                for fn, a, b, out in ops:
-                    fn(a, b, out)
+        ops, spans, stats, _ = self._plan(rows)
+        span = spans.get(k)
+        if span is not None:
+            self._replay(ops[span[0] : span[1]])
         if traffic is not None:
             rec = stats.get(k)
             if rec is not None:
-                rb, rp, wb, wp, pts = rec
-                if rb or rp:
-                    traffic.read(rb, planes=rp)
-                if wb or wp:
-                    traffic.write(wb, planes=wp)
-                if pts:
-                    traffic.update(pts, self.ops_per_update)
+                self._charge(traffic, rec)
+
+    def run_tile(self, traffic=None) -> None:
+        ops, _, _, total = self._plan(None)
+        self._replay(ops)
+        if traffic is not None:
+            self._charge(traffic, total)
+
+    def _plan(self, rows):
+        plan = self._plans.get(rows)
+        if plan is None:
+            plan = self._plans[rows] = self._build_plan(rows)
+        return plan
+
+    def _replay(self, ops) -> None:
+        if self._suppress_fp:
+            with np.errstate(all="ignore"):
+                for fn, a, b, out in ops:
+                    fn(a, b, out)
+        else:
+            for fn, a, b, out in ops:
+                fn(a, b, out)
 
     # ------------------------------------------------------------------
     # interned operands
@@ -364,10 +389,13 @@ class _NumpyFusedRunner(_RunnerBase):
     # plan construction
     # ------------------------------------------------------------------
     def _build_plan(self, rows):
-        instrs: dict[int, list] = {}
+        """(instructions, key offsets, per-key stats, whole-tile stats)."""
+        ops: list = []
+        spans: dict[int, tuple[int, int]] = {}
         stats: dict[int, tuple] = {}
+        total = [0, 0, 0, 0, 0]
         for k in self.iteration_keys:
-            ops: list = []
+            start = len(ops)
             rb = rp = wb = wp = pts = 0
             for kind, t, z in self._steps[k]:
                 if kind is StepKind.LOAD:
@@ -383,11 +411,12 @@ class _NumpyFusedRunner(_RunnerBase):
                         pts += got
                 else:
                     pts += self._emit_compute(ops, t, z, rows)
-            if ops:
-                instrs[k] = ops
+            if len(ops) > start:
+                spans[k] = (start, len(ops))
             if rb or wb or pts:
-                stats[k] = (rb, rp, wb, wp, pts)
-        return instrs, stats
+                stats[k] = rec = (rb, rp, wb, wp, pts)
+                total = [a + b for a, b in zip(total, rec)]
+        return tuple(ops), spans, stats, tuple(total)
 
     def _emit_load(self, ops, z, rows) -> int:
         if self._is_shell(z):
@@ -1155,10 +1184,4 @@ class _NumbaFusedRunner(_RunnerBase):  # pragma: no cover - requires numba
                 self._alpha, self._beta,
             )
         if traffic is not None:
-            rb, rp, wb, wp, pts = stats
-            if rb or rp:
-                traffic.read(rb, planes=rp)
-            if wb or wp:
-                traffic.write(wb, planes=wp)
-            if pts:
-                traffic.update(pts, self.ops_per_update)
+            self._charge(traffic, stats)

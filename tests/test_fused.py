@@ -132,18 +132,10 @@ class TestFusedBitExactness:
 
     def test_multicomponent_fallback(self):
         """ncomp > 1 kernels (LBM) run through the per-plane fallback path."""
-        from repro.lbm import LBMKernel, Lattice
-
-        shape = (8, 10, 10)
-        rng = np.random.default_rng(0)
-        lat = Lattice.from_moments(
-            (1.0 + 0.02 * rng.random(shape)).astype(np.float32),
-            (0.01 * (rng.random((3,) + shape) - 0.5)).astype(np.float32),
-        )
-        kernel = LBMKernel(lat.flags, omega=1.2)
+        kernel, f = _lbm_case()
         wrapped = wrap_kernel(kernel, "fused-numpy")
-        out = Blocking35D(wrapped, 2, 8, 8).run(lat.f, 4)
-        assert_fields_equal(out, run_naive(kernel, lat.f, 4))
+        out = Blocking35D(wrapped, 2, 8, 8).run(f, 4)
+        assert_fields_equal(out, run_naive(kernel, f, 4))
 
     def test_traffic_parity_with_numpy_backend(self):
         """Fusing changes execution, not the external-traffic accounting."""
@@ -179,8 +171,7 @@ def _plan_operands(ex):
         objs = {
             id(o): o
             for r in runners
-            for plan, _ in r._plans.values()
-            for ops in plan.values()
+            for ops, *_ in r._plans.values()
             for ins in ops
             for o in ins[1:]
             if isinstance(o, np.ndarray)
@@ -214,6 +205,109 @@ class TestInternedPlans:
             # only the grid views (one load source, one store target per
             # z and runner) are per plane; ring-side operands are shared
             assert o32 - o16 <= 2 * n * 16
+
+
+def _lbm_case():
+    from repro.lbm import LBMKernel, Lattice
+
+    shape = (8, 10, 10)
+    rng = np.random.default_rng(0)
+    lat = Lattice.from_moments(
+        (1.0 + 0.02 * rng.random(shape)).astype(np.float32),
+        (0.01 * (rng.random((3,) + shape) - 0.5)).astype(np.float32),
+    )
+    return LBMKernel(lat.flags, omega=1.2), lat.f
+
+
+def _replay_case(name, dtype):
+    if name == "lbm":
+        return _lbm_case()
+    shape = (11, 20, 20)
+    field = Field3D.random(shape, dtype=dtype, seed=8)
+    return _kernels(shape)[name], field
+
+
+def _traffic_fields(t: TrafficStats) -> tuple:
+    return (t.bytes_read, t.bytes_written, t.updates, t.ops, t.plane_loads,
+            t.plane_stores, t.notes)
+
+
+class TestTileRoundReplay:
+    """The serial executor replays each tile-round in one ``run_tile``
+    call; per-z-iteration replay and the plain numpy rung must agree with
+    it bit for bit and count for count."""
+
+    @pytest.mark.parametrize(
+        "name,dtype",
+        [(n, np.float32)
+         for n in ("7pt", "27pt", "star-r2", "box-r1", "varco", "lbm")]
+        + [(n, np.float64) for n in ("7pt", "27pt", "box-r1", "varco")],
+    )
+    def test_matches_per_iteration_and_numpy_rung(
+        self, name, dtype, monkeypatch
+    ):
+        from repro.perf.fused import _NumpyFusedRunner, _RunnerBase
+
+        kernel, field = _replay_case(name, dtype)
+        steps = 5  # rounds of 2, 2 and a partial 1
+
+        def run(backend):
+            traffic = TrafficStats()
+            ex = Blocking35D(wrap_kernel(kernel, backend), 2, 12, 12)
+            return ex.run(field, steps, traffic), traffic
+
+        calls = []
+        whole_tile = _NumpyFusedRunner.run_tile
+
+        def counted(self, traffic=None):
+            calls.append(self)
+            whole_tile(self, traffic)
+
+        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", counted)
+        out_tile, t_tile = run("fused-numpy")
+        assert calls  # the untraced serial path took the whole-tile replay
+        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", _RunnerBase.run_tile)
+        out_k, t_k = run("fused-numpy")
+        out_ref, t_ref = run("numpy")
+        assert_fields_equal(out_tile, out_k)
+        assert_fields_equal(out_tile, out_ref)
+        assert_fields_equal(out_tile, run_naive(kernel, field, steps))
+        assert _traffic_fields(t_tile) == _traffic_fields(t_k)
+        assert _traffic_fields(t_tile) == _traffic_fields(t_ref)
+
+    def test_backend_compute_fires_once_per_tile_per_round(self):
+        from repro.resilience.faultinject import FAULTS, FaultSpec
+
+        kernel = SevenPointStencil()
+        field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 10, 10)
+        probe = FaultSpec("backend.compute", "fused-numpy", after=10**6)
+        with FAULTS.injected(probe):
+            ex.run(field, 5)
+        expected = sum(len(ex._plan_tiles(24, 24, rt)) for rt in (2, 2, 1))
+        assert 10**6 - probe.after == expected
+
+    def test_traced_run_spans_every_iteration_with_identical_bits(self):
+        from repro.obs.trace import TRACE
+
+        kernel = SevenPointStencil()
+        field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 12, 12)
+        untraced = ex.run(field, 4)
+        TRACE.arm()
+        try:
+            traced = ex.run(field, 4)
+        finally:
+            TRACE.disarm()
+        spans = TRACE.events()
+        TRACE.reset()
+        assert_fields_equal(traced, untraced)
+        tiles = [s for s in spans if s.name == "tile"]
+        z_iters = [s for s in spans if s.name == "z_iter"]
+        keys = len(ex._get_schedule(10, 2).iterations())
+        assert len(tiles) == 2 * len(ex._plan_tiles(24, 24, 2))
+        assert len(z_iters) == len(tiles) * keys
+        assert all(s.attrs["fused"] for s in z_iters)
 
 
 class TestRingFlipSite:
