@@ -153,6 +153,9 @@ class Blocking35D:
         self._tile_plans: dict = {}
         self._schedules: dict = {}
         self._run_buffers: dict = {}
+        #: whole-round runners bound by codegen backends (repro.perf.codegen),
+        #: kept here so they live and die with the executor they bind.
+        self.sweep_runners: list = []
         # Intermediate ring planes have dead seam positions (either refreshed
         # by the strip fill right after the compute, or outside every later
         # read window), so kernels that understand the seam-writable promise
@@ -161,11 +164,13 @@ class Blocking35D:
 
     # ------------------------------------------------------------------
     def clear_cache(self) -> None:
-        """Drop all cached tile contexts, tilings, schedules and run buffers."""
+        """Drop all cached tile contexts, tilings, schedules, run buffers
+        and bound sweep runners."""
         self._contexts.clear()
         self._tile_plans.clear()
         self._schedules.clear()
         self._run_buffers.clear()
+        self.sweep_runners.clear()
 
     def _ping_pong(self, field: Field3D) -> tuple[Field3D, Field3D]:
         """Persistent source/destination buffers for ``run``.

@@ -10,7 +10,19 @@ Per blocked round of ``round_t`` time steps:
    :mod:`repro.core.periodic`, every owned plane sits at depth ``>= h``
    from the slab cuts and is therefore exact; stale values nearer the cut
    are discarded;
-3. the owned slab is replaced by the augmented result's core.
+3. the rank's two buffers swap roles: the one just written holds the
+   owned state of the next round.
+
+Each rank keeps two persistent ping-pong buffers laid out
+``[lo ghost | owned | hi ghost]``; the ghost slots are ``H = R * dim_T``
+planes wide and exist only on cut sides.  Received ghosts are copied
+straight into the source buffer's slots, and every region of a round (the
+fused slab, or the overlap interior and its boundary strips) is a view of
+those buffers swept by one :class:`Blocking35D` kept per rank, region and
+halo depth — so, as in the paper's ring buffers, the working set is
+allocated once and then only refilled.  An instance is driven by one
+thread at a time: the warm executors' fused plans bind the building
+thread's scratch arena.
 
 The naive scheme exchanges width-R halos every time step; temporal blocking
 sends the *same total volume* in ``1/dim_T`` as many messages — the
@@ -57,6 +69,7 @@ a ``rank_recovery`` trace span.
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +104,73 @@ __all__ = ["DistributedJacobi"]
 
 _TAG_UP = 1  # planes travelling toward higher z
 _TAG_DOWN = 2
+
+
+@dataclass
+class _Region:
+    """One region of a rank's round, bound once and reused every round.
+
+    ``views[i]`` are the region's planes in buffer ``i``; a round reads
+    ``views[cur]`` and writes ``views[1 - cur]`` directly, or — for a
+    boundary strip (``core`` set) — writes the shared strip scratch
+    ``out`` and keeps only its ``core`` planes (region-local indices).
+    """
+
+    kernel: PlaneKernel
+    views: tuple[Field3D, Field3D]
+    executor: Blocking35D | None  # None: the naive reference scheme
+    out: Field3D | None = None
+    core: tuple[int, int] | None = None
+
+
+class _RankSlab:
+    """One rank's persistent ping-pong buffers ``[lo ghost | owned | hi ghost]``.
+
+    The ghost slots are ``halo`` planes wide and exist only on cut sides.
+    A round reads buffer ``cur`` (owned planes plus the ghosts received into
+    its slots) and writes the owned planes of the other one; then ``cur``
+    flips.  The owned planes of the source buffer are never written during
+    a round, and the ghost slots lie outside the owned view.
+    """
+
+    def __init__(self, slab: Slab, halo: int, like: np.ndarray) -> None:
+        ncomp, _, ny, nx = like.shape
+        self.slab = slab
+        self.lo = halo if slab.lo_cut else 0
+        #: global z of buffer plane 0
+        self.base = slab.z0 - self.lo
+        depth = self.lo + slab.owned + (halo if slab.hi_cut else 0)
+        self.bufs = tuple(
+            np.zeros((ncomp, depth, ny, nx), like.dtype) for _ in range(2)
+        )
+        self.cur = 0  # the buffer holding the live state
+        self.owned_views = tuple(
+            Field3D(b[:, self.lo : self.lo + slab.owned]) for b in self.bufs
+        )
+        #: (region name, halo depth) -> _Region
+        self.regions: dict[tuple[str, int], _Region] = {}
+
+    @property
+    def owned(self) -> np.ndarray:
+        """The rank's live state: the owned planes of the current buffer."""
+        return self.owned_views[self.cur].data
+
+    def fill(self, data: np.ndarray, radius: int) -> None:
+        """Load the owned planes of buffer 0 from ``data``; give buffer 1
+        the constant boundary shell no sweep writes.  Every run starts on
+        buffer 0, so each run binds the same (src, dst) pairs."""
+        self.cur = 0
+        np.copyto(self.owned_views[0].data, data)
+        copy_shell(self.owned_views[0], self.owned_views[1], radius)
+
+    def store_ghosts(self, lo: np.ndarray | None,
+                     hi: np.ndarray | None) -> None:
+        """Copy received ghost planes into the current buffer's slots."""
+        buf, z = self.bufs[self.cur], self.lo + self.slab.owned
+        if lo is not None:
+            buf[:, self.lo - lo.shape[1] : self.lo] = lo
+        if hi is not None:
+            buf[:, z : z + hi.shape[1]] = hi
 
 
 class DistributedJacobi:
@@ -195,6 +275,11 @@ class DistributedJacobi:
         self._seals: dict[int, list[int]] | None = None
         self.recovery = RecoveryReport(initial_ranks=n_ranks,
                                        final_ranks=n_ranks)
+        #: persistent per-rank buffers, valid for the layout ``_layout``
+        self._layout: tuple | None = None
+        self._ranks: dict[int, _RankSlab] = {}
+        #: one strip output buffer shared by every boundary strip
+        self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def run(
@@ -223,7 +308,7 @@ class DistributedJacobi:
             latency_s=self.latency_s,
             bandwidth_bytes_s=self.bandwidth_bytes_s,
         )
-        local = {s.rank: field.data[:, s.z0 : s.z1].copy() for s in slabs}
+        ranks = self._bind(field.data, slabs)
         buddies = BuddyStore()
         report = RecoveryReport(initial_ranks=self.n_ranks,
                                 final_ranks=self.n_ranks)
@@ -246,12 +331,12 @@ class DistributedJacobi:
                     # snapshots are the trusted base the heal replays from,
                     # and must stay the previous round's clean start state
                     self._sdc_verify(
-                        slabs, local, comm, buddies, last_round_t,
+                        slabs, ranks, comm, buddies, last_round_t,
                         field.nz, steps - remaining,
                     )
                 if self.recover and len(live) > 1:
                     self._buddy_checkpoint(
-                        live, slabs, local, buddies, round_index
+                        live, slabs, ranks, buddies, round_index
                     )
                 for rank in live:
                     comm.heartbeat(rank)
@@ -265,17 +350,17 @@ class DistributedJacobi:
                                     round_t=round_t, ranks=len(live)):
                         if self.overlap:
                             self._exchange_and_compute_overlap(
-                                slabs, local, comm, round_t, traffic,
+                                slabs, ranks, comm, round_t, traffic,
                                 field.nz,
                             )
                         else:
                             self._exchange_and_compute(
-                                slabs, local, comm, round_t, traffic
+                                slabs, ranks, comm, round_t, traffic
                             )
                 except RankDeadError:
                     if not self.recover:
                         raise
-                    live, slabs, local = self._recover(
+                    live, slabs, ranks = self._recover(
                         field, live, slabs, comm, buddies, report,
                         round_index, halo,
                     )
@@ -283,9 +368,11 @@ class DistributedJacobi:
                     # describe state that no longer exists
                     self._seals = None
                     continue  # replay the interrupted round
+                for rs in ranks.values():
+                    rs.cur ^= 1  # the buffers just written are now live
                 if self.integrity != "off":
                     self._seals = {
-                        s.rank: plane_crcs(local[s.rank]) for s in slabs
+                        s.rank: plane_crcs(ranks[s.rank].owned) for s in slabs
                     }
                     sdc.sealed_planes += field.nz
                     last_round_t = round_t
@@ -293,7 +380,7 @@ class DistributedJacobi:
                         # the memory.flip probe fires per rank per round,
                         # AFTER sealing — an injected flip is in-window
                         inject_flips(
-                            local[s.rank], rank=s.rank,
+                            ranks[s.rank].owned, rank=s.rank,
                             round_index=round_index, seed=self.sdc_seed,
                         )
                 remaining -= round_t
@@ -301,7 +388,7 @@ class DistributedJacobi:
             if self._seals is not None:
                 # flips landing after the final seal stay in-window
                 self._sdc_verify(
-                    slabs, local, comm, buddies, last_round_t,
+                    slabs, ranks, comm, buddies, last_round_t,
                     field.nz, steps,
                 )
 
@@ -309,7 +396,7 @@ class DistributedJacobi:
         report.buddy_snapshots = buddies.snapshots
         report.final_ranks = len(live)
         gathered = Field3D(
-            np.concatenate([local[s.rank] for s in slabs], axis=1)
+            np.concatenate([ranks[s.rank].owned for s in slabs], axis=1)
         )
         assert comm.pending() == 0
         if METRICS.armed:
@@ -318,21 +405,42 @@ class DistributedJacobi:
         return gathered, comm
 
     # ------------------------------------------------------------------
+    def _bind(
+        self, data: np.ndarray, slabs: list[Slab]
+    ) -> dict[int, _RankSlab]:
+        """The persistent rank buffers for ``slabs``, filled from ``data``.
+
+        Buffers, region views and warm executors are kept while the slab
+        map, shape, dtype and ncomp stay the same (a rank recovery's
+        re-decomposition is a change); only their contents are refilled.
+        """
+        halo = self.kernel.radius * self.dim_t
+        layout = (tuple(slabs), data.shape, data.dtype, halo)
+        if layout != self._layout:
+            self._ranks = {s.rank: _RankSlab(s, halo, data) for s in slabs}
+            self._scratch = None
+            self._layout = layout
+        for s in slabs:
+            self._ranks[s.rank].fill(data[:, s.z0 : s.z1], self.kernel.radius)
+        return self._ranks
+
     def _buddy_checkpoint(
         self,
         live: list[int],
         slabs: list[Slab],
-        local: dict[int, np.ndarray],
+        ranks: dict[int, _RankSlab],
         buddies: BuddyStore,
         round_index: int,
     ) -> None:
         """Replicate every rank's round-start slab to its buddy (in memory).
 
-        The slab arrays are never mutated in place by the round (each round
-        rebinds ``local[rank]`` to a fresh array), so the owner's own copy
-        can alias the live slab; only the buddy replica costs a copy —
-        that copy is the modeled inter-rank transfer, counted in
-        ``buddy_bytes`` rather than in the halo-exchange comm stats.
+        The owner's own snapshot aliases the owned view of the rank's
+        current buffer.  That is safe because a round reads that buffer and
+        writes the other one, so its owned planes are not written before
+        the next checkpoint replaces the snapshot, and the ghost slots a
+        round fills lie outside the owned view.  Only the buddy replica
+        costs a copy — that copy is the modeled inter-rank transfer, counted
+        in ``buddy_bytes`` rather than in the halo-exchange comm stats.
         """
         for s in slabs:
             buddies.checkpoint(
@@ -341,7 +449,7 @@ class DistributedJacobi:
                     round_index=round_index,
                     z0=s.z0,
                     z1=s.z1,
-                    data=local[s.rank],
+                    data=ranks[s.rank].owned,
                     meta={"scheme": self.scheme, "dim_t": self.dim_t},
                 ),
                 holder=buddy_of(s.rank, live),
@@ -357,7 +465,7 @@ class DistributedJacobi:
         report: RecoveryReport,
         round_index: int,
         halo: int,
-    ) -> tuple[list[int], list[Slab], dict[int, np.ndarray]]:
+    ) -> tuple[list[int], list[Slab], dict[int, _RankSlab]]:
         """The recovery path: re-decompose, buddy-restore, ready to replay.
 
         Reconstructs the *round-start* global state from the buddy
@@ -390,22 +498,20 @@ class DistributedJacobi:
                     f"cannot re-decompose over {len(survivors)} surviving "
                     f"rank(s): {exc}"
                 ) from exc
-            new_local = {
-                s.rank: restored[:, s.z0 : s.z1].copy() for s in new_slabs
-            }
+            ranks = self._bind(restored, new_slabs)
             purged = comm.purge()
             report.failed_ranks.extend((round_index, r) for r in dead_now)
             report.recoveries += 1
             report.replayed_rounds += 1
             report.purged_messages += purged
             report.final_ranks = len(survivors)
-        return survivors, new_slabs, new_local
+        return survivors, new_slabs, ranks
 
     # ------------------------------------------------------------------
     def _sdc_verify(
         self,
         slabs: list[Slab],
-        local: dict[int, np.ndarray],
+        ranks: dict[int, _RankSlab],
         comm: SimComm,
         buddies: BuddyStore,
         round_t: int,
@@ -431,7 +537,7 @@ class DistributedJacobi:
             sealed = self._seals.get(s.rank) if self._seals else None
             if sealed is None:
                 continue
-            crcs = plane_crcs(local[s.rank])
+            crcs = plane_crcs(ranks[s.rank].owned)
             bad.extend(
                 s.z0 + z
                 for z, (a, b) in enumerate(zip(crcs, sealed))
@@ -481,7 +587,7 @@ class DistributedJacobi:
             for s in slabs:
                 lo, hi = max(s.z0, z0), min(s.z1, z1)
                 if lo < hi:
-                    local[s.rank][:, lo - s.z0 : hi - s.z0] = \
+                    ranks[s.rank].owned[:, lo - s.z0 : hi - s.z0] = \
                         out.data[:, lo - e0 : hi - e0]
         report.heals += 1
         cells = (e1 - e0) * ny * nx * round_t
@@ -493,7 +599,7 @@ class DistributedJacobi:
             sealed = self._seals.get(s.rank) if self._seals else None
             if sealed is None:
                 continue
-            crcs = plane_crcs(local[s.rank])
+            crcs = plane_crcs(ranks[s.rank].owned)
             still = [
                 s.z0 + z
                 for z, (a, b) in enumerate(zip(crcs, sealed))
@@ -548,7 +654,7 @@ class DistributedJacobi:
     def _exchange_and_compute(
         self,
         slabs: list[Slab],
-        local: dict[int, np.ndarray],
+        ranks: dict[int, _RankSlab],
         comm: SimComm,
         round_t: int,
         traffic: TrafficStats | None,
@@ -561,43 +667,34 @@ class DistributedJacobi:
             for s in slabs:
                 if not comm.alive(s.rank):
                     continue
+                owned = ranks[s.rank].owned
                 if s.hi_neighbor is not None:
-                    comm.send(s.rank, s.hi_neighbor, _TAG_UP,
-                              local[s.rank][:, -h:])
+                    comm.send(s.rank, s.hi_neighbor, _TAG_UP, owned[:, -h:])
                 if s.lo_neighbor is not None:
-                    comm.send(s.rank, s.lo_neighbor, _TAG_DOWN,
-                              local[s.rank][:, :h])
-        # phase B: every rank assembles its augmented slab and computes;
-        # a receive from a dead neighbor raises RankDeadError (detection)
+                    comm.send(s.rank, s.lo_neighbor, _TAG_DOWN, owned[:, :h])
+        # phase B: every rank receives its ghosts into its buffer slots and
+        # computes; a receive from a dead neighbor raises RankDeadError
         for s in slabs:
             if not comm.alive(s.rank):
                 continue
-            parts = []
-            zlo = s.z0
             with TRACE.span("halo_exchange", phase="recv", rank=s.rank):
+                lo_ghost = hi_ghost = None
                 if s.lo_neighbor is not None:
-                    ghost = comm.recv(s.lo_neighbor, s.rank, _TAG_UP)
-                    self._sdc_handshake(ghost, s.lo_neighbor, "tail")
-                    parts.append(ghost)
-                    zlo = s.z0 - h
-                parts.append(local[s.rank])
-                zhi = s.z1
+                    lo_ghost = comm.recv(s.lo_neighbor, s.rank, _TAG_UP)
+                    self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
                 if s.hi_neighbor is not None:
-                    ghost = comm.recv(s.hi_neighbor, s.rank, _TAG_DOWN)
-                    self._sdc_handshake(ghost, s.hi_neighbor, "head")
-                    parts.append(ghost)
-                    zhi = s.z1 + h
+                    hi_ghost = comm.recv(s.hi_neighbor, s.rank, _TAG_DOWN)
+                    self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
+                ranks[s.rank].store_ghosts(lo_ghost, hi_ghost)
             with TRACE.span("rank_compute", rank=s.rank):
-                aug = Field3D(np.concatenate(parts, axis=1))
-                out = self._advance_local(aug, zlo, zhi, round_t, traffic)
-                lo_off = s.z0 - zlo
-                local[s.rank] = out.data[:, lo_off : lo_off + s.owned].copy()
+                rs = ranks[s.rank]
+                self._sweep(rs, self._fused(rs, h), round_t, traffic)
 
     # ------------------------------------------------------------------
     def _exchange_and_compute_overlap(
         self,
         slabs: list[Slab],
-        local: dict[int, np.ndarray],
+        ranks: dict[int, _RankSlab],
         comm: SimComm,
         round_t: int,
         traffic: TrafficStats | None,
@@ -612,7 +709,8 @@ class DistributedJacobi:
         planes (``halo_wait`` — the failure-detection point of the overlap
         path), and finishes the two boundary strips.  A slab too thin to
         leave an interior falls back to the fused schedule through the
-        same handles.
+        same handles; no compute ran between its post and wait, so its
+        transfer time is fully exposed — correctly so, nothing was hidden.
         """
         r = self.kernel.radius
         h = r * round_t
@@ -621,12 +719,11 @@ class DistributedJacobi:
             for s in slabs:
                 if not comm.alive(s.rank):
                     continue
+                owned = ranks[s.rank].owned
                 if s.hi_neighbor is not None:
-                    comm.isend(s.rank, s.hi_neighbor, _TAG_UP,
-                               local[s.rank][:, -h:])
+                    comm.isend(s.rank, s.hi_neighbor, _TAG_UP, owned[:, -h:])
                 if s.lo_neighbor is not None:
-                    comm.isend(s.rank, s.lo_neighbor, _TAG_DOWN,
-                               local[s.rank][:, :h])
+                    comm.isend(s.rank, s.lo_neighbor, _TAG_DOWN, owned[:, :h])
             recvs: dict[int, tuple] = {}
             for s in slabs:
                 if not comm.alive(s.rank):
@@ -639,124 +736,125 @@ class DistributedJacobi:
         for s in slabs:
             if not comm.alive(s.rank):
                 continue
+            rs = ranks[s.rank]
             lo_req, hi_req = recvs[s.rank]
             split = split_slab(s.z0, s.z1, nz, h, s.lo_cut, s.hi_cut)
             if split.interior is None or s.owned < 2 * r + 1:
-                self._compute_fused_from_handles(
-                    s, local, comm, lo_req, hi_req, h, round_t, traffic
-                )
+                with TRACE.span("halo_wait", rank=s.rank, fallback="thin-slab"):
+                    self._wait_ghosts(comm, s, rs, lo_req, hi_req)
+                with TRACE.span("rank_compute", rank=s.rank, phase="fused"):
+                    self._sweep(rs, self._fused(rs, h), round_t, traffic)
                 continue
-            out = np.empty_like(local[s.rank])
             with TRACE.span("rank_compute", rank=s.rank, phase="interior"):
                 t0 = time.perf_counter_ns()
-                res = self._advance_local(
-                    Field3D(local[s.rank]), s.z0, s.z1, round_t, traffic
-                )
+                self._sweep(rs, self._region(rs, "interior", h, (s.z0, s.z1)),
+                            round_t, traffic)
                 comm.advance(s.rank, time.perf_counter_ns() - t0)
-            ilo, ihi = split.interior.core
-            out[:, ilo - s.z0 : ihi - s.z0] = \
-                res.data[:, ilo - s.z0 : ihi - s.z0]
             with TRACE.span("halo_wait", rank=s.rank):
-                lo_ghost = comm.wait(lo_req) if lo_req is not None else None
-                hi_ghost = comm.wait(hi_req) if hi_req is not None else None
-            if lo_ghost is not None:
-                self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
-            if hi_ghost is not None:
-                self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
+                self._wait_ghosts(comm, s, rs, lo_req, hi_req)
             with TRACE.span("rank_compute", rank=s.rank, phase="boundary"):
-                if split.lo_strip is not None:
-                    self._compute_strip(out, split.lo_strip, s, local,
-                                        lo_ghost, None, round_t, traffic)
-                if split.hi_strip is not None:
-                    self._compute_strip(out, split.hi_strip, s, local,
-                                        None, hi_ghost, round_t, traffic)
-            local[s.rank] = out
+                for name, strip in (("lo", split.lo_strip),
+                                    ("hi", split.hi_strip)):
+                    if strip is not None:
+                        reg = self._region(rs, name, h, strip.extent,
+                                           core=strip.core)
+                        self._sweep(rs, reg, round_t, traffic)
 
-    def _compute_strip(
+    def _wait_ghosts(self, comm: SimComm, s: Slab, rs: _RankSlab,
+                     lo_req, hi_req) -> None:
+        """Complete a rank's ghost receives into its current buffer."""
+        lo_ghost = comm.wait(lo_req) if lo_req is not None else None
+        hi_ghost = comm.wait(hi_req) if hi_req is not None else None
+        if lo_ghost is not None:
+            self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
+        if hi_ghost is not None:
+            self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
+        rs.store_ghosts(lo_ghost, hi_ghost)
+
+    # ------------------------------------------------------------------
+    def _fused(self, rs: _RankSlab, h: int) -> _Region:
+        """The whole ghost-augmented slab: owned planes plus ``h`` ghosts
+        per cut side (the non-overlap and thin-slab region)."""
+        s = rs.slab
+        return self._region(rs, "fused", h, (s.z0 - h * s.lo_cut,
+                                             s.z1 + h * s.hi_cut))
+
+    def _region(
         self,
-        out: np.ndarray,
-        strip,
-        s: Slab,
-        local: dict[int, np.ndarray],
-        lo_ghost: np.ndarray | None,
-        hi_ghost: np.ndarray | None,
-        round_t: int,
-        traffic: TrafficStats | None,
-    ) -> None:
-        """Run one boundary strip and write its core planes into ``out``.
-
-        The strip extent lies entirely inside owned ∪ ghost planes (see
-        :func:`split_slab`), so the augmented strip field is a ghost +
-        owned-slice concatenation and its blocked round is exact on the
-        core by the usual depth induction.
-        """
-        (c0, c1), (e0, e1) = strip.core, strip.extent
-        if lo_ghost is not None:  # low strip: ghost below + owned planes
-            parts = [lo_ghost, local[s.rank][:, : e1 - s.z0]]
-        else:  # high strip: owned planes + ghost above
-            parts = [local[s.rank][:, e0 - s.z0 :], hi_ghost]
-        aug = Field3D(np.concatenate(parts, axis=1))
-        res = self._advance_local(aug, e0, e1, round_t, traffic)
-        out[:, c0 - s.z0 : c1 - s.z0] = res.data[:, c0 - e0 : c1 - e0]
-
-    def _compute_fused_from_handles(
-        self,
-        s: Slab,
-        local: dict[int, np.ndarray],
-        comm: SimComm,
-        lo_req,
-        hi_req,
+        rs: _RankSlab,
+        name: str,
         h: int,
+        extent: tuple[int, int],
+        core: tuple[int, int] | None = None,
+    ) -> _Region:
+        """The region ``name`` of ``rs`` at halo depth ``h``, bound once.
+
+        ``extent`` is the global z range it reads.  A strip (``core`` set)
+        writes the shared strip scratch, sized for the deepest strip any
+        round can have: ``3 * R * dim_T`` planes.
+        """
+        reg = rs.regions.get((name, h))
+        if reg is not None:
+            return reg
+        e0, e1 = extent
+        b0, b1 = e0 - rs.base, e1 - rs.base
+        views = (Field3D(rs.bufs[0][:, b0:b1]), Field3D(rs.bufs[1][:, b0:b1]))
+        kernel = self.kernel.restricted_to(e0, e1)
+        executor = None
+        if self.scheme == "35d":
+            _, _, ny, nx = rs.bufs[0].shape
+            executor = Blocking35D(kernel, dim_t=h // kernel.radius,
+                                   tile_y=self.tile_y or ny,
+                                   tile_x=self.tile_x or nx)
+        out = None
+        if core is not None:
+            if self._scratch is None:
+                ncomp, _, ny, nx = rs.bufs[0].shape
+                depth = 3 * self.kernel.radius * self.dim_t
+                self._scratch = np.zeros((ncomp, depth, ny, nx),
+                                         rs.bufs[0].dtype)
+            out = Field3D(self._scratch[:, : e1 - e0])
+            core = (core[0] - e0, core[1] - e0)
+        reg = rs.regions[(name, h)] = _Region(kernel, views, executor, out,
+                                              core)
+        return reg
+
+    def _sweep(
+        self,
+        rs: _RankSlab,
+        reg: _Region,
         round_t: int,
         traffic: TrafficStats | None,
     ) -> None:
-        """Fused fallback for slabs with no interior: wait, then compute.
+        """Advance one region by ``round_t`` steps into the other buffer.
 
-        No compute ran between post and wait, so the transfer time of
-        these ghosts is fully exposed — correctly so, nothing was hidden.
+        A strip's output lands in the shared scratch, whose XY shell holds
+        nothing useful, so only the XY interior of its core planes is
+        copied back; the other buffer's owned planes already carry the
+        constant shell.  A region thinner than ``2R + 1`` planes has no
+        computable plane: its owned planes are all physical shell, which
+        the other buffer already holds, so the round leaves it as is.
         """
-        parts = []
-        zlo = s.z0
-        with TRACE.span("halo_wait", rank=s.rank, fallback="thin-slab"):
-            if lo_req is not None:
-                ghost = comm.wait(lo_req)
-                self._sdc_handshake(ghost, s.lo_neighbor, "tail")
-                parts.append(ghost)
-                zlo = s.z0 - h
-            parts.append(local[s.rank])
-            zhi = s.z1
-            if hi_req is not None:
-                ghost = comm.wait(hi_req)
-                self._sdc_handshake(ghost, s.hi_neighbor, "head")
-                parts.append(ghost)
-                zhi = s.z1 + h
-        with TRACE.span("rank_compute", rank=s.rank, phase="fused"):
-            aug = Field3D(np.concatenate(parts, axis=1))
-            res = self._advance_local(aug, zlo, zhi, round_t, traffic)
-            lo_off = s.z0 - zlo
-            local[s.rank] = res.data[:, lo_off : lo_off + s.owned].copy()
-
-    def _advance_local(
-        self,
-        aug: Field3D,
-        zlo: int,
-        zhi: int,
-        round_t: int,
-        traffic: TrafficStats | None,
-    ) -> Field3D:
-        kernel = self.kernel.restricted_to(zlo, zhi)
-        if self.scheme == "35d":
-            ty = self.tile_y or aug.ny
-            tx = self.tile_x or aug.nx
-            ex = Blocking35D(kernel, dim_t=round_t, tile_y=ty, tile_x=tx)
-            return ex.run(aug, round_t, traffic)
-        src = aug.copy()
-        dst = aug.like()
-        copy_shell(src, dst, kernel.radius)
-        for _ in range(round_t):
-            naive_sweep(kernel, src, dst, traffic)
-            src, dst = dst, src
-        return src
+        src = reg.views[rs.cur]
+        dst = reg.views[1 - rs.cur] if reg.out is None else reg.out
+        if src.nz < 2 * reg.kernel.radius + 1:
+            return
+        if reg.executor is not None:
+            reg.executor.sweep_round(src, dst, round_t, traffic)
+        else:
+            a, b = src.copy(), src.like()
+            copy_shell(a, b, reg.kernel.radius)
+            for _ in range(round_t):
+                naive_sweep(reg.kernel, a, b, traffic)
+                a, b = b, a
+            np.copyto(dst.data, a.data)
+        if reg.core is not None:
+            r = reg.kernel.radius
+            k0, k1 = reg.core
+            _, _, ny, nx = dst.data.shape
+            keep = (slice(None), slice(k0, k1), slice(r, ny - r),
+                    slice(r, nx - r))
+            reg.views[1 - rs.cur].data[keep] = dst.data[keep]
 
     # ------------------------------------------------------------------
     def expected_messages(self, nz: int, steps: int) -> int:

@@ -631,16 +631,16 @@ class CodegenSweepKernel(FusedSweepKernel):
 
         Runners prebind the complete plan — tiles, schedule meta, stacked
         ring/shell storage and the compiled sweep function — and are cached
-        by identity of the executor and ping/pong buffer pairing.
+        on the executor they bind, matched by ping/pong buffer pairing, so
+        they live and die with it and never travel with the kernel.
         """
         FAULTS.fire("backend.compute", detail="codegen")
         if FAULTS.armed("memory.flip"):
             return None  # the ring flip site is in the stepwise path
-        cache = self.__dict__.setdefault("_sweep_runners", [])
+        cache = executor.sweep_runners
         for runner in cache:
             if (
-                runner.executor is executor
-                and runner.src_data is src.data
+                runner.src_data is src.data
                 and runner.dst_data is dst.data
                 and runner.round_t == round_t
                 and runner.parallel == parallel
@@ -654,13 +654,6 @@ class CodegenSweepKernel(FusedSweepKernel):
             # ping/pong plus one spare pair (mirrors the fused runner cache)
             del cache[:-4]
         return runner
-
-    def __getstate__(self):
-        # bound runners hold imported modules and live buffer views; they
-        # rebind cheaply, so keep kernel pickling (checkpoints) working
-        state = dict(self.__dict__)
-        state.pop("_sweep_runners", None)
-        return state
 
 
 class _CodegenSweepRunner:
@@ -703,7 +696,6 @@ class _CodegenSweepRunner:
 
     def __init__(self, kernel, executor, src, dst, round_t, parallel, kind, fn):
         self.kernel = kernel
-        self.executor = executor
         self.src_data = src.data
         self.dst_data = dst.data
         self.round_t = round_t

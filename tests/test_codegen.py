@@ -316,13 +316,13 @@ class TestDiskCache:
         ex = Blocking35D(kernel, 2, 8, 8)
         field = Field3D.random((6, 12, 12), dtype=np.float32, seed=2)
         ex.run(field, 4)
-        runners = list(kernel.__dict__.get("_sweep_runners", []))
+        runners = list(ex.sweep_runners)
         assert runners  # ping/pong pair bound once
         ex.run(field, 4)
-        assert list(kernel.__dict__["_sweep_runners"]) == runners
-        # bound runners hold grid-sized buffers + a loaded module: they must
-        # not travel with the kernel through copy/pickle protocols
-        assert "_sweep_runners" not in kernel.__getstate__()
+        assert ex.sweep_runners == runners
+        # bound runners hold grid-sized buffers + a loaded module: they live
+        # on the executor, never in the kernel's state
+        assert "_sweep_runners" not in vars(kernel)
 
 
 class TestDistributedAndCLI:

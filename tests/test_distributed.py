@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import run_naive
 from repro.distributed import (
@@ -142,6 +144,15 @@ class TestDistributedCorrectness:
         ref = run_naive(k, f, 4)
         out, _ = DistributedJacobi(k, 3, dim_t=2).run(f, 4)
         assert np.array_equal(out.data, ref.data)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_slab_of_shell_planes_only(self, overlap):
+        # 3 planes over 2 ranks: rank 1 owns only the top shell plane, so
+        # its ghost-augmented slab (2 planes) has nothing to compute
+        k = SevenPointStencil()
+        f = Field3D.random((3, 4, 4), seed=0)
+        out, _ = DistributedJacobi(k, 2, dim_t=1, overlap=overlap).run(f, 1)
+        assert np.array_equal(out.data, run_naive(k, f, 1).data)
 
     def test_too_many_ranks_rejected(self):
         k = SevenPointStencil()
@@ -523,3 +534,232 @@ class TestOverlapCorrectness:
             TRACE.disarm()
         assert "halo_wait" in names
         assert "halo_exchange" in names and "rank_compute" in names
+
+
+# ----------------------------------------------------------------------
+# persistent per-rank buffers and warm region executors
+# ----------------------------------------------------------------------
+
+_KERNELS = ("7pt", "27pt", "varco", "lbm")
+
+
+def _case_kernel(kind, shape):
+    """The raw (reference-rung) kernel of one differential case."""
+    from repro.lbm import LBMKernel, channel_with_sphere
+    from repro.stencils import TwentySevenPointStencil
+
+    if kind == "7pt":
+        return SevenPointStencil()
+    if kind == "27pt":
+        return TwentySevenPointStencil()
+    if kind == "varco":
+        # float32 coefficients: the in-place rungs follow NumPy promotion
+        # bit-exactly for f32 and f64 fields alike (f64 coefficients on an
+        # f32 field are not bit-exact there; bind_with_fallback's probe
+        # degrades that case to the reference rung)
+        k = VariableCoefficientStencil.layered(shape, [0.2, 1.0, 0.6])
+        return VariableCoefficientStencil(k.alpha.astype(np.float32),
+                                          k.beta.astype(np.float32))
+    return LBMKernel(channel_with_sphere(shape, 1.5), omega=1.3)
+
+
+@st.composite
+def _distributed_cases(draw):
+    """A valid DistributedJacobi configuration, valid by construction.
+
+    ``decompose_z`` needs every slab to own at least ``R * dim_t`` planes
+    (the near-equal split's smallest slab is ``nz // n_ranks``), and a
+    tile smaller than the plane must host ``2 * R * dim_t`` ghost cells.
+    """
+    kind = draw(st.sampled_from(_KERNELS))
+    n_ranks = draw(st.integers(1, 5))
+    dim_t = draw(st.integers(1, 3))
+    halo = dim_t  # every drawn kernel has radius 1
+    nz = draw(st.integers(max(3, n_ranks * halo), n_ranks * halo + 8))
+    ny = draw(st.integers(2 * halo + 2, 2 * halo + 6))
+    nx = draw(st.integers(2 * halo + 2, 2 * halo + 6))
+    tiled = draw(st.booleans())
+    return {
+        "kind": kind,
+        "shape": (nz, ny, nx),
+        "dtype": draw(st.sampled_from([np.float32, np.float64])),
+        "n_ranks": n_ranks,
+        "dim_t": dim_t,
+        "steps": draw(st.integers(0, 3 * dim_t)),
+        "tile_y": draw(st.integers(2 * halo + 1, ny - 1)) if tiled else None,
+        "tile_x": draw(st.integers(2 * halo + 1, nx - 1)) if tiled else None,
+        "overlap": draw(st.booleans()),
+        "integrity": draw(st.sampled_from(["off", "seal", "full"])),
+        "backend": draw(st.sampled_from([None, "numpy"])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+#: 5 ranks over 24 planes at dim_t 3: ranks 1-3 are thin (fused), rank 0's
+#: high strip and rank 4's low strip are clipped to 8 and 7 planes, not 3h
+_PINNED = {
+    "kind": "7pt", "shape": (24, 12, 14), "dtype": np.float64, "n_ranks": 5,
+    "dim_t": 3, "steps": 7, "tile_y": None, "tile_x": None, "overlap": True,
+    "integrity": "off", "backend": None, "seed": 3,
+}
+
+
+def test_pinned_case_has_strips_that_are_not_3h():
+    from repro.core.regions import split_slab
+
+    h = 3
+    extents = []
+    for s in decompose_z(24, 5, h):
+        split = split_slab(s.z0, s.z1, 24, h, s.lo_cut, s.hi_cut)
+        extents += [st_.extent_size for st_ in (split.lo_strip, split.hi_strip)
+                    if st_ is not None]
+    assert extents and all(e != 3 * h for e in extents)
+
+
+@settings(max_examples=30, deadline=None)
+@example(case=_PINNED)
+@given(case=_distributed_cases())
+def test_one_instance_matches_naive_across_fields_and_shapes(case):
+    """One instance, two fields, then a different layout — every output
+    equals the naive oracle, so no state leaks across ``run()`` calls
+    through the persistent rank buffers or warm executors."""
+    from repro.perf.backends import wrap_kernel
+
+    shape, dtype = case["shape"], case["dtype"]
+    kernel = _case_kernel(case["kind"], shape)
+    ncomp = kernel.ncomp
+    dj = DistributedJacobi(
+        wrap_kernel(kernel, case["backend"]), case["n_ranks"],
+        dim_t=case["dim_t"], tile_y=case["tile_y"], tile_x=case["tile_x"],
+        overlap=case["overlap"], integrity=case["integrity"],
+        latency_s=1e-6 if case["overlap"] else 0.0,
+    )
+    if case["kind"] in ("7pt", "27pt"):
+        # a different shape (still decomposable, tiles still fit)
+        other = ((shape[0] + 1, shape[1] + 1, shape[2]), dtype)
+    else:
+        # kernels bound to their grid's geometry: change the dtype instead
+        other = (shape, np.float64 if dtype == np.float32 else np.float32)
+    seed = case["seed"]
+    for i, (shp, dt) in enumerate([(shape, dtype), (shape, dtype), other]):
+        field = Field3D.random(shp, ncomp=ncomp, dtype=dt, seed=seed + i)
+        ref = run_naive(kernel if shp == shape else _case_kernel(
+            case["kind"], shp), field, case["steps"])
+        out, comm = dj.run(field, case["steps"])
+        assert out.data.dtype == ref.data.dtype
+        assert np.array_equal(out.data, ref.data), (i, shp, dt)
+        assert comm.pending() == 0
+
+
+class TestWarmRankBuffers:
+    """A second ``run()`` of the same layout rebuilds nothing."""
+
+    @staticmethod
+    def _count(monkeypatch, cls, name, built):
+        orig = getattr(cls, name)
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            return orig(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_second_run_builds_no_executor_and_no_plan(self, monkeypatch,
+                                                       overlap):
+        from repro.core.blocking35d import Blocking35D
+        from repro.perf.backends import wrap_kernel
+        from repro.perf.fused import _NumpyFusedRunner
+
+        executors, plans = [], []
+        self._count(monkeypatch, Blocking35D, "__init__", executors)
+        self._count(monkeypatch, _NumpyFusedRunner, "_build_plan", plans)
+        k = SevenPointStencil()
+        dj = DistributedJacobi(wrap_kernel(k, "fused-numpy"), 3, dim_t=2,
+                               tile_y=8, tile_x=8, overlap=overlap)
+        first = Field3D.random((24, 12, 14), dtype=np.float32, seed=1)
+        dj.run(first, 5)  # full rounds plus a partial one
+        assert executors and plans
+        del executors[:], plans[:]
+        second = Field3D.random((24, 12, 14), dtype=np.float32, seed=2)
+        out, _ = dj.run(second, 5)
+        assert executors == [] and plans == []
+        assert np.array_equal(out.data, run_naive(k, second, 5).data)
+
+    def test_codegen_sweep_runners_are_reused(self, monkeypatch, tmp_path):
+        from repro.core.blocking35d import Blocking35D
+        from repro.perf.backends import wrap_kernel
+        from repro.perf.codegen import (
+            CODEGEN_CACHE_ENV,
+            CODEGEN_MODE_ENV,
+            _CodegenSweepRunner,
+        )
+
+        monkeypatch.setenv(CODEGEN_MODE_ENV, "python")
+        monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "cg"))
+        executors = []
+        self._count(monkeypatch, Blocking35D, "__init__", executors)
+        k = SevenPointStencil()
+        dj = DistributedJacobi(wrap_kernel(k, "codegen"), 3, dim_t=2,
+                               tile_y=8, tile_x=8)
+        dj.run(Field3D.random((24, 12, 14), dtype=np.float32, seed=1), 4)
+        runners = {id(ex): list(ex.sweep_runners) for ex in executors}
+        assert all(runners.values())
+        for ex in executors:  # ping/pong: at most two (src, dst) pairs
+            pairs = {(id(r.src_data), id(r.dst_data))
+                     for r in ex.sweep_runners}
+            assert len(pairs) == len(ex.sweep_runners) <= 2
+        built = []
+        monkeypatch.setattr(
+            _CodegenSweepRunner, "build",
+            classmethod(lambda cls, *a: built.append(a) or None),
+        )
+        second = Field3D.random((24, 12, 14), dtype=np.float32, seed=2)
+        out, _ = dj.run(second, 4)
+        assert built == []
+        assert {id(ex): list(ex.sweep_runners) for ex in executors} == runners
+        assert np.array_equal(out.data, run_naive(k, second, 4).data)
+
+    def test_crash_then_full_rank_rerun_is_bit_exact(self):
+        from repro.resilience.faultinject import FAULTS
+
+        k = SevenPointStencil()
+        dj = DistributedJacobi(k, 4, dim_t=2, overlap=True, latency_s=1e-6)
+        f = Field3D.random((24, 10, 10), seed=9)
+        with FAULTS.injected("rank.crash=2@2"):
+            out, _ = dj.run(f, 8)
+        assert dj.recovery.recoveries == 1 and dj.recovery.final_ranks == 3
+        assert np.array_equal(out.data, run_naive(k, f, 8).data)
+        g = Field3D.random((24, 10, 10), seed=10)
+        out, _ = dj.run(g, 8)  # back at four ranks: the layout rebuilds
+        assert dj.recovery.recoveries == 0 and dj.recovery.final_ranks == 4
+        assert np.array_equal(out.data, run_naive(k, g, 8).data)
+
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_late_flip_heals_from_snapshots_aliasing_the_buffers(
+        self, monkeypatch, overlap
+    ):
+        from repro.resilience.faultinject import FAULTS
+        from repro.resilience.rankrecovery import BuddyStore
+
+        owns = []
+        orig = BuddyStore.checkpoint
+
+        def checkpoint(store, snap, holder):
+            owns.append(snap.data)
+            return orig(store, snap, holder)
+
+        monkeypatch.setattr(BuddyStore, "checkpoint", checkpoint)
+        k = SevenPointStencil()
+        f = Field3D.random((16, 12, 12), seed=4)
+        dj = DistributedJacobi(k, 4, dim_t=2, integrity="seal", sdc_seed=3,
+                               overlap=overlap)
+        with FAULTS.injected("memory.flip=1:2:2"):  # rank 1, after round 2
+            out, _ = dj.run(f, 10)
+        assert dj.sdc_report.heals == 1
+        assert np.array_equal(out.data, run_naive(k, f, 10).data)
+        # the owners' snapshots are views of the ping-pong buffers
+        bufs = [b for rs in dj._ranks.values() for b in rs.bufs]
+        assert owns and all(
+            any(np.shares_memory(o, b) for b in bufs) for o in owns
+        )
