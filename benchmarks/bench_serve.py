@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import socket
 import sys
 import tempfile
 import time
@@ -51,6 +52,7 @@ import numpy as np
 
 from repro.perf import format_table
 from repro.serve import JobServer, JobSpec, ServeClient, ServeCore
+from repro.serve.protocol import read_message, write_message
 
 #: the SLO multiplier: p99 <= base_svc * (queue_cap / workers) * SLO_FACTOR
 SLO_FACTOR = 3.0
@@ -131,33 +133,39 @@ def run_load(args) -> dict:
     capacity = args.workers / base_svc  # jobs/s the workers can clear
 
     # -- mixed traffic at 2x capacity ----------------------------------
+    # Submits share one connection (the protocol answers any number of
+    # requests per connection) and the queue depth is read in-process: a
+    # connection and a stats round trip per submit cap the generator
+    # below 2x capacity once a job takes only a few milliseconds.
     target_rate = 2.0 * capacity
     interval = 1.0 / target_rate
     accepted: list[str] = []
     refusals: list[str] = []
     missing_reason = 0
     depth_samples: list[int] = []
-    t_start = time.perf_counter()
-    next_submit = t_start
-    while time.perf_counter() - t_start < args.duration:
-        now = time.perf_counter()
-        if now < next_submit:
-            time.sleep(min(next_submit - now, interval))
-            continue
-        next_submit += interval
-        reply = client.submit(
-            _spec(rng, args.grid, args.steps, args.deadline_frac).to_dict()
-        )
-        if reply.get("ok"):
-            accepted.append(reply["id"])
-        else:
-            refusals.append(reply.get("reason", ""))
-            if not reply.get("reason"):
-                missing_reason += 1
-        depth_samples.append(
-            int(client.stats()["stats"]["queue_depth"])
-        )
-    elapsed_load = time.perf_counter() - t_start
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+        conn.connect(sock)
+        wire = conn.makefile("rwb")
+        t_start = time.perf_counter()
+        next_submit = t_start
+        while time.perf_counter() - t_start < args.duration:
+            now = time.perf_counter()
+            if now < next_submit:
+                time.sleep(min(next_submit - now, interval))
+                continue
+            next_submit += interval
+            job = _spec(rng, args.grid, args.steps, args.deadline_frac)
+            write_message(wire, {"op": "submit", "job": job.to_dict()})
+            reply = read_message(wire)
+            if reply.get("ok"):
+                accepted.append(reply["id"])
+            else:
+                refusals.append(reply.get("reason", ""))
+                if not reply.get("reason"):
+                    missing_reason += 1
+            depth_samples.append(len(core.queue))
+        elapsed_load = time.perf_counter() - t_start
+        wire.close()
 
     # -- wait out the backlog, then drain ------------------------------
     wait_deadline = time.monotonic() + max(60.0, 10 * args.duration)

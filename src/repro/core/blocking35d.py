@@ -153,8 +153,10 @@ class Blocking35D:
         self._tile_plans: dict = {}
         self._schedules: dict = {}
         self._run_buffers: dict = {}
-        #: whole-round runners bound by codegen backends (repro.perf.codegen),
-        #: kept here so they live and die with the executor they bind.
+        self._kappas: dict = {}
+        #: whole-round runners bound by sweep-runner backends (codegen and
+        #: fused-numpy volume rounds), kept here so they live and die with
+        #: the executor they bind.
         self.sweep_runners: list = []
         # Intermediate ring planes have dead seam positions (either refreshed
         # by the strip fill right after the compute, or outside every later
@@ -170,6 +172,7 @@ class Blocking35D:
         self._tile_plans.clear()
         self._schedules.clear()
         self._run_buffers.clear()
+        self._kappas.clear()
         self.sweep_runners.clear()
 
     def _ping_pong(self, field: Field3D) -> tuple[Field3D, Field3D]:
@@ -246,15 +249,17 @@ class Blocking35D:
             # actual steps executed this round (may be < dim_t on the final
             # partial round), so traffic-model comparisons are not skewed
             traffic.notes.setdefault("round_t", []).append(round_t)
-        # Whole-sweep codegen backends (repro.perf.codegen) replace the
-        # entire tile loop — shell loading, ring rotation, seam writes and
-        # every z-iteration — with one generated-kernel call per round.
+        # A sweep runner replaces the entire tile loop with one call per
+        # round: codegen backends (repro.perf.codegen) run the blocked
+        # round as one generated kernel, and fused-numpy runs rounds that
+        # Eq. 2 says blocking cannot pay for as whole-volume sweeps
+        # (repro.perf.fused, see ``kappa``).
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
         if sweep_runner is not None:
             runner = sweep_runner(self, src, dst, round_t)
             if runner is not None:
                 if TRACE.armed:
-                    with TRACE.span("codegen_round", tiles=len(tiles),
+                    with TRACE.span(runner.span, tiles=len(tiles),
                                     round_t=round_t):
                         runner.run(token, traffic)
                 else:
@@ -282,6 +287,18 @@ class Blocking35D:
             tiles = plan_tiles_2d(ny, nx, r, round_t, self.tile_y, self.tile_x)
             self._tile_plans[key] = tiles
         return tiles
+
+    def kappa(self, ny: int, nx: int, round_t: int) -> float:
+        """Eq. 2's ghost overestimation of a round's tile plan: the summed
+        loaded-extent area of its tiles over the plane area (1.0 for one
+        whole-plane tile).  A round cuts bandwidth by ``round_t / kappa``."""
+        key = (ny, nx, round_t)
+        kappa = self._kappas.get(key)
+        if kappa is None:
+            tiles = self._plan_tiles(ny, nx, round_t)
+            kappa = sum(t.extent_points for t in tiles) / (ny * nx)
+            self._kappas[key] = kappa
+        return kappa
 
     def _get_schedule(self, nz: int, round_t: int) -> Schedule:
         key = (nz, round_t)

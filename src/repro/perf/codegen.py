@@ -56,11 +56,7 @@ from ..core.buffer import ring_slots
 from ..core.regions import compute_range
 from ..core.schedule import StepKind
 from ..resilience.faultinject import FAULTS
-from ..stencils.generic import GenericStencil
-from ..stencils.seven_point import SevenPointStencil
-from ..stencils.twentyseven_point import TwentySevenPointStencil
-from ..stencils.variable import VariableCoefficientStencil
-from .fused import _CORNERS, _EDGES, _FACES, FusedSweepKernel
+from .fused import _CORNERS, _EDGES, _FACES, FusedSweepKernel, _compiled_kind
 
 __all__ = [
     "CODEGEN_CACHE_ENV",
@@ -640,7 +636,8 @@ class CodegenSweepKernel(FusedSweepKernel):
         cache = executor.sweep_runners
         for runner in cache:
             if (
-                runner.src_data is src.data
+                type(runner) is _CodegenSweepRunner
+                and runner.src_data is src.data
                 and runner.dst_data is dst.data
                 and runner.round_t == round_t
                 and runner.parallel == parallel
@@ -649,36 +646,24 @@ class CodegenSweepKernel(FusedSweepKernel):
         runner = _CodegenSweepRunner.build(
             self, executor, src, dst, round_t, parallel
         )
-        if runner is not None:
-            cache.append(runner)
-            # ping/pong plus one spare pair (mirrors the fused runner cache)
-            del cache[:-4]
+        if runner is None:
+            # unsupported here: the fused-numpy volume round, if it pays
+            return super().sweep_runner(executor, src, dst, round_t, parallel)
+        cache.append(runner)
+        # ping/pong plus one spare pair (mirrors the fused runner cache)
+        del cache[:-4]
         return runner
 
 
 class _CodegenSweepRunner:
     """One generated call per blocked round over stacked per-tile storage."""
 
+    span = "codegen_round"
+
     @classmethod
     def build(cls, kernel, executor, src, dst, round_t, parallel):
-        inner = kernel.inner
-        if src.data.shape[0] != 1 or not src.data.flags.c_contiguous:
-            return None
-        if not dst.data.flags.c_contiguous:
-            return None
-        if type(inner) is SevenPointStencil:
-            kind = "7pt"
-        elif type(inner) is TwentySevenPointStencil:
-            kind = "27pt"
-        elif type(inner) is GenericStencil:
-            kind = "taps"
-        elif type(inner) is VariableCoefficientStencil:
-            # mixed-precision coefficient fields follow NumPy promotion in
-            # the reference; only same-dtype fields are bit-safe to lower
-            if inner.alpha.dtype != src.data.dtype:
-                return None
-            kind = "varco"
-        else:
+        kind = _compiled_kind(kernel.inner, src.data, dst.data)
+        if kind is None:
             return None
         mode = codegen_mode()
         if mode != "python":

@@ -30,6 +30,11 @@ Two fused engines share one integration seam (``FusedSweepKernel``):
     variable-coefficient stencils; other kernels fall back to the numpy
     instruction plan.
 
+When Eq. 2 says a round's blocking cannot pay (``kappa > round_t``), the
+numpy engine's :meth:`FusedSweepKernel.sweep_runner` hook replaces the tile
+loop with a *volume round*: ``round_t`` plain sweeps of the same flat
+lowerings over the whole volume (:class:`_VolumeRunner`).
+
 Both engines preserve the executors' contracts exactly: identical operand
 pairing and reduction order (bit-exact against the naive reference),
 identical boundary-strip refresh semantics, identical traffic accounting,
@@ -47,6 +52,7 @@ import numpy as np
 from ..core.schedule import Schedule, StepKind
 from ..resilience.faultinject import FAULTS
 from ..stencils.generic import GenericStencil
+from ..stencils.grid import interior_points
 from ..stencils.seven_point import SevenPointStencil
 from ..stencils.twentyseven_point import TwentySevenPointStencil
 from ..stencils.variable import VariableCoefficientStencil
@@ -72,6 +78,11 @@ def _zero(a, b=None, out=None):
 
 def _invoke(a, b=None, out=None):
     a()
+
+
+#: elements per operand chunk of a volume round: a chunk's temporaries stay
+#: cache-sized while each ufunc call still covers thousands of lanes
+VOLUME_CHUNK = 16384
 
 
 class FusedSweepKernel(InplaceKernel):
@@ -132,11 +143,49 @@ class FusedSweepKernel(InplaceKernel):
     def _build_runner(self, executor, src, dst, ctx, schedule, round_t):
         return _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
 
+    # ------------------------------------------------------------------
+    def sweep_runner(self, executor, src, dst, round_t, parallel=False):
+        """The (cached) volume runner for a round blocking cannot pay for.
+
+        A 3.5D round cuts bandwidth by ``dim_T / kappa`` (Eq. 2), so when
+        the round's tile plan has ``kappa > round_t`` blocking only adds
+        ghost loads and recomputation, and the round runs as ``round_t``
+        whole-volume sweeps instead (:class:`_VolumeRunner`).  ``None``
+        keeps the blocked tile path: for the threaded executor, while a
+        ``memory.flip`` fault is armed (its ring site is in the stepwise
+        path), for kernels and layouts without a flat lowering, and when
+        blocking pays.  Runners live in ``executor.sweep_runners``, matched
+        by ping/pong buffer identity like codegen's.
+        """
+        if parallel or FAULTS.armed("memory.flip"):
+            return None
+        cache = executor.sweep_runners
+        for runner in cache:
+            if (
+                type(runner) is _VolumeRunner
+                and runner.src_data is src.data
+                and runner.dst_data is dst.data
+                and runner.round_t == round_t
+            ):
+                break
+        else:
+            if _flat_impl(self.inner, src.data, dst.data) not in _VOLUME_IMPLS:
+                return None
+            if executor.kappa(src.ny, src.nx, round_t) <= round_t:
+                return None
+            runner = _VolumeRunner(self, executor, src, dst, round_t)
+            cache.append(runner)
+            del cache[:-4]  # ping/pong plus one spare pair
+        FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
+        return runner
+
 
 class FusedNumbaSweepKernel(FusedSweepKernel):
     """Numba engine: one compiled call per z-iteration (njit + prange)."""
 
     engine = "numba"
+    #: the compiled tile path is not dispatch-bound: no volume rounds
+    sweep_runner = None
 
     def _build_runner(self, executor, src, dst, ctx, schedule, round_t):
         runner = _NumbaFusedRunner.build(
@@ -151,6 +200,92 @@ class FusedNumbaSweepKernel(FusedSweepKernel):
 def fused_engine_for(kernel) -> str | None:
     """The fused engine a wrapped kernel will use, or ``None`` if unfused."""
     return getattr(kernel, "engine", None) if hasattr(kernel, "tile_runner") else None
+
+
+#: kernels whose flat lowering depends on z only through the planes it reads
+_VOLUME_IMPLS = ("7pt", "27pt", "generic")
+
+
+def _flat_impl(inner, src_data, dst_data) -> str | None:
+    """The numpy engine's lowering for ``inner`` on this buffer pair: one
+    of ``7pt``/``27pt``/``generic``/``varco``, or ``None`` (the prebound
+    fallback) for other kernels, multi-component fields and
+    non-contiguous buffers."""
+    if src_data.shape[0] != 1 or not (
+        src_data.flags.c_contiguous and dst_data.flags.c_contiguous
+    ):
+        return None
+    return {
+        SevenPointStencil: "7pt",
+        TwentySevenPointStencil: "27pt",
+        GenericStencil: "generic",
+        VariableCoefficientStencil: "varco",
+    }.get(type(inner))
+
+
+def _compiled_kind(inner, src_data, dst_data) -> str | None:
+    """The compiled kernel family (fused-numba, codegen) for ``inner`` on
+    this buffer pair, or ``None`` when only the numpy plan applies."""
+    impl = _flat_impl(inner, src_data, dst_data)
+    if impl == "varco" and inner.alpha.dtype != src_data.dtype:
+        # mixed-precision coefficient fields follow NumPy promotion in the
+        # reference; only same-dtype fields are bit-safe to compile
+        return None
+    return "taps" if impl == "generic" else impl
+
+
+# ======================================================================
+# stencil lowerings, shared by tile plans and volume rounds.  Each mirrors
+# the kernel's compute_plane operand pairing and reduction order exactly,
+# so results stay bit-identical.  ``window(dz, dy, dx)`` is the source
+# operand shifted by that offset; it has the target's shape.
+# ======================================================================
+
+
+def _emit_7pt(ops, inner, dtype, out, acc, tmp, window) -> None:
+    """``acc`` accumulates the neighbor sum; it may be ``out`` itself."""
+    alpha, beta = dtype(inner.alpha), dtype(inner.beta)
+    ops += [
+        (np.add, window(-1, 0, 0), window(1, 0, 0), acc),
+        (np.add, window(0, -1, 0), window(0, 1, 0), tmp),
+        (np.add, acc, tmp, acc),
+        (np.add, window(0, 0, -1), window(0, 0, 1), tmp),
+        (np.add, acc, tmp, acc),
+        (np.multiply, window(0, 0, 0), alpha, tmp),
+        (np.multiply, acc, beta, acc),
+        (np.add, tmp, acc, out),
+    ]
+
+
+def _emit_27pt(ops, inner, dtype, out, group, window) -> None:
+    ops.append((np.multiply, window(0, 0, 0), dtype(inner.center), out))
+    for offsets, w in (
+        (_FACES, dtype(inner.face)),
+        (_EDGES, dtype(inner.edge)),
+        (_CORNERS, dtype(inner.corner)),
+    ):
+        ops.append((_copy, group, window(*offsets[0]), None))
+        for off in offsets[1:]:
+            ops.append((np.add, group, window(*off), group))
+        ops.append((np.multiply, group, w, group))
+        ops.append((np.add, out, group, out))
+
+
+def _emit_generic(ops, inner, dtype, out, tmp, window) -> None:
+    ops.append((_zero, out, None, None))
+    for off in inner._order:
+        ops.append((np.multiply, window(*off), dtype(inner.taps[off]), tmp))
+        ops.append((np.add, out, tmp, out))
+
+
+def _emit_taps(ops, impl, inner, dtype, out, tmp, window) -> None:
+    """The flat, in-place form of one of the :data:`_VOLUME_IMPLS`."""
+    if impl == "7pt":
+        _emit_7pt(ops, inner, dtype, out, out, tmp, window)
+    elif impl == "27pt":
+        _emit_27pt(ops, inner, dtype, out, tmp, window)
+    else:
+        _emit_generic(ops, inner, dtype, out, tmp, window)
 
 
 # ======================================================================
@@ -266,28 +401,14 @@ class _NumpyFusedRunner(_RunnerBase):
         # spurious warnings then.  np.errstate is not re-enterable, so a
         # fresh context is created per iteration when needed.
         self._suppress_fp = not getattr(inner, "_seam_contractive", False)
-        ncomp1 = self.src_data.shape[0] == 1
-        contig = (
-            self.src_data.flags.c_contiguous and self.dst_data.flags.c_contiguous
-        )
-        self._impl = None
-        if ncomp1 and contig:
-            if type(inner) is SevenPointStencil:
-                self._impl = "7pt"
-            elif type(inner) is TwentySevenPointStencil:
-                self._impl = "27pt"
-            elif type(inner) is GenericStencil:
-                self._impl = "generic"
-            elif type(inner) is VariableCoefficientStencil:
-                self._impl = "varco"
-        if ncomp1 and contig:
-            nz, ny, nx = self.nz, self.ny, self.nx
+        self._impl = _flat_impl(inner, self.src_data, self.dst_data)
+        if self._impl is not None:
             self._src2 = self.src_data[0]
             self._dst2 = self.dst_data[0]
-            self._dstflat = self.dst_data[0].reshape(nz, ny * nx)
+            self._dstflat = self.dst_data[0].reshape(self.nz, self.ny * self.nx)
         # these lowerings depend on z only through the planes they touch,
         # so compute steps with equal plane keys emit equal instructions
-        self._z_free = self._impl in ("7pt", "27pt", "generic")
+        self._z_free = self._impl in _VOLUME_IMPLS
         self._views, self._blocks = self._tile_memo(ctx)
 
     def _tile_memo(self, ctx) -> tuple[dict, dict]:
@@ -527,19 +648,21 @@ class _NumpyFusedRunner(_RunnerBase):
         others (strided store views) get exact 2-D regions.  ``seam`` is the
         fallback's seam-writable promise."""
         impl = self._impl
-        if impl == "7pt":
-            if flat:
-                self._lower_7pt(ops, tk, srcks, a0, a1)
-            else:
-                self._lower_7pt_2d(ops, tk, srcks, a0, a1, x0, x1)
-        elif impl == "27pt":
-            self._lower_27pt(ops, tk, srcks, a0, a1, x0, x1, flat)
-        elif impl == "generic":
-            self._lower_generic(ops, tk, srcks, a0, a1, x0, x1, flat)
-        elif impl == "varco":  # no flat seam path: writes the exact region
+        if impl == "varco":  # no flat seam path: writes the exact region
             self._lower_varco(ops, tk, srcks, a0, a1, x0, x1, z)
-        else:
+            return
+        if impl is None:
             self._emit_fallback(ops, tk, srcks, a0, a1, x0, x1, z, seam=seam)
+            return
+        out, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat,
+                                        whole_rows=impl == "7pt")
+        dtype = self.src_data.dtype
+        tmp = self.arena.get("fused.tmp", out.shape, dtype)
+        if impl == "7pt" and not flat:  # the neighbor sum needs a buffer
+            acc = self.arena.get("fused.acc", out.shape, dtype)
+            _emit_7pt(ops, self.inner, dtype.type, out, acc, tmp, window)
+        else:
+            _emit_taps(ops, impl, self.inner, dtype.type, out, tmp, window)
 
     def _emit_fallback(self, ops, tk, srcks, a0, a1, x0, x1, z, *, seam):
         """Any kernel: one prebound in-place call per step (t-loop fused)."""
@@ -555,62 +678,17 @@ class _NumpyFusedRunner(_RunnerBase):
 
         ops.append((_invoke, step, None, None))
 
-    # -- 7-point -------------------------------------------------------
-    def _lower_7pt(self, ops, tk, srcks, a0, a1):
-        nx = self.enx
-        s, e = a0 * nx, a1 * nx
-        kb, km, ka = srcks
-
-        def w(k, off=0):
-            return self._view(k, 1, s + off, e + off)
-
-        acc = w(tk)
-        tmp = self.arena.get("fused.tmp", (e - s,), self.src_data.dtype)
-        dtype = self.src_data.dtype.type
-        alpha, beta = dtype(self.inner.alpha), dtype(self.inner.beta)
-        ops += [
-            (np.add, w(kb), w(ka), acc),
-            (np.add, w(km, -nx), w(km, nx), tmp),
-            (np.add, acc, tmp, acc),
-            (np.add, w(km, -1), w(km, 1), tmp),
-            (np.add, acc, tmp, acc),
-            (np.multiply, w(km), alpha, tmp),
-            (np.multiply, acc, beta, acc),
-            (np.add, tmp, acc, acc),
-        ]
-
-    def _lower_7pt_2d(self, ops, tk, srcks, a0, a1, x0, x1):
-        kb, km, ka = srcks
-
-        def w(k, dy=0, dx=0):
-            return self._view(k, 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx)
-
-        shape = (a1 - a0, x1 - x0)
-        acc = self.arena.get("fused.acc2d", shape, self.src_data.dtype)
-        tmp = self.arena.get("fused.tmp2d", shape, self.src_data.dtype)
-        dtype = self.src_data.dtype.type
-        alpha, beta = dtype(self.inner.alpha), dtype(self.inner.beta)
-        ops += [
-            (np.add, w(kb), w(ka), acc),
-            (np.add, w(km, -1), w(km, 1), tmp),
-            (np.add, acc, tmp, acc),
-            (np.add, w(km, 0, -1), w(km, 0, 1), tmp),
-            (np.add, acc, tmp, acc),
-            (np.multiply, w(km), alpha, tmp),
-            (np.multiply, acc, beta, acc),
-            (np.add, tmp, acc, w(tk)),
-        ]
-
-    # -- 27-point and generic taps --------------------------------------
-    def _tap_windows(self, tk, srcks, a0, a1, x0, x1, flat):
+    def _tap_windows(self, tk, srcks, a0, a1, x0, x1, flat, whole_rows=False):
         """The target and a ``window(dz, dy, dx)`` accessor of the source
         windows: spans ``[a0*nx+x0, (a1-1)*nx+x1)`` of the flattened planes
-        (seam lanes computed and discarded) when ``flat``, else exact 2-D
-        regions."""
+        (seam lanes computed and discarded; whole rows ``[a0*nx, a1*nx)``
+        with ``whole_rows``) when ``flat``, else exact 2-D regions."""
         r = self.radius
         if flat:
             nx = self.enx
             s0, e0 = a0 * nx + x0, (a1 - 1) * nx + x1
+            if whole_rows:
+                s0, e0 = a0 * nx, a1 * nx
 
             def window(dz, dy, dx):
                 off = dy * nx + dx
@@ -625,34 +703,6 @@ class _NumpyFusedRunner(_RunnerBase):
 
         return self._view(tk, 2, a0, a1, x0, x1), window
 
-    def _lower_27pt(self, ops, tk, srcks, a0, a1, x0, x1, flat):
-        result, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat)
-        group = self.arena.get("fused27.grp", result.shape, self.src_data.dtype)
-        dtype = self.src_data.dtype.type
-        inner = self.inner
-        ops.append((np.multiply, window(0, 0, 0), dtype(inner.center), result))
-        for offsets, w in (
-            (_FACES, dtype(inner.face)),
-            (_EDGES, dtype(inner.edge)),
-            (_CORNERS, dtype(inner.corner)),
-        ):
-            ops.append((_copy, group, window(*offsets[0]), None))
-            for off in offsets[1:]:
-                ops.append((np.add, group, window(*off), group))
-            ops.append((np.multiply, group, w, group))
-            ops.append((np.add, result, group, result))
-
-    def _lower_generic(self, ops, tk, srcks, a0, a1, x0, x1, flat):
-        acc, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat)
-        tmp = self.arena.get("fusedg.tmp", acc.shape, self.src_data.dtype)
-        dtype = self.src_data.dtype.type
-        inner = self.inner
-        ops.append((_zero, acc, None, None))
-        for dz, dy, dx in inner._order:
-            w = dtype(inner.taps[(dz, dy, dx)])
-            ops.append((np.multiply, window(dz, dy, dx), w, tmp))
-            ops.append((np.add, acc, tmp, acc))
-
     # -- variable coefficients ------------------------------------------
     def _lower_varco(self, ops, tk, srcks, a0, a1, x0, x1, z):
         inner = self.inner
@@ -666,8 +716,13 @@ class _NumpyFusedRunner(_RunnerBase):
             return self._view(k, 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx)
 
         shape = (a1 - a0, x1 - x0)
-        acc = self.arena.get("fusedv.acc", shape, self.src_data.dtype)
-        tmp = self.arena.get("fusedv.tmp", shape, self.src_data.dtype)
+        dtype = self.src_data.dtype
+        # the coefficient products and their sum are formed in the promoted
+        # dtype, as the reference's ``a * mid + b * acc`` forms them
+        ct = np.result_type(a_view, dtype)
+        acc = self.arena.get("fusedv.acc", shape, dtype)
+        tmp = self.arena.get("fusedv.tmp", shape, ct)
+        prod = acc if ct == dtype else self.arena.get("fusedv.prod", shape, ct)
         ops += [
             (np.add, w(kb), w(ka), acc),
             (np.add, acc, w(km, -1), acc),
@@ -675,9 +730,134 @@ class _NumpyFusedRunner(_RunnerBase):
             (np.add, acc, w(km, 0, -1), acc),
             (np.add, acc, w(km, 0, 1), acc),
             (np.multiply, a_view, w(km), tmp),
-            (np.multiply, b_view, acc, acc),
-            (np.add, tmp, acc, w(tk)),
+            (np.multiply, b_view, acc, prod),
+            (np.add, tmp, prod, w(tk)),
         ]
+
+
+# ======================================================================
+# volume rounds: whole-volume sweeps when blocking cannot pay
+# ======================================================================
+
+
+class _VolumeScratch:
+    """An executor's private intermediate volumes and chunk temporary,
+    shared by its volume runners of one shape and dtype (they run one at a
+    time: an executor is driven by one thread)."""
+
+    __slots__ = ("shape", "dtype", "vols", "tmp")
+
+    def __init__(self, shape, dtype) -> None:
+        self.shape, self.dtype = shape, dtype
+        self.vols: list[np.ndarray] = []
+        self.tmp = np.zeros(VOLUME_CHUNK, dtype)
+
+    def volumes(self, n: int) -> list[np.ndarray]:
+        while len(self.vols) < n:
+            self.vols.append(np.zeros(self.shape, self.dtype).reshape(-1))
+        return self.vols[:n]
+
+
+class _VolumeRunner:
+    """One round as ``round_t`` plain Jacobi sweeps over the whole volume.
+
+    Each step applies the kernel's flat lowering to windows of the
+    flattened volume at offset ``dz*ny*nx + dy*nx + dx``, over the flat span
+    from the first to the last interior point, cut into ``VOLUME_CHUNK``
+    element chunks so temporaries stay cache-sized.  The y/x boundary lanes
+    inside that span come out as throwaway values; the step then restores
+    them from ``src`` (the boundary is constant in time), the trick the
+    full-plane flat store uses.  Steps ping-pong from ``src`` through
+    private scratch volumes into ``dst``, so ``src`` is never written and
+    ``dst`` is written only on its interior planes.  Traffic is charged
+    exactly as ``round_t`` calls of :func:`~repro.core.naive.naive_sweep`.
+    """
+
+    span = "volume_round"
+
+    def __init__(self, kernel, executor, src, dst, round_t):
+        inner = kernel.inner
+        self.src_data, self.dst_data, self.round_t = src.data, dst.data, round_t
+        r = kernel.radius
+        nz, ny, nx = src.shape
+        plane = ny * nx
+        dtype = src.data.dtype
+        self._suppress_fp = not getattr(inner, "_seam_contractive", False)
+        for other in executor.sweep_runners:
+            if (
+                type(other) is _VolumeRunner
+                and other._scratch.shape == src.data.shape
+                and other._scratch.dtype == dtype
+            ):
+                self._scratch = other._scratch
+                break
+        else:
+            self._scratch = _VolumeScratch(src.data.shape, dtype)
+        # step i writes volume i % 2; the last step lands in dst
+        vols = self._scratch.volumes(min(round_t - 1, 2))
+        srcflat = src.data.reshape(-1)
+        chain = [srcflat] + [vols[i % 2] for i in range(round_t - 1)]
+        chain.append(dst.data.reshape(-1))
+        s = r * plane + r * nx + r
+        e = (nz - r - 1) * plane + (ny - r - 1) * nx + nx - r
+        # the shell outside the computed span is constant in time, but a
+        # shared scratch volume may hold another run's (or buffer's)
+        ops: list = []
+        for vol in vols:
+            ops += [(_copy, vol[:s], srcflat[:s], None),
+                    (_copy, vol[e:], srcflat[e:], None)]
+        impl = _flat_impl(inner, src.data, dst.data)
+        src3 = src.data[0]
+        for a, b in zip(chain, chain[1:]):
+            for c0 in range(s, e, VOLUME_CHUNK):
+                c1 = min(c0 + VOLUME_CHUNK, e)
+
+                def window(dz, dy, dx, a=a, c0=c0, c1=c1):
+                    off = dz * plane + dy * nx + dx
+                    return a[c0 + off : c1 + off]
+
+                tmp = self._scratch.tmp[: c1 - c0]
+                _emit_taps(ops, impl, inner, dtype.type, b[c0:c1], tmp, window)
+            b3 = b.reshape(nz, ny, nx)
+            # x lanes as one strided box: row y's last r columns run on
+            # into row y+1's first r, for rows r-1 .. ny-r-1
+            lanes = slice(r * nx - r, (ny - r + 1) * nx - r)
+            for box in (
+                (slice(r, nz - r), slice(0, r)),
+                (slice(r, nz - r), slice(ny - r, ny)),
+            ):
+                ops.append((_copy, b3[box], src3[box], None))
+            xb, xs = (
+                v.reshape(nz, plane)[r : nz - r, lanes]
+                .reshape(nz - 2 * r, ny - 2 * r + 1, nx)[:, :, : 2 * r]
+                for v in (b3, src3)
+            )
+            ops.append((_copy, xb, xs, None))
+        self._ops = tuple(ops)
+        npts = interior_points(src.shape, r)
+        esize = src.element_size()
+        self._traffic = (
+            round_t * nz * plane * esize, round_t * nz,
+            round_t * npts * esize, round_t * (nz - 2 * r),
+            round_t * npts,
+        )
+        self.ops_per_update = kernel.ops_per_update
+
+    def run(self, shell_token=None, traffic=None) -> None:
+        """Execute the round and charge its aggregate traffic (the shell
+        token is unused: refreshing the scratch shell costs two copies)."""
+        if self._suppress_fp:
+            with np.errstate(all="ignore"):
+                for fn, a, b, out in self._ops:
+                    fn(a, b, out)
+        else:
+            for fn, a, b, out in self._ops:
+                fn(a, b, out)
+        if traffic is not None:
+            rb, rp, wb, wp, pts = self._traffic
+            traffic.read(rb, planes=rp)
+            traffic.write(wb, planes=wp)
+            traffic.update(pts, self.ops_per_update)
 
 
 # ======================================================================
@@ -1039,24 +1219,8 @@ class _NumbaFusedRunner(_RunnerBase):  # pragma: no cover - requires numba
 
     @classmethod
     def build(cls, kernel, executor, src, dst, ctx, schedule, round_t):
-        inner = kernel.inner
-        if src.data.shape[0] != 1 or not src.data.flags.c_contiguous:
-            return None
-        if not dst.data.flags.c_contiguous:
-            return None
-        if type(inner) is SevenPointStencil:
-            kind = "7pt"
-        elif type(inner) is TwentySevenPointStencil:
-            kind = "27pt"
-        elif type(inner) is GenericStencil:
-            kind = "taps"
-        elif type(inner) is VariableCoefficientStencil:
-            # mixed-precision coefficient fields follow NumPy promotion in
-            # the reference; only same-dtype fields are bit-safe to jit
-            if inner.alpha.dtype != src.data.dtype:
-                return None
-            kind = "varco"
-        else:
+        kind = _compiled_kind(kernel.inner, src.data, dst.data)
+        if kind is None:
             return None
         return cls(kernel, executor, src, dst, ctx, schedule, round_t, kind)
 

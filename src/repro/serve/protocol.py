@@ -16,7 +16,7 @@ verification), 4 failed (deadline exceeded, cancelled, execution error).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -120,7 +120,8 @@ class JobSpec:
         )
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar or a string: asdict() without its deep copy
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "JobSpec":
@@ -163,7 +164,11 @@ class JobRecord:
         return self.finished_s - self.submitted_s
 
     def to_dict(self) -> dict:
-        doc = asdict(self)
+        """``asdict`` plus ``code``, built directly: a finished record is
+        encoded once and a live one on every status poll."""
+        doc = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        doc["spec"] = self.spec.to_dict()
+        doc["degradations"] = list(self.degradations)
         doc["code"] = self.code
         return doc
 

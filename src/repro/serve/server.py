@@ -33,10 +33,11 @@ Robustness invariants (each one is load-bearing and tested):
 from __future__ import annotations
 
 import hashlib
+import json
 import socket
 import threading
 import time
-from collections import OrderedDict
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +70,10 @@ __all__ = ["JobServer", "PlanCache", "ServeCore", "make_field", "make_kernel"]
 #: overload levels, in escalation order
 GREEN, AMBER, RED = "green", "amber", "red"
 
-#: finished jobs whose records (and trace logs) stay answerable; older ids
-#: answer ``not-found`` as expired, and the journal keeps the full history
-RETAIN_FINISHED = 8192
+#: encoded bytes of finished-job records (and their trace logs) kept
+#: answerable, ~34k small-job records; older ids answer ``not-found`` as
+#: expired, and the journal keeps the full history
+RETAIN_FINISHED_BYTES = 16 << 20
 
 
 def make_kernel(spec: JobSpec):
@@ -93,6 +95,11 @@ def _job_number(jid: str) -> int:
     """The ``n`` of a daemon-issued id ``j<n>``; 0 for any other string."""
     n = jid[1:]
     return int(n) if jid[:1] == "j" and n.isascii() and n.isdigit() else 0
+
+
+def _wire(doc) -> bytes:
+    """``doc`` as the protocol encodes it (see ``write_message``)."""
+    return json.dumps(doc, separators=(",", ":")).encode()
 
 
 def grid_sha256(data: np.ndarray) -> str:
@@ -235,9 +242,15 @@ class ServeCore:
         self._lock = threading.RLock()
         #: jobs not yet terminal, by id
         self._live: dict[str, _JobContext] = {}
-        #: the most recent RETAIN_FINISHED finished jobs, oldest first:
-        #: id -> (record, trace log or None)
-        self._finished: OrderedDict[str, tuple] = OrderedDict()
+        #: the most recent finished jobs as their encoded wire records
+        #: (id -> bytes; ``_finish_order`` holds the ids oldest first),
+        #: RETAIN_FINISHED_BYTES in total with the trace logs of traced
+        #: ones (id -> (log, charged bytes)).  A plain dict and a deque
+        #: cost ~40 bytes less per record than an OrderedDict.
+        self._finished: dict[str, bytes] = {}
+        self._finish_order: deque[str] = deque()
+        self._finished_traces: dict[str, tuple[JobTraceLog, int]] = {}
+        self._finished_bytes = 0
         #: each worker's warm executor (read for stats only)
         self._warm: list[_WarmExecutor] = []
         self._threads: list[threading.Thread] = []
@@ -319,35 +332,50 @@ class ServeCore:
             "rejected": self.counters["rejected"],
         })
 
-    def _lookup(self, jid: str) -> tuple | None:
-        """(record, trace log or None) of a live or retained job."""
-        with self._lock:
-            ctx = self._live.get(jid)
-            if ctx is not None:
-                return ctx.record, ctx.trace
-            return self._finished.get(jid)
-
     def _retain(self, record: JobRecord, trace: JobTraceLog | None) -> None:
-        """Keep a finished job answerable, dropping the oldest past the cap."""
+        """Keep a finished job answerable as its encoded wire record,
+        dropping the oldest records past ``RETAIN_FINISHED_BYTES``."""
+        doc = _wire(record.to_dict())
+        # spans a traced job still adds as it unwinds are not charged
+        charge = len(_wire(trace.to_dicts())) if trace is not None else 0
         with self._lock:
-            self._finished[record.id] = (record, trace)
-            if len(self._finished) > RETAIN_FINISHED:
-                self._finished.popitem(last=False)
+            self._forget(record.id)
+            self._finished[record.id] = doc
+            self._finish_order.append(record.id)
+            if trace is not None:
+                self._finished_traces[record.id] = (trace, charge)
+            self._finished_bytes += len(doc) + charge
+            while (self._finished_bytes > RETAIN_FINISHED_BYTES
+                   and len(self._finished) > 1):
+                self._forget(self._finish_order.popleft())
+
+    def _forget(self, jid: str) -> None:
+        """Drop a retained record's bytes (its id may stay in the order)."""
+        doc = self._finished.pop(jid, None)
+        if doc is not None:
+            self._finished_bytes -= len(doc)
+        dropped = self._finished_traces.pop(jid, None)
+        if dropped is not None:
+            self._finished_bytes -= dropped[1]
 
     def missing_reason(self, jid: str) -> str:
         """Why ``jid`` has no record: expired out of the window, or unknown."""
         if 0 < _job_number(jid) <= self._idgen:
             return (f"job {jid!r} expired: only the most recent "
-                    f"{RETAIN_FINISHED} finished jobs are kept (the journal "
-                    "holds the full history)")
+                    f"{RETAIN_FINISHED_BYTES >> 20} MiB of finished-job "
+                    "records are kept (the journal holds the full history)")
         return f"no job {jid!r}"
 
     def spans(self, jid: str) -> list[dict] | None:
         """The daemon-side job spans for a traced job (None if untraced)."""
-        found = self._lookup(jid)
-        if found is None or found[1] is None:
-            return None
-        return found[1].to_dicts()
+        with self._lock:
+            ctx = self._live.get(jid)
+            kept = self._finished_traces.get(jid)
+        if ctx is not None:
+            trace = ctx.trace
+        else:
+            trace = kept[0] if kept else None
+        return None if trace is None else trace.to_dicts()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -559,23 +587,57 @@ class ServeCore:
         return {"ok": True, "id": jid, "status": "queued",
                 "shed": decision.shed}
 
+    def _find(self, jid: str) -> tuple[_JobContext | None, bytes | None]:
+        """A live job's context, else a retained job's wire record."""
+        with self._lock:
+            ctx = self._live.get(jid)
+            return ctx, None if ctx is not None else self._finished.get(jid)
+
+    def status_doc(self, jid: str) -> dict | None:
+        """The wire record of a live or retained job, or None."""
+        ctx, doc = self._find(jid)
+        if ctx is not None:
+            return ctx.record.to_dict()
+        return None if doc is None else json.loads(doc)
+
     def status(self, jid: str) -> JobRecord | None:
-        found = self._lookup(jid)
-        return found[0] if found else None
+        ctx, doc = self._find(jid)
+        if ctx is not None:
+            return ctx.record
+        return None if doc is None else JobRecord.from_dict(json.loads(doc))
+
+    def job_docs(self) -> list[bytes]:
+        """Encoded wire records of live and retained finished jobs, in
+        submission order."""
+        with self._lock:
+            live = {jid: _wire(ctx.record.to_dict())
+                    for jid, ctx in self._live.items()}
+            ids = [*live, *self._finished]
+            # id order = (length, text), sorted without per-item key tuples
+            ids.sort()
+            ids.sort(key=len)
+            return [live.get(jid) or self._finished[jid] for jid in ids]
 
     def jobs(self) -> list[JobRecord]:
         """Live and retained finished jobs, in submission order."""
-        with self._lock:
-            records = [ctx.record for ctx in self._live.values()]
-            records += [record for record, _ in self._finished.values()]
-        return sorted(records, key=lambda r: (len(r.id), r.id))
+        return [JobRecord.from_dict(json.loads(d)) for d in self.job_docs()]
+
+    def write_jobs(self, fh) -> None:
+        """Stream the ``jobs`` reply record by record; the bytes equal
+        ``write_message`` of ``{"ok": True, "jobs": [...]}``."""
+        fh.write(b'{"ok":true,"jobs":[')
+        for i, doc in enumerate(self.job_docs()):
+            if i:
+                fh.write(b",")
+            fh.write(doc)
+        fh.write(b"]}\n")
+        fh.flush()
 
     def cancel(self, jid: str) -> dict:
-        with self._lock:
-            ctx = self._live.get(jid)
-            finished = self._finished.get(jid)
+        ctx, finished = self._find(jid)
         if finished is not None:
-            return {"ok": True, "id": jid, "status": finished[0].status,
+            return {"ok": True, "id": jid,
+                    "status": json.loads(finished)["status"],
                     "reason": "already terminal"}
         if ctx is None:
             return {"ok": False, "error": "not-found",
@@ -601,6 +663,7 @@ class ServeCore:
                 "workers": self.n_workers,
                 "live_jobs": len(self._live),
                 "retained_jobs": len(self._finished),
+                "retained_bytes": self._finished_bytes,
                 "warm_executors": sum(
                     w.executor is not None for w in self._warm
                 ),
@@ -1063,7 +1126,10 @@ class JobServer:
                     return
                 if msg is None:
                     return
-                write_message(fh, self.dispatch(msg))
+                if msg.get("op") == "jobs":
+                    self.core.write_jobs(fh)  # streamed, never one string
+                else:
+                    write_message(fh, self.dispatch(msg))
         except (OSError, BrokenPipeError):
             pass
         finally:
@@ -1082,17 +1148,17 @@ class JobServer:
             return core.submit(msg.get("job") or {})
         if op in ("status", "result"):
             jid = str(msg.get("id", ""))
-            record = core.status(jid)
-            if record is None:
+            doc = core.status_doc(jid)
+            if doc is None:
                 return {"ok": False, "error": "not-found",
                         "reason": core.missing_reason(jid)}
-            reply = {"ok": True, "job": record.to_dict()}
+            reply = {"ok": True, "job": doc}
             if msg.get("spans"):
                 reply["spans"] = core.spans(jid) or []
             return reply
         if op == "jobs":
             return {"ok": True,
-                    "jobs": [r.to_dict() for r in core.jobs()]}
+                    "jobs": [json.loads(d) for d in core.job_docs()]}
         if op == "stats":
             st = core.stats()
             reply = {"ok": True, "stats": st}

@@ -141,13 +141,17 @@ class VariableCoefficientStencil(PlaneKernel):
         a = self.alpha[gz, gy0 + y0 : gy0 + y1, gx0 + x0 : gx0 + x1]
         b = self.beta[gz, gy0 + y0 : gy0 + y1, gx0 + x0 : gx0 + x1]
         shape = (y1 - y0, x1 - x0)
+        # the coefficient products and their sum live in the promoted dtype
+        # (float64 coefficients over a float32 field), as in compute_plane
+        ct = np.result_type(a, out)
         acc = arena.get("varco.acc", shape, out.dtype)
-        tmp = arena.get("varco.tmp", shape, out.dtype)
+        tmp = arena.get("varco.tmp", shape, ct)
+        prod = acc if ct == out.dtype else arena.get("varco.prod", shape, ct)
         np.add(below[ys, xs], above[ys, xs], out=acc)
         acc += mid[slice(y0 - 1, y1 - 1), xs]
         acc += mid[slice(y0 + 1, y1 + 1), xs]
         acc += mid[ys, slice(x0 - 1, x1 - 1)]
         acc += mid[ys, slice(x0 + 1, x1 + 1)]
         np.multiply(a, mid[ys, xs], out=tmp)
-        np.multiply(b, acc, out=acc)
-        np.add(tmp, acc, out=out[0, ys, xs])
+        np.multiply(b, acc, out=prod)
+        np.add(tmp, prod, out=out[0, ys, xs])

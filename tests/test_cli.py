@@ -237,7 +237,9 @@ class TestResilienceExitCodes:
 class TestObservabilityCLI:
     """--trace/--metrics emission and the `repro trace` summary command."""
 
-    _base = ["run", "--grid", "16", "--steps", "2", "--tile", "8",
+    # tile 12 keeps kappa (1.56) under dim_T: rounds stay blocked, so the
+    # trace carries tile and z_iter spans
+    _base = ["run", "--grid", "16", "--steps", "2", "--tile", "12",
              "--dim-t", "2"]
 
     def test_trace_and_metrics_files_validate(self, tmp_path, capsys):

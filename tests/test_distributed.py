@@ -675,8 +675,10 @@ class TestWarmRankBuffers:
         self._count(monkeypatch, Blocking35D, "__init__", executors)
         self._count(monkeypatch, _NumpyFusedRunner, "_build_plan", plans)
         k = SevenPointStencil()
+        # tile 10 keeps the full rounds blocked (kappa 1.71 < 2), so they
+        # build fused plans; the partial round runs as a volume round
         dj = DistributedJacobi(wrap_kernel(k, "fused-numpy"), 3, dim_t=2,
-                               tile_y=8, tile_x=8, overlap=overlap)
+                               tile_y=10, tile_x=10, overlap=overlap)
         first = Field3D.random((24, 12, 14), dtype=np.float32, seed=1)
         dj.run(first, 5)  # full rounds plus a partial one
         assert executors and plans

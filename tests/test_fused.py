@@ -188,7 +188,9 @@ class TestInternedPlans:
         counts = {}
         for nz in (16, 32):
             kernel = _kernels((nz, 24, 24))[name]
-            ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 16, 16)
+            # kappa under dim_T (1.36 radius 1, 1.78 radius 2): blocked
+            tile = 16 if kernel.radius == 1 else 20
+            ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, tile, tile)
             field = Field3D.random((nz, 24, 24), dtype=np.float32, seed=3)
             out = ex.run(field, 5)  # rounds of 2, 2, 1: ping and pong runners
             assert_fields_equal(out, run_naive(kernel, field, 5))
@@ -249,11 +251,14 @@ class TestTileRoundReplay:
         from repro.perf.fused import _NumpyFusedRunner, _RunnerBase
 
         kernel, field = _replay_case(name, dtype)
-        steps = 5  # rounds of 2, 2 and a partial 1
+        steps = 5  # a round of 3 and a partial 2
+        # kappa stays under round_t (2.56 and 1.96 for radius 1; one
+        # whole-plane tile for radius 2), so every round is blocked
+        tile = 12 if kernel.radius == 1 else 20
 
         def run(backend):
             traffic = TrafficStats()
-            ex = Blocking35D(wrap_kernel(kernel, backend), 2, 12, 12)
+            ex = Blocking35D(wrap_kernel(kernel, backend), 3, tile, tile)
             return ex.run(field, steps, traffic), traffic
 
         calls = []
@@ -280,11 +285,12 @@ class TestTileRoundReplay:
 
         kernel = SevenPointStencil()
         field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
-        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 10, 10)
+        # blocked rounds: kappa 2.25 < 3, then 1.78 < 2
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 3, 14, 14)
         probe = FaultSpec("backend.compute", "fused-numpy", after=10**6)
         with FAULTS.injected(probe):
             ex.run(field, 5)
-        expected = sum(len(ex._plan_tiles(24, 24, rt)) for rt in (2, 2, 1))
+        expected = sum(len(ex._plan_tiles(24, 24, rt)) for rt in (3, 2))
         assert 10**6 - probe.after == expected
 
     def test_traced_run_spans_every_iteration_with_identical_bits(self):
@@ -308,6 +314,23 @@ class TestTileRoundReplay:
         assert len(tiles) == 2 * len(ex._plan_tiles(24, 24, 2))
         assert len(z_iters) == len(tiles) * keys
         assert all(s.attrs["fused"] for s in z_iters)
+
+
+class TestMixedPrecisionVarco:
+    """float64 coefficients over a float32 field, bound with a bare
+    ``wrap_kernel`` (no fallback probe to catch a mismatch): the in-place
+    rungs form the coefficient products and their sum in float64, as the
+    reference does, so they stay bit-exact."""
+
+    @pytest.mark.parametrize("backend", ["numpy-inplace", "fused-numpy"])
+    def test_matches_naive(self, backend):
+        shape = (9, 14, 13)
+        kernel = _varco(shape, dtype=np.float64)
+        field = Field3D.random(shape, dtype=np.float32, seed=11)
+        ex = Blocking35D(wrap_kernel(kernel, backend), 2, 10, 10)
+        out = ex.run(field, 5)
+        assert out.data.dtype == np.float32
+        assert_fields_equal(out, run_naive(kernel, field, 5))
 
 
 class TestRingFlipSite:

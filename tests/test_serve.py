@@ -51,6 +51,21 @@ def wait_terminal(core: ServeCore, timeout: float = 30.0) -> None:
     )
 
 
+def wait_for(predicate, timeout: float = 30.0) -> None:
+    """Poll until ``predicate()`` holds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError("condition never held")
+        time.sleep(0.002)
+
+
+#: every job stalls at each round boundary while this is armed, so a job
+#: is still running when a cancel or preempt arrives, however fast its
+#: rounds are
+HOLD = "serve.stall:*"
+
+
 def reference_sha(spec: JobSpec) -> str:
     out = run_naive(make_kernel(spec), make_field(spec), spec.steps)
     return grid_sha256(out.data)
@@ -262,14 +277,15 @@ class TestServeCore:
     def test_cancel_queued_and_running(self, tmp_path):
         core = ServeCore(tmp_path / "s", workers=1, fsync=False)
         core.start()
-        running = core.submit(JobSpec(grid=16, steps=400, dim_t=2,
-                                      verify=False).to_dict())["id"]
-        queued = core.submit(JobSpec(grid=16, steps=400, dim_t=2, seed=1,
-                                     verify=False).to_dict())["id"]
-        time.sleep(0.1)
-        assert core.cancel(queued)["status"] == "cancelled"
-        core.cancel(running)
-        wait_terminal(core)
+        with FAULTS.injected(HOLD):
+            running = core.submit(JobSpec(grid=16, steps=400, dim_t=2,
+                                          verify=False).to_dict())["id"]
+            queued = core.submit(JobSpec(grid=16, steps=400, dim_t=2, seed=1,
+                                         verify=False).to_dict())["id"]
+            wait_for(lambda: core.status(running).done_steps > 0)
+            assert core.cancel(queued)["status"] == "cancelled"
+            core.cancel(running)
+            wait_terminal(core)
         rec = core.status(running)
         assert rec.status == "cancelled" and "cancelled by client" in rec.reason
         assert 0 < rec.done_steps < 400  # stopped at a round boundary
@@ -314,14 +330,16 @@ class TestServeCore:
         assert core.drain()
 
     def test_preemption_resumes_bit_exact(self, tmp_path):
-        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core = ServeCore(tmp_path / "s", workers=1, stall_s=0.02,
+                         fsync=False)
         core.start()
         spec = JobSpec(grid=16, steps=60, dim_t=2, priority=5, verify=False)
-        victim = core.submit(spec.to_dict())["id"]
-        time.sleep(0.05)
-        hi = core.submit(JobSpec(grid=10, steps=2, priority=0,
-                                 verify=False).to_dict())["id"]
-        wait_terminal(core)
+        with FAULTS.injected(HOLD):
+            victim = core.submit(spec.to_dict())["id"]
+            wait_for(lambda: core.status(victim).status == "running")
+            hi = core.submit(JobSpec(grid=10, steps=2, priority=0,
+                                     verify=False).to_dict())["id"]
+            wait_terminal(core)
         vrec, hrec = core.status(victim), core.status(hi)
         assert hrec.status == "done"
         assert vrec.status == "done"
@@ -362,13 +380,14 @@ class TestServeCore:
         core = ServeCore(state, workers=1, checkpoint_every_rounds=1,
                          fsync=False)
         core.start()
-        # long enough to still be running at the kill on the fused rung
         spec = JobSpec(grid=16, steps=240, dim_t=2, verify=False)
-        jid = core.submit(spec.to_dict())["id"]
-        done_id = core.submit(JobSpec(grid=10, steps=2, priority=0,
-                                      verify=False).to_dict())["id"]
-        time.sleep(0.3)  # let rounds and checkpoints happen
-        core.kill()  # SIGKILL stand-in: no terminal records written
+        with FAULTS.injected(HOLD):  # still running at the kill
+            jid = core.submit(spec.to_dict())["id"]
+            done_id = core.submit(JobSpec(grid=10, steps=2, priority=0,
+                                          verify=False).to_dict())["id"]
+            # let rounds and checkpoints happen
+            wait_for(lambda: core.status(jid).done_steps >= 4)
+            core.kill()  # SIGKILL stand-in: no terminal records written
 
         core2 = ServeCore(state, workers=1, fsync=False)
         core2.start()
@@ -467,7 +486,9 @@ class TestWarmExecutors:
         core = ServeCore(tmp_path / "s", workers=2, queue_cap=32,
                          tenant_quota=32, fsync=False)
         core.start()
-        specs = [JobSpec(grid=12, steps=6, dim_t=2, tile=8, seed=i % 3,
+        # tile 10 keeps kappa (1.78) under dim_T, so rounds stay blocked
+        # and build fused plans
+        specs = [JobSpec(grid=12, steps=6, dim_t=2, tile=10, seed=i % 3,
                          verify=False) for i in range(20)]
         ids = [core.submit(s.to_dict())["id"] for s in specs]
         wait_terminal(core)
@@ -528,22 +549,25 @@ class TestWarmExecutors:
         first = submit(job())
         wait_terminal(core)
         # cancelled while running
-        running = submit(job(steps=2000, seed=1))
-        time.sleep(0.05)
-        core.cancel(running)
-        wait_terminal(core)
+        with FAULTS.injected(HOLD):
+            running = submit(job(steps=2000, seed=1))
+            wait_for(lambda: core.status(running).done_steps > 0)
+            core.cancel(running)
+            wait_terminal(core)
         # deadline storm: expires at the first round boundary
         with FAULTS.injected("serve.deadline"):
             expired = submit(job(seed=2))
             wait_terminal(core)
         # preempted by a higher-priority job, then resumed
         victim_spec = job(steps=60, seed=3, priority=5)
-        victim = submit(victim_spec)
-        time.sleep(0.05)
-        submit(job(steps=2, seed=4, priority=0))
-        wait_terminal(core)
-        # an internal error in the middle of a round
-        with FAULTS.injected("backend.compute=fused-numpy:1@3"):
+        with FAULTS.injected(HOLD):
+            victim = submit(victim_spec)
+            wait_for(lambda: core.status(victim).status == "running")
+            submit(job(steps=2, seed=4, priority=0))
+            wait_terminal(core)
+        # an internal error in the middle of the job: its volume rounds
+        # (kappa 3.06 > dim_T) probe the backend once each
+        with FAULTS.injected("backend.compute=fused-numpy:1@1"):
             broken = submit(job(seed=5))
             wait_terminal(core)
         last_spec = job(seed=6)
@@ -561,31 +585,61 @@ class TestWarmExecutors:
         assert core.drain()
 
 
+def _wire_len(record: JobRecord) -> int:
+    return len(json.dumps(record.to_dict(), separators=(",", ":")).encode())
+
+
+def _finished_record(n: int, spec: JobSpec | None = None) -> JobRecord:
+    """A finished serve-small-sized record with a fixed encoded size."""
+    spec = spec or JobSpec(grid=12, steps=6, dim_t=2, tile=8, verify=False,
+                           seed=n % 4, tenant=f"tenant{n % 3}")
+    return JobRecord(id=f"j{n:06d}", spec=spec, status="done",
+                     submitted_s=1000.25, started_s=1000.5,
+                     finished_s=1000.75, done_steps=spec.steps,
+                     sha256=f"{n:064x}", backend_used="fused-numpy")
+
+
+class _Discard:
+    """A reply sink that keeps nothing (only the writer's memory counts)."""
+
+    def __init__(self):
+        self.nbytes = 0
+
+    def write(self, data):
+        self.nbytes += len(data)
+
+    def flush(self):
+        pass
+
+
 class TestRetention:
     def test_finished_jobs_kept_in_a_bounded_window(
         self, tmp_path, monkeypatch
     ):
         import repro.serve.server as server
 
-        cap = 8
-        monkeypatch.setattr(server, "RETAIN_FINISHED", cap)
-        core = ServeCore(tmp_path / "s", workers=1, queue_cap=cap + 50,
-                         tenant_quota=cap + 50, fsync=False)
+        spec = JobSpec(grid=6, steps=2, verify=False)
+        cap = 8 * (_wire_len(_finished_record(1, spec)) + 64)
+        monkeypatch.setattr(server, "RETAIN_FINISHED_BYTES", cap)
+        n_jobs = 58
+        core = ServeCore(tmp_path / "s", workers=1, queue_cap=n_jobs,
+                         tenant_quota=n_jobs, fsync=False)
         core.start()
         srv = JobServer(core, tmp_path / "sock")  # dispatch only
-        spec = JobSpec(grid=6, steps=2, verify=False)
         ids = []
-        for i in range(cap + 50):
+        for i in range(n_jobs):
             doc = spec.to_dict()
-            doc["trace_id"] = f"t{i:03d}" if i >= cap + 48 else ""
+            doc["trace_id"] = f"t{i:03d}" if i >= n_jobs - 2 else ""
             ids.append(core.submit(doc)["id"])
         wait_terminal(core)
         stats = core.stats()
+        kept = stats["retained_jobs"]
         assert stats["live_jobs"] == 0
-        assert stats["retained_jobs"] == len(core._finished) == cap
-        assert stats["counters"]["completed"] == cap + 50
+        assert 2 <= kept == len(core._finished) < n_jobs
+        assert 0 < stats["retained_bytes"] <= cap
+        assert stats["counters"]["completed"] == n_jobs
         assert stats["ledger_mismatches"] == []
-        assert [r.id for r in core.jobs()] == ids[-cap:]
+        assert [r.id for r in core.jobs()] == ids[-kept:]
         # an evicted id answers not-found with an expired reason
         old = ids[0]
         assert core.status(old) is None
@@ -607,6 +661,171 @@ class TestRetention:
             }
         assert core.drain()
 
+    def test_eviction_by_bytes_answers_expired(self, tmp_path, monkeypatch):
+        import repro.serve.server as server
+
+        size = _wire_len(_finished_record(1))
+        monkeypatch.setattr(server, "RETAIN_FINISHED_BYTES",
+                            3 * size + size // 2)
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core._idgen = 10
+        for n in range(1, 11):
+            core._retain(_finished_record(n), None)
+        assert [r.id for r in core.jobs()] == ["j000008", "j000009",
+                                               "j000010"]
+        assert core.stats()["retained_bytes"] == 3 * size
+        srv = JobServer(core, tmp_path / "sock")  # dispatch only
+        for jid in ("j000001", "j000007"):
+            reply = srv.dispatch({"op": "status", "id": jid})
+            assert reply["error"] == "not-found" and "expired" in reply["reason"]
+        reply = srv.dispatch({"op": "status", "id": "j000008"})
+        assert reply["job"] == _finished_record(8).to_dict()
+        assert core.status("j000009") == _finished_record(9)
+        assert core.cancel("j000010")["reason"] == "already terminal"
+        assert core.drain()
+
+    def test_concurrent_retention_keeps_exact_byte_accounting(
+        self, tmp_path, monkeypatch
+    ):
+        """Workers retaining and clients listing at once never lose a
+        byte of accounting or list an evicted record."""
+        import sys
+
+        import repro.serve.server as server
+
+        size = _wire_len(_finished_record(1))
+        cap = 40 * size
+        monkeypatch.setattr(server, "RETAIN_FINISHED_BYTES", cap)
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        records = [_finished_record(n) for n in range(1, 1201)]
+        errors = []
+
+        def retain(part):
+            for record in part:
+                core._retain(record, None)
+
+        def list_jobs():
+            try:
+                for _ in range(40):
+                    sink = _Discard()
+                    core.write_jobs(sink)
+                    assert sink.nbytes <= cap + 64
+            except AssertionError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=retain, args=(records[i::6],))
+                   for i in range(6)]
+        threads += [threading.Thread(target=list_jobs) for _ in range(2)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert core._finished_bytes == sum(map(len, core._finished.values()))
+        assert core._finished_bytes <= cap
+        assert len(core._finished) == 40  # equal-size records fill it exactly
+        assert list(core._finish_order) == list(core._finished)
+        core._stopping = True
+        core.journal.close()
+
+    def test_streamed_jobs_reply_matches_write_message(self, tmp_path):
+        import io
+        import socket
+        from dataclasses import asdict
+
+        from repro.serve.protocol import write_message
+
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        records = [_finished_record(n) for n in (1, 2, 4)]
+        records[1].degradations = ["overload: sh\u00e9d \"quoted\""]
+        records[1].status = "degraded"
+        for record in records:
+            core._retain(record, None)
+        core._idgen = 4
+        live = core.submit(JobSpec(grid=6, steps=2).to_dict())["id"]
+        assert live == "j000005"  # queued: no worker is running
+        records.insert(2, _finished_record(3))
+        core._retain(records[2], None)
+        records.append(core.status(live))
+        for r in records:  # the wire record is asdict() plus the code
+            assert list(r.to_dict().items()) == list(
+                {**asdict(r), "code": r.code}.items())
+        expected = io.BytesIO()
+        write_message(expected, {"ok": True,
+                                 "jobs": [r.to_dict() for r in records]})
+        streamed = io.BytesIO()
+        core.write_jobs(streamed)
+        assert streamed.getvalue() == expected.getvalue()
+        # and over the socket, byte for byte
+        srv = JobServer(core, str(tmp_path / "sock"))
+        srv.start()
+        try:
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            conn.connect(str(tmp_path / "sock"))
+            fh = conn.makefile("rwb")
+            write_message(fh, {"op": "jobs"})
+            assert fh.readline() == expected.getvalue()
+            conn.close()
+            assert ServeClient(tmp_path / "sock").jobs() == srv.dispatch(
+                {"op": "jobs"})
+        finally:
+            srv.stop()
+        core._stopping = True
+        core.journal.close()
+
+    def test_full_window_and_jobs_reply_fit_in_the_old_window(
+        self, tmp_path
+    ):
+        """A full byte window plus a streamed ``jobs`` reply peaks below
+        the old 8192-record window of live dataclasses and its in-memory
+        reply."""
+        import tracemalloc
+        from collections import OrderedDict
+
+        import repro.serve.server as server
+        from repro.serve.protocol import write_message
+
+        # the old form: 8192 live records, and a reply built as one string
+        tracemalloc.start()
+        try:
+            window = OrderedDict()
+            for n in range(1, 8193):
+                record = _finished_record(n)
+                window[record.id] = (JobRecord.from_dict(record.to_dict()),
+                                     None)
+            records = sorted((r for r, _ in window.values()),
+                             key=lambda r: (len(r.id), r.id))
+            write_message(_Discard(), {"ok": True,
+                                       "jobs": [r.to_dict() for r in records]})
+            del window, records
+            old_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        size = _wire_len(_finished_record(1))
+        n_full = server.RETAIN_FINISHED_BYTES // size + 100
+        tracemalloc.start()
+        try:
+            for n in range(1, n_full + 1):
+                core._retain(_finished_record(n), None)
+            sink = _Discard()
+            core.write_jobs(sink)
+            new_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(core._finished) > 4 * 8192  # the window is full ...
+        assert core._finished_bytes <= server.RETAIN_FINISHED_BYTES
+        assert sink.nbytes > core._finished_bytes
+        assert new_peak <= old_peak  # ... and still smaller
+        core._stopping = True
+        core.journal.close()
+
     @pytest.mark.parametrize("jid", ["j\u00b2", "j\u0663", "j", "", "x1", "j-1"])
     def test_odd_ids_answer_not_found(self, tmp_path, jid):
         core = ServeCore(tmp_path / "s", workers=1, fsync=False)
@@ -625,12 +844,16 @@ class TestRetention:
     ):
         import repro.serve.server as server
 
+        spec = JobSpec(grid=10, steps=4, verify=False)
+        # a replayed terminal record: no timestamps, no backend
+        size = _wire_len(JobRecord(id="j000001", spec=spec, status="done",
+                                   sha256="x" * 64, finished_s=0.0))
         cap = 4
-        monkeypatch.setattr(server, "RETAIN_FINISHED", cap)
+        monkeypatch.setattr(server, "RETAIN_FINISHED_BYTES",
+                            cap * size + size // 2)
         state = tmp_path / "s"
         state.mkdir()
         journal = JobJournal(state / "journal.jsonl", fsync=False)
-        spec = JobSpec(grid=10, steps=4, verify=False)
         for n in range(1, 11):
             jid = f"j{n:06d}"
             journal.append("accepted", id=jid, job=spec.to_dict())
@@ -651,7 +874,10 @@ class TestRetention:
         ref = reference_sha(spec)
         for jid in unfinished:
             assert core.status(jid).sha256 == ref
-        assert len(core._finished) == cap
+        kept = [r.id for r in core.jobs()]
+        assert kept[-2:] == unfinished
+        assert kept == [f"j{n:06d}" for n in range(13 - len(kept), 13)]
+        assert 0 < core.stats()["retained_bytes"] <= cap * size + size // 2
         assert core.drain()
 
 
