@@ -38,7 +38,7 @@ SPAN_PHASES: dict[str, str] = {
     # executor phases
     "sweep": "compute", "round": "compute", "tile": "compute",
     "z_iter": "compute", "codegen_round": "compute",
-    "volume_round": "compute",
+    "volume_round": "compute", "batched_round": "compute",
     # threaded runtime
     "spmd": "parallel",
     # resilience

@@ -24,6 +24,11 @@ Span taxonomy (see docs/observability.md):
 ``round``        one blocked round of ``round_t`` time steps
 ``tile``         one XY tile within a round
 ``z_iter``       one z-iteration (LOAD/COMPUTE/STORE group) of a tile
+``batched_round``  one multi-tile round over one halo-expanded plane
+                   (fused-numpy; no tile/z_iter spans inside)
+``volume_round``   one round as whole-volume sweeps (fused-numpy, when
+                   Eq. 2 says blocking cannot pay)
+``codegen_round``  one round as one generated kernel (codegen)
 ``guarded_run``  one GuardedSweep.run (wraps all rounds + checkpoints)
 ``guard_round``  one guarded round incl. retries/health checks
 ``halo_exchange``/``rank_compute``  distributed phases per round

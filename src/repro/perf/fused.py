@@ -30,10 +30,13 @@ Two fused engines share one integration seam (``FusedSweepKernel``):
     variable-coefficient stencils; other kernels fall back to the numpy
     instruction plan.
 
-When Eq. 2 says a round's blocking cannot pay (``kappa > round_t``), the
-numpy engine's :meth:`FusedSweepKernel.sweep_runner` hook replaces the tile
-loop with a *volume round*: ``round_t`` plain sweeps of the same flat
-lowerings over the whole volume (:class:`_VolumeRunner`).
+On the serial executor the numpy engine's
+:meth:`FusedSweepKernel.sweep_runner` hook replaces the tile loop of a
+multi-tile round.  When Eq. 2 says blocking cannot pay (``kappa >
+round_t``) it runs a *volume round*: ``round_t`` plain sweeps of the same
+flat lowerings over the whole volume (:class:`_VolumeRunner`).  Otherwise
+it runs a *batched round*: every tile at once over one halo-expanded plane
+(:class:`_BatchedRunner`).
 
 Both engines preserve the executors' contracts exactly: identical operand
 pairing and reduction order (bit-exact against the naive reference),
@@ -49,6 +52,8 @@ import threading
 
 import numpy as np
 
+from ..core.buffer import ring_slots
+from ..core.regions import compute_range
 from ..core.schedule import Schedule, StepKind
 from ..resilience.faultinject import FAULTS
 from ..stencils.generic import GenericStencil
@@ -145,24 +150,27 @@ class FusedSweepKernel(InplaceKernel):
 
     # ------------------------------------------------------------------
     def sweep_runner(self, executor, src, dst, round_t, parallel=False):
-        """The (cached) volume runner for a round blocking cannot pay for.
+        """The (cached) whole-round runner of a multi-tile round.
 
         A 3.5D round cuts bandwidth by ``dim_T / kappa`` (Eq. 2), so when
         the round's tile plan has ``kappa > round_t`` blocking only adds
         ghost loads and recomputation, and the round runs as ``round_t``
-        whole-volume sweeps instead (:class:`_VolumeRunner`).  ``None``
-        keeps the blocked tile path: for the threaded executor, while a
-        ``memory.flip`` fault is armed (its ring site is in the stepwise
-        path), for kernels and layouts without a flat lowering, and when
-        blocking pays.  Runners live in ``executor.sweep_runners``, matched
-        by ping/pong buffer identity like codegen's.
+        whole-volume sweeps instead (:class:`_VolumeRunner`).  When
+        blocking pays and the plan has several tiles, the round runs every
+        tile at once over one halo-expanded plane (:class:`_BatchedRunner`).
+        ``None`` keeps the per-tile path: for the threaded executor, while
+        a ``memory.flip`` fault is armed (its ring site is in the stepwise
+        path), for kernels and layouts without a flat lowering, and for
+        single-tile rounds (the full-plane plan is already the batched
+        layout's limit case).  Runners live in ``executor.sweep_runners``,
+        matched by ping/pong buffer identity like codegen's.
         """
         if parallel or FAULTS.armed("memory.flip"):
             return None
         cache = executor.sweep_runners
         for runner in cache:
             if (
-                type(runner) is _VolumeRunner
+                type(runner) in _ROUND_RUNNERS
                 and runner.src_data is src.data
                 and runner.dst_data is dst.data
                 and runner.round_t == round_t
@@ -171,9 +179,13 @@ class FusedSweepKernel(InplaceKernel):
         else:
             if _flat_impl(self.inner, src.data, dst.data) not in _VOLUME_IMPLS:
                 return None
-            if executor.kappa(src.ny, src.nx, round_t) <= round_t:
+            if executor.kappa(src.ny, src.nx, round_t) > round_t:
+                cls = _VolumeRunner
+            elif len(executor._plan_tiles(src.ny, src.nx, round_t)) > 1:
+                cls = _BatchedRunner
+            else:
                 return None
-            runner = _VolumeRunner(self, executor, src, dst, round_t)
+            runner = cls(self, executor, src, dst, round_t)
             cache.append(runner)
             del cache[:-4]  # ping/pong plus one spare pair
         FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
@@ -736,8 +748,37 @@ class _NumpyFusedRunner(_RunnerBase):
 
 
 # ======================================================================
-# volume rounds: whole-volume sweeps when blocking cannot pay
+# whole-round runners: volume rounds and batched rounds
 # ======================================================================
+
+
+class _RoundRunner:
+    """A whole round as one prebound instruction tuple (``_ops``) plus one
+    aggregate ``(rb, rp, wb, wp, pts)`` traffic charge (``_traffic``)."""
+
+    def run(self, shell_token=None, traffic=None) -> None:
+        """Execute the round and charge its aggregate traffic (volume
+        rounds ignore the shell token: their scratch shell is two copies)."""
+        if self._suppress_fp:
+            with np.errstate(all="ignore"):
+                for fn, a, b, out in self._ops:
+                    fn(a, b, out)
+        else:
+            for fn, a, b, out in self._ops:
+                fn(a, b, out)
+        if traffic is not None:
+            rb, rp, wb, wp, pts = self._traffic
+            traffic.read(rb, planes=rp)
+            traffic.write(wb, planes=wp)
+            traffic.update(pts, self.ops_per_update)
+
+
+def _x_lanes(flat, ny, nx, r) -> np.ndarray:
+    """The x-boundary lanes of flattened ``ny x nx`` planes (last axis of
+    ``flat``) as one strided box: row y's last r columns run on into row
+    y+1's first r, for rows r-1 .. ny-r-1."""
+    lanes = flat[..., r * nx - r : (ny - r + 1) * nx - r]
+    return lanes.reshape(flat.shape[:-1] + (ny - 2 * r + 1, nx))[..., : 2 * r]
 
 
 class _VolumeScratch:
@@ -758,7 +799,7 @@ class _VolumeScratch:
         return self.vols[:n]
 
 
-class _VolumeRunner:
+class _VolumeRunner(_RoundRunner):
     """One round as ``round_t`` plain Jacobi sweeps over the whole volume.
 
     Each step applies the kernel's flat lowering to windows of the
@@ -819,17 +860,13 @@ class _VolumeRunner:
                 tmp = self._scratch.tmp[: c1 - c0]
                 _emit_taps(ops, impl, inner, dtype.type, b[c0:c1], tmp, window)
             b3 = b.reshape(nz, ny, nx)
-            # x lanes as one strided box: row y's last r columns run on
-            # into row y+1's first r, for rows r-1 .. ny-r-1
-            lanes = slice(r * nx - r, (ny - r + 1) * nx - r)
             for box in (
                 (slice(r, nz - r), slice(0, r)),
                 (slice(r, nz - r), slice(ny - r, ny)),
             ):
                 ops.append((_copy, b3[box], src3[box], None))
             xb, xs = (
-                v.reshape(nz, plane)[r : nz - r, lanes]
-                .reshape(nz - 2 * r, ny - 2 * r + 1, nx)[:, :, : 2 * r]
+                _x_lanes(v.reshape(nz, plane)[r : nz - r], ny, nx, r)
                 for v in (b3, src3)
             )
             ops.append((_copy, xb, xs, None))
@@ -843,21 +880,207 @@ class _VolumeRunner:
         )
         self.ops_per_update = kernel.ops_per_update
 
-    def run(self, shell_token=None, traffic=None) -> None:
-        """Execute the round and charge its aggregate traffic (the shell
-        token is unused: refreshing the scratch shell costs two copies)."""
-        if self._suppress_fp:
-            with np.errstate(all="ignore"):
-                for fn, a, b, out in self._ops:
-                    fn(a, b, out)
+
+def _edge_bands(tiles, off, n, r) -> list[tuple[int, int]]:
+    """Expanded-plane ranges of the grid-boundary lanes (``< r`` or
+    ``>= n - r``) that axis ``tiles`` hold away from the plane's outer
+    edge: tiles whose loaded extent is clamped at a grid edge they do not
+    sit at (small tiles next to the first or last one)."""
+    bands = []
+    for i, tile in enumerate(tiles):
+        e0, e1 = tile.extent
+        if i and e0 < r:
+            bands.append((off[i], off[i] + r - e0))
+        if i < len(tiles) - 1 and e1 > n - r:
+            bands.append((off[i] + n - r - e0, off[i + 1]))
+    return bands
+
+
+class _BatchedScratch:
+    """The expanded-plane rings, Z-shell planes, store plane and temporary
+    of one round layout, shared by an executor's ping and pong runners (an
+    executor runs one round at a time).  ``token`` names the run whose
+    constant Z-shell ``shell`` holds."""
+
+    __slots__ = ("key", "rings", "shell", "out", "tmp", "token")
+
+    def __init__(self, key, round_t, slots, shell_zs, hw, span, dtype) -> None:
+        self.key = key
+        self.rings = np.zeros((round_t, slots, hw), dtype)
+        self.shell = {z: np.zeros(hw, dtype) for z in shell_zs}
+        self.out = np.zeros(hw, dtype)
+        self.tmp = np.zeros(span, dtype)
+        self.token = None
+
+
+class _BatchedRunner(_RoundRunner):
+    """Every XY tile of a multi-tile round over one halo-expanded plane.
+
+    ``plan_tiles_2d`` tiles are the cross product of Y and X axis tiles, so
+    their loaded extents, laid side by side without padding, form one
+    ``(sum of Y extents) x (sum of X extents)`` plane: kappa times the
+    grid plane.  Every ring slot holds one such plane.  Per z-plane the
+    round, in schedule order,
+
+    * gathers the ``nty x ntx`` tile extents of ``src`` into the ring,
+    * runs each instance's flat lowering once over the whole plane,
+    * restores the plane's outer boundary lanes (the grid boundary, which
+      is constant in time) from the previous instance,
+    * computes the last instance into a store plane and scatters each
+      tile's core into ``dst``.
+
+    Lanes at a seam between two tiles read the neighbour tile's data.  They
+    are exactly the ghost lanes the trapezoid throws away
+    (``compute_range`` shrinks by R per instance), so they never reach a
+    core and no seam strips are needed.  A round thus dispatches about as
+    many ufuncs as the full-plane plan, each covering every tile at once.
+    ``src`` is never written; ``dst`` only on tile cores.  The Z-shell is
+    gathered once per run (shell token) and traffic is charged exactly as
+    the per-tile plans charge it, shell-plane reads included.
+    """
+
+    span = "batched_round"
+
+    def __init__(self, kernel, executor, src, dst, round_t):
+        inner = kernel.inner
+        self.src_data, self.dst_data, self.round_t = src.data, dst.data, round_t
+        r = kernel.radius
+        nz, ny, nx = src.shape
+        dtype = src.data.dtype
+        self._suppress_fp = not getattr(inner, "_seam_contractive", False)
+        self.ops_per_update = kernel.ops_per_update
+        tiles = executor._plan_tiles(ny, nx, round_t)
+        ys = list(dict.fromkeys(t.y for t in tiles))
+        xs = list(dict.fromkeys(t.x for t in tiles))
+        yoff = np.cumsum([0] + [t.extent_size for t in ys]).tolist()
+        xoff = np.cumsum([0] + [t.extent_size for t in xs]).tolist()
+        h, w = yoff[-1], xoff[-1]
+        # every lane but the plane's outer r rows and columns: the windows
+        # of all taps (|dy|, |dx| <= r) stay inside the plane
+        s, e = r * w + r, (h - r) * w - r
+        slots = ring_slots(r, executor.concurrent)
+        shell_zs = [*range(r), *range(nz - r, nz)]
+        key = (src.data.shape, dtype, round_t)
+        for other in executor.sweep_runners:
+            if type(other) is _BatchedRunner and other._scratch.key == key:
+                self._scratch = sc = other._scratch
+                break
         else:
-            for fn, a, b, out in self._ops:
+            self._scratch = sc = _BatchedScratch(
+                key, round_t, slots, shell_zs, h * w, e - s, dtype
+            )
+
+        # plane keys: ("s", z) a Z-shell plane, (t, slot) a ring plane
+        planes = {("s", z): sc.shell[z] for z in shell_zs}
+        for t in range(round_t):
+            for k in range(slots):
+                planes[t, k] = sc.rings[t, k]
+        ybands = _edge_bands(ys, yoff, ny, r)
+        xbands = _edge_bands(xs, xoff, nx, r)
+
+        def boundary(p):
+            """The grid-boundary lanes of expanded plane ``p``, restored
+            from the previous instance after each compute: the plane's
+            outer edge and, where a tile's extent reaches it, inner bands."""
+            p2 = p.reshape(h, w)
+            out = [p[:s], p[e:], _x_lanes(p, h, w, r)] if r else []
+            out += [p2[lo:hi] for lo, hi in ybands]
+            out += [p2[:, lo:hi] for lo, hi in xbands]
+            return out
+
+        def span(tile, off, core):
+            """A tile's extent, or its core, along one plane axis."""
+            if not core:
+                return slice(off, off + tile.extent_size)
+            lo = off + tile.core[0] - tile.extent[0]
+            return slice(lo, lo + tile.core_size)
+
+        def blocks(p, core):
+            """Each tile's extent (or core) in expanded plane ``p``."""
+            p2 = p.reshape(h, w)
+            return [p2[span(ty, yoff[a], core), span(tx, xoff[b], core)]
+                    for a, ty in enumerate(ys) for b, tx in enumerate(xs)]
+
+        src3, dst3 = src.data[0], dst.data[0]
+        pairs = [(ty, tx) for ty in ys for tx in xs]
+
+        def gather(ops, pk, z):
+            for view, (ty, tx) in zip(blocks(planes[pk], False), pairs):
+                ops.append((_copy, view,
+                            src3[z, slice(*ty.extent), slice(*tx.extent)],
+                            None))
+
+        edges = {pk: boundary(p) for pk, p in planes.items()}
+        cores = blocks(sc.out, True)
+        windows: dict = {}
+        impl = _flat_impl(inner, src.data, dst.data)
+
+        def pkey(t, z):  # plane z as instance t + 1 reads it
+            return ("s", z) if z in sc.shell else (t, z % slots)
+
+        def stencil(ops, out, t, z):
+            def window(dz, dy, dx):
+                pk = pkey(t - 1, z + dz)
+                v = windows.get((pk, dy, dx))
+                if v is None:
+                    off = dy * w + dx
+                    v = windows[pk, dy, dx] = planes[pk][s + off : e + off]
+                return v
+
+            _emit_taps(ops, impl, inner, dtype.type, out, sc.tmp, window)
+
+        self._shell_ops: list = []
+        for z in shell_zs:
+            gather(self._shell_ops, ("s", z), z)
+        ops: list = []
+        for step in executor._get_schedule(nz, round_t).steps:
+            kind, t, z = step.kind, step.t, step.z
+            if kind is StepKind.LOAD:
+                if z not in sc.shell:
+                    gather(ops, pkey(0, z), z)
+            elif kind is StepKind.COMPUTE:
+                target = (t, z % slots)
+                stencil(ops, planes[target][s:e], t, z)
+                for a, b in zip(edges[target], edges[pkey(t - 1, z)]):
+                    ops.append((_copy, a, b, None))
+            else:
+                stencil(ops, sc.out[s:e], t, z)
+                for view, (ty, tx) in zip(cores, pairs):
+                    ops.append((_copy,
+                                dst3[z, slice(*ty.core), slice(*tx.core)],
+                                view, None))
+        self._ops = tuple(ops)
+        # the per-tile plans' charge, summed over tiles: shell and load
+        # reads of each extent, one update per instance-region point, the
+        # core written once
+        esize = src.element_size()
+        ext = sum(tile.extent_points for tile in tiles)
+        core = sum(tile.core_points for tile in tiles)
+        inner_zs = nz - 2 * r
+        pts = 0
+        for tile in tiles:
+            for t in range(1, round_t + 1):
+                y0, y1 = compute_range(tile.y.core, ny, r, round_t, t)
+                x0, x1 = compute_range(tile.x.core, nx, r, round_t, t)
+                pts += inner_zs * (y1 - y0) * (x1 - x0)
+        self._traffic = (
+            nz * ext * esize, nz * len(tiles),
+            inner_zs * core * esize, inner_zs * len(tiles),
+            pts,
+        )
+
+    def run(self, shell_token=None, traffic=None) -> None:
+        """Gather the Z-shell unless this run's is already resident, then
+        execute the round and charge its aggregate traffic."""
+        sc = self._scratch
+        if shell_token is None or sc.token is not shell_token:
+            for fn, a, b, out in self._shell_ops:
                 fn(a, b, out)
-        if traffic is not None:
-            rb, rp, wb, wp, pts = self._traffic
-            traffic.read(rb, planes=rp)
-            traffic.write(wb, planes=wp)
-            traffic.update(pts, self.ops_per_update)
+            sc.token = shell_token
+        super().run(shell_token, traffic)
+
+
+_ROUND_RUNNERS = (_VolumeRunner, _BatchedRunner)
 
 
 # ======================================================================

@@ -237,9 +237,10 @@ class TestResilienceExitCodes:
 class TestObservabilityCLI:
     """--trace/--metrics emission and the `repro trace` summary command."""
 
-    # tile 12 keeps kappa (1.56) under dim_T: rounds stay blocked, so the
-    # trace carries tile and z_iter spans
-    _base = ["run", "--grid", "16", "--steps", "2", "--tile", "12",
+    # one whole-plane tile (kappa 1.0): rounds run the per-tile plan, so
+    # the trace carries tile and z_iter spans (multi-tile rounds run
+    # batched, see test_multi_tile_round_is_one_batched_span)
+    _base = ["run", "--grid", "16", "--steps", "2", "--tile", "16",
              "--dim-t", "2"]
 
     def test_trace_and_metrics_files_validate(self, tmp_path, capsys):
@@ -265,6 +266,20 @@ class TestObservabilityCLI:
             mdoc["validation"]["kappa_measured"]
             / mdoc["validation"]["kappa_predicted"])
         assert mdoc["run"]["kernel"] == "7pt"
+
+    def test_multi_tile_round_is_one_batched_span(self, tmp_path, capsys):
+        import json
+
+        tr = str(tmp_path / "trace.json")
+        # tile 12 keeps kappa (1.56) under dim_T: blocked, four tiles
+        rc = main(["run", "--grid", "16", "--steps", "2", "--tile", "12",
+                   "--dim-t", "2", "--trace", tr])
+        assert rc == 0
+        assert "bit-identical" in capsys.readouterr().out
+        doc = json.loads(open(tr).read())
+        names = [e["name"] for e in doc["traceEvents"] if e["ph"] == "X"]
+        assert names.count("batched_round") == 1
+        assert "tile" not in names and "z_iter" not in names
 
     def test_threaded_metrics_report_barrier_wait(self, tmp_path, capsys):
         import json

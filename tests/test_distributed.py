@@ -669,14 +669,16 @@ class TestWarmRankBuffers:
                                                        overlap):
         from repro.core.blocking35d import Blocking35D
         from repro.perf.backends import wrap_kernel
-        from repro.perf.fused import _NumpyFusedRunner
+        from repro.perf.fused import _BatchedRunner, _NumpyFusedRunner
 
         executors, plans = [], []
         self._count(monkeypatch, Blocking35D, "__init__", executors)
         self._count(monkeypatch, _NumpyFusedRunner, "_build_plan", plans)
+        self._count(monkeypatch, _BatchedRunner, "__init__", plans)
         k = SevenPointStencil()
         # tile 10 keeps the full rounds blocked (kappa 1.71 < 2), so they
-        # build fused plans; the partial round runs as a volume round
+        # build fused plans (per tile, or batched for multi-tile regions);
+        # the partial round runs as a volume round
         dj = DistributedJacobi(wrap_kernel(k, "fused-numpy"), 3, dim_t=2,
                                tile_y=10, tile_x=10, overlap=overlap)
         first = Field3D.random((24, 12, 14), dtype=np.float32, seed=1)

@@ -188,13 +188,18 @@ class TestInternedPlans:
         counts = {}
         for nz in (16, 32):
             kernel = _kernels((nz, 24, 24))[name]
-            # kappa under dim_T (1.36 radius 1, 1.78 radius 2): blocked
+            # kappa under dim_T (1.36 radius 1, 1.78 radius 2): blocked.
+            # The serial executor runs such multi-tile rounds batched; the
+            # one-thread threaded executor keeps one plan per tile (its
+            # single row span)
             tile = 16 if kernel.radius == 1 else 20
-            ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, tile, tile)
+            ex = ParallelBlocking35D(wrap_kernel(kernel, "fused-numpy"), 2,
+                                     tile, tile, n_threads=1)
             field = Field3D.random((nz, 24, 24), dtype=np.float32, seed=3)
             out = ex.run(field, 5)  # rounds of 2, 2, 1: ping and pong runners
             assert_fields_equal(out, run_naive(kernel, field, 5))
-            tiles = _plan_operands(ex)
+            tiles = _plan_operands(ex.inner)
+            assert len(tiles) > 1
             assert max(n for n, _ in tiles) == 2
             for _, objs in tiles:
                 mem = {
@@ -252,9 +257,11 @@ class TestTileRoundReplay:
 
         kernel, field = _replay_case(name, dtype)
         steps = 5  # a round of 3 and a partial 2
-        # kappa stays under round_t (2.56 and 1.96 for radius 1; one
-        # whole-plane tile for radius 2), so every round is blocked
-        tile = 12 if kernel.radius == 1 else 20
+        # kappa stays under round_t, so every round is blocked: tile 12
+        # (kappa 2.56 and 1.96) for the kernels without a flat lowering,
+        # whose multi-tile rounds keep per-tile plans; one whole-plane tile
+        # for the others (their multi-tile rounds run batched)
+        tile = 12 if name in ("varco", "lbm") else 20
 
         def run(backend):
             traffic = TrafficStats()
@@ -283,7 +290,8 @@ class TestTileRoundReplay:
     def test_backend_compute_fires_once_per_tile_per_round(self):
         from repro.resilience.faultinject import FAULTS, FaultSpec
 
-        kernel = SevenPointStencil()
+        # varco keeps per-tile plans on multi-tile rounds
+        kernel = _varco((10, 24, 24))
         field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
         # blocked rounds: kappa 2.25 < 3, then 1.78 < 2
         ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 3, 14, 14)
@@ -296,7 +304,8 @@ class TestTileRoundReplay:
     def test_traced_run_spans_every_iteration_with_identical_bits(self):
         from repro.obs.trace import TRACE
 
-        kernel = SevenPointStencil()
+        # varco keeps per-tile plans (and their spans) on multi-tile rounds
+        kernel = _varco((10, 24, 24))
         field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
         ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 12, 12)
         untraced = ex.run(field, 4)

@@ -443,19 +443,28 @@ class TestWireProtocol:
 @pytest.fixture()
 def recorded_executors(monkeypatch):
     """Serve's executors, each with the thread that built it, the thread
-    of every run, and the fused plans built during each run."""
+    of every run, and the fused plans (per-tile plans or batched round
+    runners) built during each run."""
     import repro.serve.server as server
     from repro.core import Blocking35D
-    from repro.perf.fused import _NumpyFusedRunner
+    from repro.perf.fused import _BatchedRunner, _NumpyFusedRunner
 
     executors = []
     builds: dict[int, int] = {}
     build_plan = _NumpyFusedRunner._build_plan
+    build_batched = _BatchedRunner.__init__
 
-    def counting_build_plan(self, rows):
+    def count_build():
         tid = threading.get_ident()
         builds[tid] = builds.get(tid, 0) + 1
+
+    def counting_build_plan(self, rows):
+        count_build()
         return build_plan(self, rows)
+
+    def counting_build_batched(self, *args):
+        count_build()
+        build_batched(self, *args)
 
     class Recorded(Blocking35D):
         def __init__(self, *args, **kwargs):
@@ -475,6 +484,7 @@ def recorded_executors(monkeypatch):
                 self.runs.append((tid, builds.get(tid, 0) - before))
 
     monkeypatch.setattr(_NumpyFusedRunner, "_build_plan", counting_build_plan)
+    monkeypatch.setattr(_BatchedRunner, "__init__", counting_build_batched)
     monkeypatch.setattr(server, "Blocking35D", Recorded)
     return executors
 

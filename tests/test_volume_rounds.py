@@ -18,7 +18,7 @@ from repro.core import Blocking35D, TrafficStats, run_naive
 from repro.core.naive import naive_sweep
 from repro.obs.trace import TRACE
 from repro.perf.backends import wrap_kernel
-from repro.perf.fused import _VolumeRunner
+from repro.perf.fused import _BatchedRunner, _VolumeRunner
 from repro.resilience.faultinject import FAULTS, FaultSpec
 from repro.runtime import ParallelBlocking35D
 from repro.stencils import Field3D, SevenPointStencil, TwentySevenPointStencil
@@ -182,13 +182,21 @@ class TestWhenRoundsAreVolumeRounds:
         (16, 2, 12),    # kappa 1.56
     ])
     def test_blocking_that_pays_stays_blocked(self, grid, dim_t, tile):
+        """Multi-tile rounds run batched (still blocked, see
+        test_batched_rounds.py); single-tile rounds keep the tile path."""
         kernel = wrap_kernel(SevenPointStencil(), "fused-numpy")
         ex = Blocking35D(kernel, dim_t, tile, tile)
         field = Field3D.random((2 * dim_t + 3, grid, grid),
                                dtype=np.float32, seed=1)
         assert ex.kappa(grid, grid, dim_t) <= dim_t
-        assert kernel.sweep_runner(ex, field, field.like(), dim_t) is None
-        assert ex.sweep_runners == []
+        runner = kernel.sweep_runner(ex, field, field.like(), dim_t)
+        assert not _volume_runners(ex)
+        if tile < grid:
+            assert type(runner) is _BatchedRunner
+            assert ex.sweep_runners == [runner]
+        else:
+            assert runner is None
+            assert ex.sweep_runners == []
 
     def test_bare_and_threaded_rungs_stay_blocked(self):
         kernel = SevenPointStencil()
@@ -199,7 +207,7 @@ class TestWhenRoundsAreVolumeRounds:
         threaded = ParallelBlocking35D(wrap_kernel(kernel, "fused-numpy"), 2,
                                        8, 8, n_threads=2)
         assert _sha(threaded.run(field, 4)) == _sha(ref)
-        assert not _volume_runners(threaded.inner)
+        assert threaded.inner.sweep_runners == []  # no volume/batched round
 
     def test_codegen_falls_through_when_it_cannot_lower(
         self, monkeypatch, tmp_path
