@@ -47,6 +47,7 @@ from .checkpoint import (
     Checkpoint,
     CheckpointError,
     CheckpointStore,
+    data_digest,
 )
 from .fallback import (
     FALLBACK_ORDER,
@@ -91,7 +92,6 @@ from .sdc import (
     SdcGuard,
     SdcReport,
     SdcUnhealableError,
-    data_digest,
     flip_bits,
     inject_flips,
     make_sdc_case,

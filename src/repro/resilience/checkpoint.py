@@ -41,6 +41,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
+    "data_digest",
 ]
 
 #: version stamped into every snapshot; bumped on layout changes
@@ -50,6 +51,15 @@ CHECKPOINT_SCHEMA_VERSION = 2
 
 #: reserved key carrying the schema stamp inside the stored metadata JSON
 _SCHEMA_KEY = "_checkpoint"
+
+
+def data_digest(data: np.ndarray) -> str:
+    """sha256 hex digest of an array's raw bytes (C order).
+
+    The one digest of grid payloads: checkpoint and buddy-replica stamps,
+    serve job results and the chaos oracles all compare these strings.
+    """
+    return hashlib.sha256(np.ascontiguousarray(data)).hexdigest()
 
 
 class CheckpointError(ResilienceError):
@@ -88,7 +98,7 @@ class CheckpointStore:
             "schema_version": CHECKPOINT_SCHEMA_VERSION,
             "shape": list(data.shape),
             "dtype": str(data.dtype),
-            "sha256": hashlib.sha256(payload).hexdigest(),
+            "sha256": data_digest(payload),
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".tmp")
@@ -170,7 +180,7 @@ class CheckpointStore:
                 f"{stamp.get('shape')}/{stamp.get('dtype')} but stores "
                 f"{list(data.shape)}/{data.dtype}"
             )
-        digest = hashlib.sha256(np.ascontiguousarray(data)).hexdigest()
+        digest = data_digest(data)
         if digest != stamp.get("sha256"):
             # bitrot between write and restore: quarantine the evidence and
             # refuse loudly — silently resuming corrupted state would seed

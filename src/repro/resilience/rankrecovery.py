@@ -33,11 +33,11 @@ the classic buddy-checkpointing failure model.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import data_digest
 from .faultinject import ResilienceError
 
 __all__ = [
@@ -81,10 +81,6 @@ class BuddySnapshot:
     sha256: str = ""
 
 
-def _slab_digest(data: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(data)).hexdigest()
-
-
 class BuddyStore:
     """In-memory buddy checkpointing: own copy + replica on a neighbor.
 
@@ -111,7 +107,7 @@ class BuddyStore:
         checkpoint and recovery is refused instead of replayed from.
         """
         if not snap.sha256:
-            snap.sha256 = _slab_digest(snap.data)
+            snap.sha256 = data_digest(snap.data)
         self._own[snap.owner] = snap
         self.snapshots += 1
         if holder is None:
@@ -163,7 +159,7 @@ class BuddyStore:
     @staticmethod
     def _verified(snap: BuddySnapshot, kind: str) -> BuddySnapshot:
         """Refuse a snapshot whose payload no longer matches its digest."""
-        if snap.sha256 and _slab_digest(snap.data) != snap.sha256:
+        if snap.sha256 and data_digest(snap.data) != snap.sha256:
             raise UnrecoverableRankFailureError(
                 f"rank {snap.owner}'s {kind} (round {snap.round_index}) "
                 "failed its sha256 content digest — the round-start slab "

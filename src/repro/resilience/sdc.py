@@ -78,7 +78,6 @@ __all__ = [
     "SdcGuard",
     "SdcReport",
     "SdcUnhealableError",
-    "data_digest",
     "flip_bits",
     "inject_flips",
     "make_sdc_case",
@@ -120,13 +119,6 @@ def plane_crcs(data: np.ndarray) -> list[int]:
         zlib.crc32(np.ascontiguousarray(data[:, z]))
         for z in range(data.shape[1])
     ]
-
-
-def data_digest(data: np.ndarray) -> str:
-    """sha256 hex digest of an array's raw bytes (C order)."""
-    import hashlib
-
-    return hashlib.sha256(np.ascontiguousarray(data)).hexdigest()
 
 
 def flip_bits(data: np.ndarray, count: int, entropy) -> list[tuple]:

@@ -25,9 +25,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from ..core.naive import run_naive
+from ..resilience.checkpoint import data_digest
 from ..resilience.faultinject import FAULTS
 from .protocol import JobSpec
-from .server import ServeCore, grid_sha256, make_field, make_kernel
+from .server import ServeCore, make_field, make_kernel
 
 __all__ = [
     "SERVE_SCHEDULES",
@@ -153,7 +154,7 @@ def _reference_sha(spec: JobSpec, cache: dict) -> str:
     key = (spec.kernel, spec.grid, spec.steps, spec.precision, spec.seed)
     if key not in cache:
         out = run_naive(make_kernel(spec), make_field(spec), spec.steps)
-        cache[key] = grid_sha256(out.data)
+        cache[key] = data_digest(out.data)
     return cache[key]
 
 

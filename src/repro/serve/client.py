@@ -1,9 +1,11 @@
 """Client side of the serve protocol: one request, one reply, no hangs.
 
-:class:`ServeClient` opens a fresh unix-socket connection per request —
-the protocol is a single line each way, so connection reuse buys nothing
-and per-request connections mean a daemon restart is invisible to the
-client.  Every failure mode maps to a typed :class:`ServeUnavailable`
+:class:`ServeClient` opens a fresh unix-socket connection per request, so
+a daemon restart is invisible to the client.  The daemon serves each
+connection on a reused handler thread, so a connection costs a connect
+and a hand-off, not a thread start; the protocol also answers any number
+of requests on one connection for callers that keep it open.  Every
+failure mode maps to a typed :class:`ServeUnavailable`
 (daemon not running, socket gone, connection dropped mid-reply) so
 callers and the CLI can distinguish "the daemon said no" (an ``ok: false``
 reply with a reason) from "the daemon is gone".

@@ -32,8 +32,8 @@ Robustness invariants (each one is load-bearing and tested):
 
 from __future__ import annotations
 
-import hashlib
 import json
+import queue
 import socket
 import threading
 import time
@@ -48,7 +48,11 @@ from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.serving import JobTraceLog, UsageLedger, prometheus_exposition
 from ..obs.trace import TRACE
-from ..resilience.checkpoint import CheckpointError, CheckpointStore
+from ..resilience.checkpoint import (
+    CheckpointError,
+    CheckpointStore,
+    data_digest,
+)
 from ..resilience.fallback import bind_with_fallback
 from ..resilience.faultinject import FAULTS, ResilienceError
 from ..resilience.sdc import SdcError, SdcGuard, inject_flips
@@ -69,6 +73,16 @@ __all__ = ["JobServer", "PlanCache", "ServeCore", "make_field", "make_kernel"]
 
 #: overload levels, in escalation order
 GREEN, AMBER, RED = "green", "amber", "red"
+
+#: connection handlers kept waiting for the next connection; a handler
+#: that finishes a connection with this many already idle exits.  A
+#: caller waiting on its job holds one submit or status connection at a
+#: time, but its next can arrive before the last one's handler is back
+#: in the pool: two handlers.  Independent callers submitting Poisson at
+#: 25 jobs/s over ~1 ms connections hold three at once ~3e-6 of the time
+#: (0.025^3/6).  Four serve both without a thread start and leave room
+#: for a second caller such as ``repro top``
+IDLE_HANDLERS = 4
 
 #: encoded bytes of finished-job records (and their trace logs) kept
 #: answerable, ~34k small-job records; older ids answer ``not-found`` as
@@ -100,10 +114,6 @@ def _job_number(jid: str) -> int:
 def _wire(doc) -> bytes:
     """``doc`` as the protocol encodes it (see ``write_message``)."""
     return json.dumps(doc, separators=(",", ":")).encode()
-
-
-def grid_sha256(data: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(data).tobytes()).hexdigest()
 
 
 class PlanCache:
@@ -186,7 +196,7 @@ class _JobContext:
     """
 
     __slots__ = ("record", "state", "cancel", "preempt", "deadline_at",
-                 "trace", "enqueued_ns")
+                 "trace", "enqueued_ns", "owns_checkpoint")
 
     def __init__(self, record: JobRecord):
         self.record = record
@@ -201,6 +211,10 @@ class _JobContext:
         )
         #: epoch-ns of the last enqueue, for the queue-wait measurement
         self.enqueued_ns = 0
+        #: whether a checkpoint file of this job may exist: it saved one,
+        #: or it was recovered from the journal (a file from before the
+        #: restart, usable or not); only such a job removes its file
+        self.owns_checkpoint = False
 
 
 class ServeCore:
@@ -433,6 +447,7 @@ class ServeCore:
                 self._retain(record, None)
                 continue
             ctx = _JobContext(record)
+            ctx.owns_checkpoint = True
             with self._lock:
                 self._live[jid] = ctx
             # an accepted job that never reached a terminal record: the
@@ -746,6 +761,7 @@ class ServeCore:
                     ctx, "failed",
                     f"internal error: {type(exc).__name__}: {exc}",
                 )
+                self._clear_checkpoint(ctx)
             finally:
                 with self._lock:
                     self._busy -= 1
@@ -753,6 +769,19 @@ class ServeCore:
 
     def _checkpoint_store(self, jid: str) -> CheckpointStore:
         return CheckpointStore(self.state_dir / "checkpoints" / f"{jid}.npz")
+
+    def _save_checkpoint(self, ctx: _JobContext, state: Field3D) -> None:
+        record = ctx.record
+        self._checkpoint_store(record.id).save(
+            state.data, record.done_steps, {"id": record.id}
+        )
+        ctx.owns_checkpoint = True
+
+    def _clear_checkpoint(self, ctx: _JobContext) -> None:
+        """Remove a finishing job's checkpoint file, if it may have one."""
+        if ctx.owns_checkpoint:
+            self._checkpoint_store(ctx.record.id).clear()
+            ctx.owns_checkpoint = False
 
     def _run_job(self, ctx: _JobContext, warm: _WarmExecutor) -> None:
         record = ctx.record
@@ -810,9 +839,9 @@ class ServeCore:
             self._finish(
                 ctx, "failed", f"cannot bind job: {type(exc).__name__}: {exc}"
             )
+            self._clear_checkpoint(ctx)
             return
         state = field
-        store = self._checkpoint_store(record.id)
         rounds_since_ck = 0
         rounds_done = 0
         # the SDC tier: the guard re-executes through the *reference*
@@ -878,7 +907,7 @@ class ServeCore:
                             f"cancelled by client after "
                             f"{record.done_steps}/{spec.steps} steps",
                         )
-                        store.clear()
+                        self._clear_checkpoint(ctx)
                         return
                     if (
                         ctx.deadline_at is not None
@@ -891,13 +920,11 @@ class ServeCore:
                             f"deadline exceeded after "
                             f"{record.done_steps}/{spec.steps} steps",
                         )
-                        store.clear()
+                        self._clear_checkpoint(ctx)
                         return
                     if ctx.preempt:
                         ctx.preempt = False
-                        store.save(
-                            state.data, record.done_steps, {"id": record.id}
-                        )
+                        self._save_checkpoint(ctx, state)
                         ctx.state = state
                         with self._lock:
                             record.status = "queued"
@@ -976,9 +1003,7 @@ class ServeCore:
                         rounds_since_ck >= self.checkpoint_every_rounds
                         and record.done_steps < spec.steps
                     ):
-                        store.save(
-                            state.data, record.done_steps, {"id": record.id}
-                        )
+                        self._save_checkpoint(ctx, state)
                         rounds_since_ck = 0
                 if guard is not None:
                     # flips landing after the final seal stay in-window
@@ -992,7 +1017,7 @@ class ServeCore:
             self._finish(
                 ctx, "failed", f"integrity: {type(exc).__name__}: {exc}"
             )
-            store.clear()
+            self._clear_checkpoint(ctx)
             return
         finally:
             if ctx.trace is not None:
@@ -1006,17 +1031,17 @@ class ServeCore:
                 f"sdc: {guard.report.detections} detection(s), "
                 f"{guard.report.heals} healed surgically (tier {integrity})"
             )
-        sha = grid_sha256(state.data)
+        sha = data_digest(state.data)
         if verify:
             ref = run_naive(make_kernel(spec), make_field(spec), spec.steps)
             if not np.array_equal(state.data, ref.data):
                 self._finish(
                     ctx, "failed", "result mismatched the naive reference"
                 )
-                store.clear()
+                self._clear_checkpoint(ctx)
                 return
         ctx.state = None
-        store.clear()
+        self._clear_checkpoint(ctx)
         status = "degraded" if degraded_reasons else "done"
         with self._lock:
             record.sha256 = sha
@@ -1058,15 +1083,31 @@ class ServeCore:
 
 
 class JobServer:
-    """Unix-socket front-end: newline-JSON requests dispatched onto a core."""
+    """Unix-socket front-end: newline-JSON requests dispatched onto a core.
+
+    Connections are served on reused handler threads.  The accept loop
+    hands each socket to an idle handler and starts a new one only when
+    none is idle, so an open idle connection never blocks another client,
+    while a steady request stream pays no thread start.  A handler that
+    finishes a connection with ``IDLE_HANDLERS`` already idle exits.
+    Starts and reuses count in the core's ``serve.handlers_started`` /
+    ``serve.handlers_reused`` counters, idle ones in the
+    ``serve.handlers_idle`` gauge.
+    """
 
     def __init__(self, core: ServeCore, socket_path: str) -> None:
         self.core = core
         self.socket_path = Path(socket_path)
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
-        self._conn_threads: list[threading.Thread] = []
         self._closing = False
+        #: sockets handed to idle handlers; ``None`` tells one to exit
+        self._handoff: queue.SimpleQueue = queue.SimpleQueue()
+        #: guards the idle count, the handler set and the open sockets
+        self._pool_lock = threading.Lock()
+        self._idle = 0
+        self._handlers: set[threading.Thread] = set()
+        self._open: set[socket.socket] = set()
 
     def start(self) -> None:
         self.socket_path.parent.mkdir(parents=True, exist_ok=True)
@@ -1083,8 +1124,11 @@ class JobServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop listening and end every handler.  A request already read
+        is still answered; an open connection then reads end-of-file."""
         self._closing = True
         if self._listener is not None:
+            _shutdown(self._listener, socket.SHUT_RDWR)  # wakes accept()
             try:
                 self._listener.close()
             except OSError:
@@ -1095,6 +1139,15 @@ class JobServer:
             pass
         if self._thread is not None:
             self._thread.join(timeout=2.0)
+        with self._pool_lock:
+            for _ in range(self._idle):
+                self._handoff.put(None)
+            self._idle = 0
+            for conn in self._open:
+                _shutdown(conn, socket.SHUT_RD)
+            handlers = list(self._handlers)
+        for t in handlers:
+            t.join(timeout=2.0)
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -1103,16 +1156,47 @@ class JobServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            t = threading.Thread(
-                target=self._handle, args=(conn,), daemon=True
-            )
+            # counted before the hand-off, so a client that has its reply
+            # sees its own connection counted
+            with self._pool_lock:
+                if self._idle:
+                    self._idle -= 1
+                    self._note_idle()
+                    self.core._inc("serve.handlers_reused")
+                    self._handoff.put(conn)
+                    continue
+                t = threading.Thread(
+                    target=self._handler_loop, args=(conn,),
+                    name="serve-handler", daemon=True,
+                )
+                self._handlers.add(t)
+            self.core._inc("serve.handlers_started")
             t.start()
-            self._conn_threads.append(t)
-            self._conn_threads = [
-                ct for ct in self._conn_threads if ct.is_alive()
-            ]
+
+    def _handler_loop(self, conn: socket.socket | None) -> None:
+        try:
+            while conn is not None:
+                self._handle(conn)
+                with self._pool_lock:
+                    if self._closing or self._idle >= IDLE_HANDLERS:
+                        return
+                    self._idle += 1
+                    self._note_idle()
+                conn = self._handoff.get()
+        finally:
+            with self._pool_lock:
+                self._handlers.discard(threading.current_thread())
+
+    def _note_idle(self) -> None:
+        """Publish the idle-handler count (caller holds the pool lock)."""
+        self.core.metrics.set_gauge("serve.handlers_idle", self._idle)
+        METRICS.set_gauge("serve.handlers_idle", self._idle)
 
     def _handle(self, conn: socket.socket) -> None:
+        with self._pool_lock:
+            self._open.add(conn)
+            if self._closing:
+                _shutdown(conn, socket.SHUT_RD)
         fh = conn.makefile("rwb")
         try:
             while True:
@@ -1133,6 +1217,8 @@ class JobServer:
         except (OSError, BrokenPipeError):
             pass
         finally:
+            with self._pool_lock:
+                self._open.discard(conn)
             try:
                 fh.close()
                 conn.close()
@@ -1175,3 +1261,10 @@ class JobServer:
             return {"ok": True, "draining": True}
         return {"ok": False, "error": "unknown-op",
                 "reason": f"unknown op {op!r}"}
+
+
+def _shutdown(sock: socket.socket, how: int) -> None:
+    try:
+        sock.shutdown(how)
+    except OSError:
+        pass

@@ -30,7 +30,8 @@ from repro.serve import (
     ServeUnavailable,
     TokenBucket,
 )
-from repro.serve.server import grid_sha256, make_field, make_kernel
+from repro.resilience import data_digest
+from repro.serve.server import make_field, make_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -68,7 +69,7 @@ HOLD = "serve.stall:*"
 
 def reference_sha(spec: JobSpec) -> str:
     out = run_naive(make_kernel(spec), make_field(spec), spec.steps)
-    return grid_sha256(out.data)
+    return data_digest(out.data)
 
 
 class TestTokenBucket:
@@ -438,6 +439,223 @@ class TestWireProtocol:
         client = ServeClient(tmp_path / "nowhere.sock", timeout=1.0)
         with pytest.raises(ServeUnavailable, match="repro serve"):
             client.ping()
+
+
+def _handler_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "serve-handler"]
+
+
+class TestConnectionHandlers:
+    @pytest.fixture()
+    def served(self, tmp_path):
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        srv = JobServer(core, tmp_path / "sock")
+        srv.start()
+        yield core, srv, ServeClient(tmp_path / "sock", timeout=5.0)
+        srv.stop()
+        core.drain(timeout=10.0)
+
+    @staticmethod
+    def _recording(srv):
+        """Wrap ``srv.dispatch`` to record the thread of every request."""
+        idents = []
+        dispatch = srv.dispatch
+
+        def recorded(msg):
+            idents.append(threading.get_ident())
+            return dispatch(msg)
+
+        srv.dispatch = recorded
+        return idents
+
+    def test_sequential_requests_reuse_handlers(self, served):
+        import repro.serve.server as server
+
+        core, srv, client = served
+        idents = self._recording(srv)
+        n = 200
+        for i in range(n):
+            assert client.status(f"j{i:06d}")["error"] == "not-found"
+        counters = core.metrics.to_dict()["counters"]
+        started = counters["serve.handlers_started"]
+        assert len(set(idents)) <= started <= server.IDLE_HANDLERS
+        assert started + counters["serve.handlers_reused"] == n
+        assert len(_handler_threads()) <= server.IDLE_HANDLERS
+
+    def test_idle_connection_does_not_delay_a_submit(self, served, tmp_path):
+        import socket
+
+        from repro.serve.protocol import read_message, write_message
+
+        core, srv, client = served
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as idle:
+            idle.connect(str(tmp_path / "sock"))
+            wait_for(lambda: len(srv._open) == 1)  # a handler holds it
+            t0 = time.monotonic()
+            reply = client.submit(JobSpec(grid=8, steps=2).to_dict())
+            assert reply["ok"] and time.monotonic() - t0 < 2.0
+            fh = idle.makefile("rwb")
+            write_message(fh, {"op": "ping"})  # still served after that
+            assert read_message(fh)["ok"]
+        assert client.wait(reply["id"])["job"]["status"] == "done"
+
+    def test_persistent_connection_serves_many_requests(
+        self, served, tmp_path
+    ):
+        import socket
+
+        from repro.serve.protocol import read_message, write_message
+
+        core, srv, _ = served
+        idents = self._recording(srv)
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as conn:
+            conn.connect(str(tmp_path / "sock"))
+            fh = conn.makefile("rwb")
+            for i in range(100):
+                write_message(fh, {"op": "ping"} if i % 2 else
+                              {"op": "status", "id": "j000001"})
+                assert read_message(fh)["error" if i % 2 == 0 else "ok"]
+        assert len(idents) == 100 and len(set(idents)) == 1
+        assert core.metrics.counter("serve.handlers_started") == 1
+
+    def test_stop_ends_every_handler(self, tmp_path):
+        import socket
+
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        srv = JobServer(core, tmp_path / "sock")
+        srv.start()
+        client = ServeClient(tmp_path / "sock", timeout=5.0)
+        for _ in range(10):
+            client.ping()
+        held = []
+        for _ in range(3):  # connections left open and silent
+            conn = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            conn.connect(str(tmp_path / "sock"))
+            held.append(conn)
+        wait_for(lambda: len(srv._open) == 3)
+        assert _handler_threads()
+        t0 = time.monotonic()
+        srv.stop()
+        assert time.monotonic() - t0 < 2.0
+        assert not _handler_threads() and not srv._handlers
+        assert not srv._thread.is_alive()
+        for conn in held:
+            assert conn.recv(1) == b""  # closed by the daemon
+            conn.close()
+        with pytest.raises(ServeUnavailable):
+            client.ping()
+        assert core.drain()
+
+
+class _RecordedStores:
+    """Every ``CheckpointStore`` serve builds and every file it unlinks."""
+
+    def __init__(self, monkeypatch):
+        import repro.serve.server as server
+        from repro.resilience.checkpoint import CheckpointStore
+
+        self.built: list[str] = []
+        self.unlinked: list[str] = []
+        log = self
+
+        class Recorded(CheckpointStore):
+            def __init__(self, path):
+                log.built.append(str(path))
+                super().__init__(path)
+
+            def clear(self):
+                log.unlinked.append(self.path.name)
+                super().clear()
+
+        monkeypatch.setattr(server, "CheckpointStore", Recorded)
+
+
+class TestCheckpointFiles:
+    def test_job_that_never_checkpoints_touches_no_file(
+        self, tmp_path, monkeypatch
+    ):
+        import pathlib
+
+        stores = _RecordedStores(monkeypatch)
+        unlinked = []
+        unlink = pathlib.Path.unlink
+
+        def recorded_unlink(self, *args, **kwargs):
+            unlinked.append(str(self))
+            return unlink(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "unlink", recorded_unlink)
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        # 3 rounds, fewer than the 4-round checkpoint cadence
+        spec = JobSpec(grid=12, steps=6, dim_t=2, tile=8)
+        ids = [core.submit(spec.to_dict())["id"] for _ in range(3)]
+        wait_terminal(core)
+        assert all(core.status(j).sha256 == reference_sha(spec) for j in ids)
+        assert stores.built == [] and stores.unlinked == []
+        assert not [p for p in unlinked if "checkpoints" in p]
+        assert core.drain()
+
+    def test_cadence_checkpoint_is_cleared(self, tmp_path, monkeypatch):
+        stores = _RecordedStores(monkeypatch)
+        core = ServeCore(tmp_path / "s", workers=1, checkpoint_every_rounds=1,
+                         fsync=False)
+        core.start()
+        spec = JobSpec(grid=10, steps=6, dim_t=2, verify=False)
+        jid = core.submit(spec.to_dict())["id"]
+        wait_terminal(core)
+        assert core.status(jid).sha256 == reference_sha(spec)
+        assert len(stores.built) >= 2  # saves, then the clear
+        assert stores.unlinked == [f"{jid}.npz"]
+        assert not list((tmp_path / "s" / "checkpoints").iterdir())
+        assert core.drain()
+
+    def test_recovered_job_with_unusable_snapshot_removes_it(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.resilience import CheckpointStore
+
+        state = tmp_path / "s"
+        spec = JobSpec(grid=10, steps=4, verify=False)
+        journal = JobJournal(state / "journal.jsonl", fsync=False)
+        journal.append("accepted", id="j000001", job=spec.to_dict())
+        journal.close()
+        ck = state / "checkpoints" / "j000001.npz"
+        # a snapshot of another geometry: refused at recovery, kept on disk
+        CheckpointStore(ck).save(np.zeros((1, 6, 6, 6)), 2, {"id": "j000001"})
+        stores = _RecordedStores(monkeypatch)
+        core = ServeCore(state, workers=1, fsync=False)
+        core.start()
+        wait_terminal(core)
+        rec = core.status("j000001")
+        assert rec.status == "done" and rec.resumes == 0
+        assert rec.sha256 == reference_sha(spec)  # restarted from step 0
+        assert stores.unlinked == ["j000001.npz"]
+        assert not ck.exists()
+        assert core.drain()
+
+    def test_preempted_then_resumed_job_clears_its_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        stores = _RecordedStores(monkeypatch)
+        core = ServeCore(tmp_path / "s", workers=1, stall_s=0.02,
+                         fsync=False)
+        core.start()
+        spec = JobSpec(grid=16, steps=60, dim_t=2, priority=5, verify=False)
+        with FAULTS.injected(HOLD):
+            victim = core.submit(spec.to_dict())["id"]
+            wait_for(lambda: core.status(victim).status == "running")
+            hi = core.submit(JobSpec(grid=10, steps=2, priority=0,
+                                     verify=False).to_dict())["id"]
+            wait_terminal(core)
+        vrec = core.status(victim)
+        assert vrec.preemptions >= 1 and vrec.sha256 == reference_sha(spec)
+        assert core.status(hi).status == "done"
+        assert stores.unlinked == [f"{victim}.npz"]  # the victim's alone
+        assert not list((tmp_path / "s" / "checkpoints").iterdir())
+        assert core.drain()
 
 
 @pytest.fixture()
@@ -874,12 +1092,16 @@ class TestRetention:
         journal.close()
 
         core = ServeCore(state, workers=1, fsync=False)
-        core.start()
-        assert core.counters["recovered"] == 2
-        assert [r.id for r in core.jobs()][:cap] == [
-            f"j{n:06d}" for n in range(7, 11)
-        ]
-        assert "expired" in core.missing_reason("j000001")
+        # holding the core lock keeps the worker from taking up a job (and
+        # a finished j000011 from evicting j000007) until the window the
+        # replay left is checked
+        with core._lock:
+            core.start()
+            assert core.counters["recovered"] == 2
+            assert [r.id for r in core.jobs()][:cap] == [
+                f"j{n:06d}" for n in range(7, 11)
+            ]
+            assert "expired" in core.missing_reason("j000001")
         wait_terminal(core)
         ref = reference_sha(spec)
         for jid in unfinished:
