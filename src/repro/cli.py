@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["off", "raise", "warn", "repair"],
         default="raise",
         help="per-round NaN/Inf policy (default 'raise'); 'repair' rolls "
-        "back to the last good state",
+        "the round back to its input and re-executes it",
     )
     run.add_argument(
         "--verify",
@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--ranks", type=int, default=1, metavar="N",
         help="simulate a distributed slab run over N ranks (SimComm halo "
-        "exchange; schemes 3.5d and naive, reference kernel only)",
+        "exchange; schemes 3.5d and naive)",
     )
     run.add_argument(
         "--loss", type=float, default=0.0,
@@ -330,14 +330,15 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS")
     submit.add_argument("--no-verify", action="store_true",
-                        help="skip the naive cross-check on the daemon")
+                        help="run at --integrity alone; by default a job "
+                        "is verified at least at the full tier")
     submit.add_argument("--integrity",
                         choices=["off", "spot", "seal", "full"],
                         default="off",
                         help="silent-data-corruption integrity tier for the "
                         "job (default off); verification cpu is metered to "
                         "the tenant and the tier is shed under amber "
-                        "overload like result verification")
+                        "overload")
     submit.add_argument("--wait", action="store_true",
                         help="poll until the job is terminal; the exit code "
                         "mirrors the job's verdict (0/2/3/4)")
@@ -507,6 +508,7 @@ def _cmd_run(args) -> int:
         run_cache_oblivious,
         run_naive,
     )
+    from repro.distributed import DistributedJacobi
     from repro.perf.backends import (
         BackendUnavailableError,
         default_backend_name,
@@ -528,6 +530,11 @@ def _cmd_run(args) -> int:
         print("error: --resume requires --checkpoint", file=sys.stderr)
         return 2
 
+    if args.deadline is not None and args.threads <= 1:
+        print("error: --deadline bounds a threaded z-sweep; it requires "
+              "--threads > 1", file=sys.stderr)
+        return 2
+
     ref_kernel, lattice, dtype = _make_kernel(args.kernel, args.grid, args.precision)
     if lattice is not None:
         field = lattice.f
@@ -535,11 +542,18 @@ def _cmd_run(args) -> int:
         field = Field3D.random((args.grid,) * 3, dtype=dtype, seed=args.seed)
 
     if args.ranks > 1:
-        return _cmd_run_distributed(args, ref_kernel, field)
-    if args.loss or args.corruption:
+        if args.scheme not in ("3.5d", "naive"):
+            print("error: --ranks requires --scheme 3.5d or naive",
+                  file=sys.stderr)
+            return 2
+        if args.threads > 1:
+            print("error: --ranks and --threads are mutually exclusive",
+                  file=sys.stderr)
+            return 2
+    elif args.loss or args.corruption:
         print("error: --loss/--corruption require --ranks > 1", file=sys.stderr)
         return 2
-    if args.comm_latency or args.comm_bandwidth:
+    elif args.comm_latency or args.comm_bandwidth:
         print("error: --comm-latency/--comm-bandwidth require --ranks > 1",
               file=sys.stderr)
         return 2
@@ -583,7 +597,17 @@ def _cmd_run(args) -> int:
             )
             args.dim_t, args.tile = tuned.best.dim_t, tuned.best.tile
 
-    if args.scheme == "naive":
+    if args.ranks > 1:
+        ex = DistributedJacobi(
+            kernel, args.ranks, dim_t=args.dim_t, tile_y=args.tile,
+            tile_x=args.tile,
+            scheme="35d" if args.scheme == "3.5d" else "naive",
+            loss=args.loss, corruption=args.corruption, comm_seed=args.seed,
+            recover=not args.no_recovery, overlap=args.overlap,
+            latency_s=args.comm_latency,
+            bandwidth_bytes_s=args.comm_bandwidth,
+        )
+    elif args.scheme == "naive":
         ex = _FnExecutor(run_naive, kernel)
     elif args.scheme == "3d":
         ex = Blocking3D(kernel, args.tile, args.tile, args.tile)
@@ -664,7 +688,8 @@ def _cmd_run(args) -> int:
             METRICS.merge_traffic(traffic)
         n_updates = args.grid**3 * args.steps
         print(f"kernel       : {args.kernel} ({args.precision.upper()})")
-        print(f"scheme       : {args.scheme}")
+        print(f"scheme       : {args.scheme}" + (
+            f" (distributed, {args.ranks} ranks)" if args.ranks > 1 else ""))
         print(f"backend      : {report.used_backend}")
         if tuned is not None:
             origin = ("cache hit, 0 probe runs" if tuned.from_cache
@@ -677,6 +702,11 @@ def _cmd_run(args) -> int:
         print(f"ext. read    : {traffic.bytes_read / 1e6:.1f} MB")
         print(f"ext. write   : {traffic.bytes_written / 1e6:.1f} MB")
         print(f"bytes/update : {traffic.bytes_per_update():.2f}")
+        degraded = report.degraded
+        if args.ranks > 1:
+            _print_comm(args, ex)
+            # a run that survived rank failures is degraded-but-correct
+            degraded = degraded or ex.recovery.degraded
         if not args.no_check:
             # the cross-check always uses the reference (numpy) kernel
             ref = run_naive(ref_kernel, field, args.steps)
@@ -687,113 +717,39 @@ def _cmd_run(args) -> int:
                 return 4
         for line in report.lines():
             print(line)
-        validation = _metrics_validation(args, ref_kernel, field, traffic, elapsed)
+        validation = (_metrics_validation(args, ref_kernel, field, traffic,
+                                          elapsed)
+                      if args.ranks == 1 else None)
         _emit_obs_outputs(args, validation, run_info={
             "kernel": args.kernel, "scheme": args.scheme,
             "backend": report.used_backend, "grid": args.grid,
             "steps": args.steps, "dim_t": args.dim_t, "tile": args.tile,
-            "threads": args.threads, "precision": args.precision,
-            "elapsed_s": elapsed,
+            "threads": args.threads, "ranks": args.ranks,
+            "precision": args.precision, "elapsed_s": elapsed,
         })
-        return 3 if report.degraded else 0
+        return 3 if degraded else 0
     finally:
         _disarm_obs()
         for signum, handler in old_handlers.items():
             signal.signal(signum, handler)
 
 
-def _cmd_run_distributed(args, ref_kernel, field) -> int:
-    """Simulated multi-rank slab run; surfaces SimComm transport stats."""
-    import time
-
-    from repro.core import TrafficStats, run_naive
-    from repro.distributed import DistributedJacobi
-    from repro.resilience import ResilienceError
-
-    if args.scheme not in ("3.5d", "naive"):
-        print("error: --ranks requires --scheme 3.5d or naive", file=sys.stderr)
-        return 2
-    if args.threads > 1:
-        print("error: --ranks and --threads are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    runner = DistributedJacobi(
-        ref_kernel,
-        args.ranks,
-        dim_t=args.dim_t,
-        tile_y=args.tile,
-        tile_x=args.tile,
-        scheme="35d" if args.scheme == "3.5d" else "naive",
-        loss=args.loss,
-        corruption=args.corruption,
-        comm_seed=args.seed,
-        recover=not args.no_recovery,
-        overlap=args.overlap,
-        latency_s=args.comm_latency,
-        bandwidth_bytes_s=args.comm_bandwidth,
-        integrity=args.verify,
-        sdc_seed=args.seed,
-    )
-    traffic = TrafficStats()
-    _arm_obs(args)
-    try:
-        t0 = time.perf_counter()
-        try:
-            out, comm = runner.run(field, args.steps, traffic)
-        except ResilienceError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 4
-        elapsed = time.perf_counter() - t0
-
-        n_updates = args.grid**3 * args.steps
-        print(f"kernel       : {args.kernel} ({args.precision.upper()})")
-        print(f"scheme       : {args.scheme} (distributed, {args.ranks} ranks)")
-        print("backend      : numpy (reference kernel)")
-        print(f"grid         : {args.grid}^3 x {args.steps} steps")
-        print(f"wall time    : {elapsed:.3f} s "
-              f"({n_updates / elapsed / 1e6:.1f} MU/s on the NumPy substrate)")
-        total = comm.total_stats()
-        print(f"comm         : {total.messages_sent} messages, "
-              f"{total.bytes_sent / 1e6:.1f} MB payload")
-        print(f"comm faults  : {total.dropped} dropped, "
-              f"{total.corrupted} corrupted, {total.retries} retries"
-              + (" (all recovered)" if total.retries else ""))
-        frac = total.overlap_fraction()
-        if frac is not None:
-            mode = "overlap" if args.overlap else "no overlap"
-            print(f"comm overlap : {frac:.1%} of simulated transfer time "
-                  f"hidden behind compute ({mode}, "
-                  f"{total.exposed_ns / 1e6:.2f} ms exposed)")
-        recovery = runner.recovery
-        for line in recovery.lines():
-            print(line)
-        sdc = runner.sdc_report
-        for line in sdc.lines():
-            print(line)
-        if not args.no_check:
-            ref = run_naive(ref_kernel, field, args.steps)
-            if np.array_equal(out.data, ref.data):
-                print("check        : bit-identical to the naive reference")
-            else:
-                print("check        : MISMATCH against the naive reference")
-                return 4
-        if args.metrics is not None:
-            from repro.obs import METRICS
-
-            METRICS.merge_traffic(traffic)
-        _emit_obs_outputs(args, None, run_info={
-            "kernel": args.kernel, "scheme": args.scheme,
-            "ranks": args.ranks, "grid": args.grid, "steps": args.steps,
-            "dim_t": args.dim_t, "tile": args.tile,
-            "precision": args.precision, "elapsed_s": elapsed,
-            "loss": args.loss, "corruption": args.corruption,
-            "overlap": args.overlap,
-        })
-        # a run that survived rank failures (or healed corruption) is
-        # degraded-but-correct
-        return 3 if (recovery.degraded or sdc.degraded) else 0
-    finally:
-        _disarm_obs()
+def _print_comm(args, runner) -> None:
+    """Transport and rank-recovery summary of a distributed run."""
+    total = runner.comm.total_stats()
+    print(f"comm         : {total.messages_sent} messages, "
+          f"{total.bytes_sent / 1e6:.1f} MB payload")
+    print(f"comm faults  : {total.dropped} dropped, "
+          f"{total.corrupted} corrupted, {total.retries} retries"
+          + (" (all recovered)" if total.retries else ""))
+    frac = total.overlap_fraction()
+    if frac is not None:
+        mode = "overlap" if args.overlap else "no overlap"
+        print(f"comm overlap : {frac:.1%} of simulated transfer time "
+              f"hidden behind compute ({mode}, "
+              f"{total.exposed_ns / 1e6:.2f} ms exposed)")
+    for line in runner.recovery.lines():
+        print(line)
 
 
 def _cmd_tune_wallclock(args, machine) -> int:

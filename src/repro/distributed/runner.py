@@ -74,8 +74,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.blocking35d import Blocking35D
-from ..core.naive import naive_sweep, run_naive
-from ..core.regions import loaded_extent, split_slab
+from ..core.naive import naive_sweep
+from ..core.regions import split_slab
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
@@ -90,11 +90,12 @@ from ..resilience.rankrecovery import (
 from ..resilience.sdc import (
     INTEGRITY_TIERS,
     SdcError,
+    SdcGuard,
     SdcReport,
-    SdcUnhealableError,
-    inject_flips,
+    SplitField,
     plane_crcs,
 )
+from ..resilience.watchdog import GuardedSweep
 from ..stencils.base import PlaneKernel
 from ..stencils.grid import Field3D, copy_shell
 from .comm import SimComm
@@ -205,20 +206,18 @@ class DistributedJacobi:
         the hidden/exposed accounting stays zero.
     integrity:
         Silent-data-corruption tier (``off``/``spot``/``seal``/``full``,
-        see :mod:`repro.resilience.sdc`).  Any active tier CRC-seals
-        every rank's slab planes at the end of each round and verifies
-        them at the top of the next — *before* the buddy checkpoint, so
-        the snapshots stay clean — healing detected planes by replaying
-        their ``R * round_t`` propagation cone from the previous round's
-        buddy snapshots (the in-memory "last sealed state").  ``seal``
-        and ``full`` additionally run the cross-rank halo handshake:
-        each received ghost plane is checksummed against the sender's
-        *seal-time* CRC, catching compute-side corruption of the
-        boundary planes — distinct from the transport CRC inside
-        :class:`SimComm`, which only covers the wire.  The
-        ``memory.flip`` fault site fires per rank per round (detail
-        ``"rank:round"``) after sealing.  Healing needs the buddy
-        snapshots, i.e. ``recover=True`` and at least two live ranks.
+        see :mod:`repro.resilience.sdc`) of :meth:`run`, which drives the
+        rounds through :class:`GuardedSweep`'s loop: any active tier
+        seals the rank buffers' planes after each round, verifies them at
+        the top of the next and re-executes the round from its input
+        (the non-current ping-pong buffers), healing detected planes by
+        cone replay.  ``seal`` and ``full`` additionally run the
+        cross-rank halo handshake: each received ghost plane is
+        checksummed against the sender's *seal-time* CRC, catching
+        compute-side corruption of the boundary planes — distinct from
+        the transport CRC inside :class:`SimComm`, which only covers the
+        wire.  The ``memory.flip`` fault site fires per rank per round
+        (detail ``"rank:round"``) after sealing.
     """
 
     def __init__(
@@ -270,11 +269,10 @@ class DistributedJacobi:
         self.sdc_seed = sdc_seed
         self.sdc_max_heals = sdc_max_heals
         self.sdc_report = SdcReport(tier=integrity)
-        #: per-rank seal-time plane CRCs of the previous round's output
-        #: (None until the first round seals, and after any recovery)
-        self._seals: dict[int, list[int]] | None = None
         self.recovery = RecoveryReport(initial_ranks=n_ranks,
                                        final_ranks=n_ranks)
+        #: the last run's communicator
+        self.comm: SimComm | None = None
         #: persistent per-rank buffers, valid for the layout ``_layout``
         self._layout: tuple | None = None
         self._ranks: dict[int, _RankSlab] = {}
@@ -290,16 +288,32 @@ class DistributedJacobi:
     ) -> tuple[Field3D, SimComm]:
         """Advance ``field`` by ``steps``; returns (result, communicator).
 
-        The communicator carries the per-rank message/byte statistics;
-        :attr:`recovery` carries the rank-failure record of this run.
+        The rounds run in :class:`GuardedSweep`'s loop with health off and
+        the ``integrity`` tier.  The communicator carries the per-rank
+        message/byte statistics; :attr:`recovery` carries the rank-failure
+        record of this run and :attr:`sdc_report` its integrity record.
         """
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        r = self.kernel.radius
-        halo = r * self.dim_t
+        out = GuardedSweep(
+            self, health="off", sdc=self.integrity, sdc_seed=self.sdc_seed,
+            sdc_max_heals=self.sdc_max_heals,
+        ).run(field, steps, traffic)
+        return out, self.comm
+
+    def open_rounds(self, field: Field3D, sdc: SdcGuard | None):
+        """Start a run over ``field`` for :class:`GuardedSweep`'s loop:
+        returns (view of the rank buffers, step, close).
+
+        The view is a :class:`SplitField` with one part per rank: the
+        owned planes of its current buffer.  The step leaves them alone
+        and writes the other buffer, so the loop's trusted base, the
+        round's input view, is the non-current buffer after the round.
+        ``sdc`` is the loop's guard, whose seals the halo handshake reads.
+        """
         live = list(range(self.n_ranks))
-        slabs = decompose_z(field.nz, len(live), halo, ranks=live)
-        comm = SimComm(
+        self._live = live
+        self._slabs = decompose_z(field.nz, len(live),
+                                  self.kernel.radius * self.dim_t, ranks=live)
+        self.comm = SimComm(
             self.n_ranks,
             loss=self.loss,
             corruption=self.corruption,
@@ -308,101 +322,75 @@ class DistributedJacobi:
             latency_s=self.latency_s,
             bandwidth_bytes_s=self.bandwidth_bytes_s,
         )
-        ranks = self._bind(field.data, slabs)
-        buddies = BuddyStore()
-        report = RecoveryReport(initial_ranks=self.n_ranks,
-                                final_ranks=self.n_ranks)
-        self.recovery = report
-        sdc = SdcReport(tier=self.integrity)
-        self.sdc_report = sdc
-        self._seals = None
-        # cone height of a seal-to-verify window = steps of the round that
-        # produced the sealed state (the final round may be shorter)
-        last_round_t = self.dim_t
+        self._bind(field.data, self._slabs)
+        self._buddies = BuddyStore()
+        self.recovery = RecoveryReport(initial_ranks=self.n_ranks,
+                                       final_ranks=self.n_ranks)
+        self._sdc = sdc
+        self.sdc_report = sdc.report if sdc is not None else SdcReport()
+        self._round_index = 0
+        self._state = self._view()
+        return self._state, self._round, self._close
 
-        with TRACE.span("sweep", executor="distributed", steps=steps,
-                        ranks=self.n_ranks, scheme=self.scheme):
-            remaining = steps
-            round_index = 0
-            while remaining > 0:
-                round_t = min(self.dim_t, remaining)
-                if self._seals is not None:
-                    # verify BEFORE the buddy checkpoint refreshes: the
-                    # snapshots are the trusted base the heal replays from,
-                    # and must stay the previous round's clean start state
-                    self._sdc_verify(
-                        slabs, ranks, comm, buddies, last_round_t,
-                        field.nz, steps - remaining,
-                    )
-                if self.recover and len(live) > 1:
-                    self._buddy_checkpoint(
-                        live, slabs, ranks, buddies, round_index
-                    )
-                for rank in live:
-                    comm.heartbeat(rank)
-                if all(not comm.alive(rank) for rank in live):
-                    raise UnrecoverableRankFailureError(
-                        f"all {len(live)} remaining rank(s) crashed at round "
-                        f"{round_index}"
-                    )
-                try:
-                    with TRACE.span("round", index=round_index,
-                                    round_t=round_t, ranks=len(live)):
-                        if self.overlap:
-                            self._exchange_and_compute_overlap(
-                                slabs, ranks, comm, round_t, traffic,
-                                field.nz,
-                            )
-                        else:
-                            self._exchange_and_compute(
-                                slabs, ranks, comm, round_t, traffic
-                            )
-                except RankDeadError:
-                    if not self.recover:
-                        raise
-                    live, slabs, ranks = self._recover(
-                        field, live, slabs, comm, buddies, report,
-                        round_index, halo,
-                    )
-                    # the replayed round rebinds every slab; the old seals
-                    # describe state that no longer exists
-                    self._seals = None
-                    continue  # replay the interrupted round
-                for rs in ranks.values():
-                    rs.cur ^= 1  # the buffers just written are now live
-                if self.integrity != "off":
-                    self._seals = {
-                        s.rank: plane_crcs(ranks[s.rank].owned) for s in slabs
-                    }
-                    sdc.sealed_planes += field.nz
-                    last_round_t = round_t
-                    for s in slabs:
-                        # the memory.flip probe fires per rank per round,
-                        # AFTER sealing — an injected flip is in-window
-                        inject_flips(
-                            ranks[s.rank].owned, rank=s.rank,
-                            round_index=round_index, seed=self.sdc_seed,
-                        )
-                remaining -= round_t
-                round_index += 1
-            if self._seals is not None:
-                # flips landing after the final seal stay in-window
-                self._sdc_verify(
-                    slabs, ranks, comm, buddies, last_round_t,
-                    field.nz, steps,
+    def _view(self) -> SplitField:
+        return SplitField([(s.rank, s.z0, self._ranks[s.rank].owned)
+                           for s in self._slabs])
+
+    def _round(self, view, round_t: int,
+               traffic: TrafficStats | None = None) -> SplitField:
+        """One blocked round of every live rank: buddy checkpoint,
+        heartbeats, halo exchange and compute, then the buffers swap.
+
+        A rank found dead is recovered (re-decompose, buddy-restore) and
+        the round replayed inside the step.  A ``view`` that is not the
+        last one returned (a repair's rolled-back copy) refills the
+        buffers first.
+        """
+        comm = self.comm
+        if view is not self._state:
+            self._bind(view.copy().data, self._slabs)
+        if comm.pending() or comm.outstanding():
+            comm.purge()  # mail of a failed attempt the loop retries
+        while True:
+            if self.recover and len(self._live) > 1:
+                self._buddy_checkpoint()
+            for rank in self._live:
+                comm.heartbeat(rank)
+            if all(not comm.alive(rank) for rank in self._live):
+                raise UnrecoverableRankFailureError(
+                    f"all {len(self._live)} remaining rank(s) crashed at "
+                    f"round {self._round_index}"
                 )
+            try:
+                with TRACE.span("round", index=self._round_index,
+                                round_t=round_t, ranks=len(self._live)):
+                    if self.overlap:
+                        self._exchange_and_compute_overlap(
+                            round_t, traffic, view.shape[0])
+                    else:
+                        self._exchange_and_compute(round_t, traffic)
+                break
+            except RankDeadError:
+                if not self.recover:
+                    raise
+                self._recover(view)  # then replay the interrupted round
+        for rs in self._ranks.values():
+            rs.cur ^= 1  # the buffers just written are now live
+        self._round_index += 1
+        self._state = self._view()
+        return self._state
 
-        report.buddy_bytes = buddies.bytes_replicated
-        report.buddy_snapshots = buddies.snapshots
-        report.final_ranks = len(live)
-        gathered = Field3D(
-            np.concatenate([ranks[s.rank].owned for s in slabs], axis=1)
-        )
-        assert comm.pending() == 0
+    def _close(self, view: SplitField) -> Field3D:
+        """The run's result field; finishes the comm and recovery records."""
+        report = self.recovery
+        report.buddy_bytes = self._buddies.bytes_replicated
+        report.buddy_snapshots = self._buddies.snapshots
+        report.final_ranks = len(self._live)
+        assert self.comm.pending() == 0
         if METRICS.armed:
-            METRICS.merge_comm(comm)
+            METRICS.merge_comm(self.comm)
             METRICS.merge_recovery(report)
-        return gathered, comm
+        return view.copy()
 
     # ------------------------------------------------------------------
     def _bind(
@@ -424,14 +412,7 @@ class DistributedJacobi:
             self._ranks[s.rank].fill(data[:, s.z0 : s.z1], self.kernel.radius)
         return self._ranks
 
-    def _buddy_checkpoint(
-        self,
-        live: list[int],
-        slabs: list[Slab],
-        ranks: dict[int, _RankSlab],
-        buddies: BuddyStore,
-        round_index: int,
-    ) -> None:
+    def _buddy_checkpoint(self) -> None:
         """Replicate every rank's round-start slab to its buddy (in memory).
 
         The owner's own snapshot aliases the owned view of the rank's
@@ -442,30 +423,20 @@ class DistributedJacobi:
         costs a copy — that copy is the modeled inter-rank transfer, counted
         in ``buddy_bytes`` rather than in the halo-exchange comm stats.
         """
-        for s in slabs:
-            buddies.checkpoint(
+        for s in self._slabs:
+            self._buddies.checkpoint(
                 BuddySnapshot(
                     owner=s.rank,
-                    round_index=round_index,
+                    round_index=self._round_index,
                     z0=s.z0,
                     z1=s.z1,
-                    data=ranks[s.rank].owned,
+                    data=self._ranks[s.rank].owned,
                     meta={"scheme": self.scheme, "dim_t": self.dim_t},
                 ),
-                holder=buddy_of(s.rank, live),
+                holder=buddy_of(s.rank, self._live),
             )
 
-    def _recover(
-        self,
-        field: Field3D,
-        live: list[int],
-        slabs: list[Slab],
-        comm: SimComm,
-        buddies: BuddyStore,
-        report: RecoveryReport,
-        round_index: int,
-        halo: int,
-    ) -> tuple[list[int], list[Slab], dict[int, _RankSlab]]:
+    def _recover(self, view: SplitField) -> None:
         """The recovery path: re-decompose, buddy-restore, ready to replay.
 
         Reconstructs the *round-start* global state from the buddy
@@ -475,8 +446,9 @@ class DistributedJacobi:
         aborted round.  The caller then replays the round — at most one
         blocked round of compute is lost per failure.
         """
-        dead_now = [rank for rank in live if not comm.alive(rank)]
-        survivors = [rank for rank in live if comm.alive(rank)]
+        comm, report, round_index = self.comm, self.recovery, self._round_index
+        dead_now = [rank for rank in self._live if not comm.alive(rank)]
+        survivors = [rank for rank in self._live if comm.alive(rank)]
         with TRACE.span("rank_recovery", round=round_index,
                         dead=",".join(map(str, dead_now)),
                         survivors=len(survivors)):
@@ -485,156 +457,49 @@ class DistributedJacobi:
                     f"no rank survived round {round_index}"
                 )
             # round-start global state, slab by slab from the buddy store
-            restored = np.empty_like(field.data)
-            for s in slabs:
-                snap = buddies.restore(s.rank, comm.alive)
-                restored[:, s.z0 : s.z1] = snap.data
+            restored = np.concatenate(
+                [self._buddies.restore(s.rank, comm.alive).data
+                 for s in self._slabs], axis=1,
+            )
             try:
-                new_slabs = decompose_z(
-                    field.nz, len(survivors), halo, ranks=survivors
+                self._slabs = decompose_z(
+                    view.shape[0], len(survivors),
+                    self.kernel.radius * self.dim_t, ranks=survivors,
                 )
             except ValueError as exc:
                 raise UnrecoverableRankFailureError(
                     f"cannot re-decompose over {len(survivors)} surviving "
                     f"rank(s): {exc}"
                 ) from exc
-            ranks = self._bind(restored, new_slabs)
+            self._bind(restored, self._slabs)
+            self._live = survivors
             purged = comm.purge()
             report.failed_ranks.extend((round_index, r) for r in dead_now)
             report.recoveries += 1
             report.replayed_rounds += 1
             report.purged_messages += purged
             report.final_ranks = len(survivors)
-        return survivors, new_slabs, ranks
 
     # ------------------------------------------------------------------
-    def _sdc_verify(
-        self,
-        slabs: list[Slab],
-        ranks: dict[int, _RankSlab],
-        comm: SimComm,
-        buddies: BuddyStore,
-        round_t: int,
-        nz: int,
-        done: int,
-    ) -> None:
-        """Verify every slab against the previous round's seals; cone-heal.
-
-        Mismatching planes are resting corruption of the previous round's
-        output.  The heal replays their ``R * round_t`` propagation cone
-        through the naive reference rung from the round-start global state
-        still held by the buddy snapshots (the caller runs this *before*
-        :meth:`_buddy_checkpoint` refreshes them), patches only the
-        corrupted span, and re-verifies against the seals — bit-exact or
-        :class:`SdcUnhealableError`.
-        """
-        report = self.sdc_report
-        report.checks += 1
-        if METRICS.armed:
-            METRICS.inc("sdc.checks", 1)
-        bad: list[int] = []  # corrupted planes, global z coordinates
-        for s in slabs:
-            sealed = self._seals.get(s.rank) if self._seals else None
-            if sealed is None:
-                continue
-            crcs = plane_crcs(ranks[s.rank].owned)
-            bad.extend(
-                s.z0 + z
-                for z, (a, b) in enumerate(zip(crcs, sealed))
-                if a != b
-            )
-        if not bad:
-            return
-        bad.sort()
-        report.detections += 1
-        report.detected_planes += len(bad)
-        report.detected_at.append(done)
-        if METRICS.armed:
-            METRICS.inc("sdc.detected", 1)
-        with TRACE.span("sdc_detected", channel="seal", step=done,
-                        planes=len(bad)):
-            pass
-        if report.heals >= self.sdc_max_heals:
-            report.unhealable += 1
-            raise SdcUnhealableError(
-                f"corruption detected at step {done} but the heal budget "
-                f"({self.sdc_max_heals}) is exhausted — persistent "
-                "corruption, restart on trusted hardware"
-            )
-        if not (self.recover and len(slabs) > 1 and buddies.snapshots):
-            report.unhealable += 1
-            raise SdcUnhealableError(
-                f"corruption detected at step {done} but there is no "
-                "trusted base to heal from — buddy snapshots need "
-                "recover=True and at least two live ranks"
-            )
-        # round-start global state, slab by slab from the buddy store
-        # (digest-verified at restore), then one cone replay patched back
-        base = np.concatenate(
-            [buddies.restore(s.rank, comm.alive).data for s in slabs],
-            axis=1,
-        )
-        z0, z1 = bad[0], bad[-1] + 1
-        h = self.kernel.radius * round_t
-        e0, e1 = loaded_extent((z0, z1), nz, h)
-        ny, nx = base.shape[2], base.shape[3]
-        with TRACE.span("sdc_heal", step=done, planes=len(bad), z0=z0,
-                        z1=z1, extent=e1 - e0, replay_steps=round_t):
-            sub = Field3D(np.ascontiguousarray(base[:, e0:e1]))
-            out = run_naive(
-                self.kernel.restricted_to(e0, e1), sub, round_t
-            )
-            for s in slabs:
-                lo, hi = max(s.z0, z0), min(s.z1, z1)
-                if lo < hi:
-                    ranks[s.rank].owned[:, lo - s.z0 : hi - s.z0] = \
-                        out.data[:, lo - e0 : hi - e0]
-        report.heals += 1
-        cells = (e1 - e0) * ny * nx * round_t
-        report.replayed_cells += cells
-        if METRICS.armed:
-            METRICS.inc("sdc.healed", 1)
-            METRICS.inc("sdc.replayed_cells", cells)
-        for s in slabs:
-            sealed = self._seals.get(s.rank) if self._seals else None
-            if sealed is None:
-                continue
-            crcs = plane_crcs(ranks[s.rank].owned)
-            still = [
-                s.z0 + z
-                for z, (a, b) in enumerate(zip(crcs, sealed))
-                if a != b
-            ]
-            if still:
-                report.unhealable += 1
-                raise SdcUnhealableError(
-                    f"plane(s) {still} still fail seal verification after "
-                    "a surgical heal — the sealed state itself was corrupt"
-                )
-
-    def _sdc_handshake(self, ghost: np.ndarray, sender: int,
-                       edge: str) -> None:
+    def _sdc_handshake(self, ghost: np.ndarray, z0: int, sender: int) -> None:
         """Cross-rank halo handshake (``seal``/``full`` tiers).
 
-        The received ghost planes must reproduce the *seal-time* CRCs of
-        the sender's boundary (``edge="tail"`` for its last ``h`` planes,
-        ``"head"`` for its first ``h``) — compute-side corruption of the
-        boundary planes is caught at the receiver, which the transport CRC
-        inside :class:`SimComm` (wire coverage only) cannot see.
+        The ghost planes received from ``sender``, global planes from
+        ``z0`` on, must reproduce their *seal-time* CRCs — compute-side
+        corruption of the boundary planes is caught at the receiver,
+        which the transport CRC inside :class:`SimComm` (wire coverage
+        only) cannot see.
         """
-        if self.integrity not in ("seal", "full") or self._seals is None:
+        sdc = self._sdc
+        if sdc is None or sdc.tier not in ("seal", "full") or sdc.seals is None:
             return
-        sealed = self._seals.get(sender)
-        h = ghost.shape[1]
-        if sealed is None or len(sealed) < h:
-            return
-        report = self.sdc_report
+        report = sdc.report
         report.checks += 1
         if METRICS.armed:
             METRICS.inc("sdc.checks", 1)
-        expect = sealed[-h:] if edge == "tail" else sealed[:h]
-        got = plane_crcs(ghost)
-        bad = [i for i, (a, b) in enumerate(zip(got, expect)) if a != b]
+        expect = sdc.seals[z0 : z0 + ghost.shape[1]]
+        bad = [i for i, (a, b) in enumerate(zip(plane_crcs(ghost), expect))
+               if a != b]
         if not bad:
             return
         report.detections += 1
@@ -652,19 +517,14 @@ class DistributedJacobi:
 
     # ------------------------------------------------------------------
     def _exchange_and_compute(
-        self,
-        slabs: list[Slab],
-        ranks: dict[int, _RankSlab],
-        comm: SimComm,
-        round_t: int,
-        traffic: TrafficStats | None,
+        self, round_t: int, traffic: TrafficStats | None
     ) -> None:
-        r = self.kernel.radius
-        h = r * round_t
+        comm, ranks = self.comm, self._ranks
+        h = self.kernel.radius * round_t
         # phase A: every live rank posts its boundary planes (a dead rank
         # posts nothing — that silence is what its neighbors detect)
         with TRACE.span("halo_exchange", phase="send", halo=h):
-            for s in slabs:
+            for s in self._slabs:
                 if not comm.alive(s.rank):
                     continue
                 owned = ranks[s.rank].owned
@@ -674,31 +534,23 @@ class DistributedJacobi:
                     comm.send(s.rank, s.lo_neighbor, _TAG_DOWN, owned[:, :h])
         # phase B: every rank receives its ghosts into its buffer slots and
         # computes; a receive from a dead neighbor raises RankDeadError
-        for s in slabs:
+        for s in self._slabs:
             if not comm.alive(s.rank):
                 continue
+            rs = ranks[s.rank]
             with TRACE.span("halo_exchange", phase="recv", rank=s.rank):
                 lo_ghost = hi_ghost = None
                 if s.lo_neighbor is not None:
                     lo_ghost = comm.recv(s.lo_neighbor, s.rank, _TAG_UP)
-                    self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
                 if s.hi_neighbor is not None:
                     hi_ghost = comm.recv(s.hi_neighbor, s.rank, _TAG_DOWN)
-                    self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
-                ranks[s.rank].store_ghosts(lo_ghost, hi_ghost)
+                self._store_ghosts(s, rs, lo_ghost, hi_ghost)
             with TRACE.span("rank_compute", rank=s.rank):
-                rs = ranks[s.rank]
                 self._sweep(rs, self._fused(rs, h), round_t, traffic)
 
     # ------------------------------------------------------------------
     def _exchange_and_compute_overlap(
-        self,
-        slabs: list[Slab],
-        ranks: dict[int, _RankSlab],
-        comm: SimComm,
-        round_t: int,
-        traffic: TrafficStats | None,
-        nz: int,
+        self, round_t: int, traffic: TrafficStats | None, nz: int
     ) -> None:
         """One overlapped round: post → interior → wait → boundary.
 
@@ -712,11 +564,12 @@ class DistributedJacobi:
         same handles; no compute ran between its post and wait, so its
         transfer time is fully exposed — correctly so, nothing was hidden.
         """
+        comm, ranks = self.comm, self._ranks
         r = self.kernel.radius
         h = r * round_t
         comm.sync_clocks()  # round barrier: in-flight time starts here
         with TRACE.span("halo_exchange", phase="post", halo=h):
-            for s in slabs:
+            for s in self._slabs:
                 if not comm.alive(s.rank):
                     continue
                 owned = ranks[s.rank].owned
@@ -725,7 +578,7 @@ class DistributedJacobi:
                 if s.lo_neighbor is not None:
                     comm.isend(s.rank, s.lo_neighbor, _TAG_DOWN, owned[:, :h])
             recvs: dict[int, tuple] = {}
-            for s in slabs:
+            for s in self._slabs:
                 if not comm.alive(s.rank):
                     continue
                 lo_req = (comm.irecv(s.lo_neighbor, s.rank, _TAG_UP)
@@ -733,7 +586,7 @@ class DistributedJacobi:
                 hi_req = (comm.irecv(s.hi_neighbor, s.rank, _TAG_DOWN)
                           if s.hi_neighbor is not None else None)
                 recvs[s.rank] = (lo_req, hi_req)
-        for s in slabs:
+        for s in self._slabs:
             if not comm.alive(s.rank):
                 continue
             rs = ranks[s.rank]
@@ -741,7 +594,7 @@ class DistributedJacobi:
             split = split_slab(s.z0, s.z1, nz, h, s.lo_cut, s.hi_cut)
             if split.interior is None or s.owned < 2 * r + 1:
                 with TRACE.span("halo_wait", rank=s.rank, fallback="thin-slab"):
-                    self._wait_ghosts(comm, s, rs, lo_req, hi_req)
+                    self._wait_ghosts(s, rs, lo_req, hi_req)
                 with TRACE.span("rank_compute", rank=s.rank, phase="fused"):
                     self._sweep(rs, self._fused(rs, h), round_t, traffic)
                 continue
@@ -751,7 +604,7 @@ class DistributedJacobi:
                             round_t, traffic)
                 comm.advance(s.rank, time.perf_counter_ns() - t0)
             with TRACE.span("halo_wait", rank=s.rank):
-                self._wait_ghosts(comm, s, rs, lo_req, hi_req)
+                self._wait_ghosts(s, rs, lo_req, hi_req)
             with TRACE.span("rank_compute", rank=s.rank, phase="boundary"):
                 for name, strip in (("lo", split.lo_strip),
                                     ("hi", split.hi_strip)):
@@ -760,15 +613,20 @@ class DistributedJacobi:
                                            core=strip.core)
                         self._sweep(rs, reg, round_t, traffic)
 
-    def _wait_ghosts(self, comm: SimComm, s: Slab, rs: _RankSlab,
-                     lo_req, hi_req) -> None:
+    def _wait_ghosts(self, s: Slab, rs: _RankSlab, lo_req, hi_req) -> None:
         """Complete a rank's ghost receives into its current buffer."""
+        comm = self.comm
         lo_ghost = comm.wait(lo_req) if lo_req is not None else None
         hi_ghost = comm.wait(hi_req) if hi_req is not None else None
+        self._store_ghosts(s, rs, lo_ghost, hi_ghost)
+
+    def _store_ghosts(self, s: Slab, rs: _RankSlab, lo_ghost, hi_ghost) -> None:
+        """Handshake received ghost planes, then copy them into the slots."""
         if lo_ghost is not None:
-            self._sdc_handshake(lo_ghost, s.lo_neighbor, "tail")
+            self._sdc_handshake(lo_ghost, s.z0 - lo_ghost.shape[1],
+                                s.lo_neighbor)
         if hi_ghost is not None:
-            self._sdc_handshake(hi_ghost, s.hi_neighbor, "head")
+            self._sdc_handshake(hi_ghost, s.z1, s.hi_neighbor)
         rs.store_ghosts(lo_ghost, hi_ghost)
 
     # ------------------------------------------------------------------

@@ -78,7 +78,9 @@ __all__ = [
     "SdcGuard",
     "SdcReport",
     "SdcUnhealableError",
+    "SplitField",
     "flip_bits",
+    "grid_is_finite",
     "inject_flips",
     "make_sdc_case",
     "plane_crcs",
@@ -251,16 +253,90 @@ class SdcReport:
 
 
 # ----------------------------------------------------------------------
+# the grid as the round loop sees it
+# ----------------------------------------------------------------------
+
+def grid_is_finite(data: np.ndarray) -> bool:
+    """True when the grid holds no NaN/Inf (trivially true for int grids)."""
+    if not np.issubdtype(data.dtype, np.floating):
+        return True
+    return bool(np.isfinite(data).all())
+
+
+class SplitField:
+    """A grid held as consecutive Z parts, as the round loop and
+    :class:`SdcGuard` address it.
+
+    ``parts`` is a list of ``(rank, z0, array)``: ``array`` is shaped
+    ``(ncomp, planes, ny, nx)`` and the parts cover ``[0, nz)`` in order.
+    A :class:`Field3D` is one part of rank 0 (:meth:`of`);
+    :class:`~repro.distributed.DistributedJacobi` views its rank buffers
+    as one part per rank.  Plane indices are global.
+    """
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: list[tuple[int, int, np.ndarray]]) -> None:
+        self.parts = parts
+
+    @classmethod
+    def of(cls, state) -> "SplitField":
+        """``state`` itself, or a :class:`Field3D` as one part of rank 0."""
+        return state if isinstance(state, cls) else cls([(0, 0, state.data)])
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        _, z0, a = self.parts[-1]
+        return (z0 + a.shape[1], a.shape[2], a.shape[3])
+
+    def _overlaps(self, z0: int, z1: int):
+        """(array, local start, local stop, global start) per part
+        overlapping planes ``[z0, z1)``."""
+        for _, p0, a in self.parts:
+            lo, hi = max(z0, p0), min(z1, p0 + a.shape[1])
+            if lo < hi:
+                yield a, lo - p0, hi - p0, lo
+
+    def planes(self, z0: int, z1: int) -> np.ndarray:
+        """Planes ``[z0, z1)``: a view when they lie in one part, else a copy."""
+        got = [a[:, lo:hi] for a, lo, hi, _ in self._overlaps(z0, z1)]
+        return got[0] if len(got) == 1 else np.concatenate(got, axis=1)
+
+    def patch(self, z0: int, src: np.ndarray) -> None:
+        """Overwrite the planes from ``z0`` on with ``src``."""
+        for a, lo, hi, g in self._overlaps(z0, z0 + src.shape[1]):
+            a[:, lo:hi] = src[:, g - z0 : g - z0 + hi - lo]
+
+    def crcs(self) -> list[int]:
+        """CRC32 per plane, in global order."""
+        return [c for _, _, a in self.parts for c in plane_crcs(a)]
+
+    def flip(self, round_index: int, seed: int = 0) -> int:
+        """The ``memory.flip`` probe of every part, detail ``rank:round``."""
+        return sum(
+            inject_flips(a, rank=rank, round_index=round_index, seed=seed)
+            for rank, _, a in self.parts
+        )
+
+    def finite(self) -> bool:
+        return all(grid_is_finite(a) for _, _, a in self.parts)
+
+    def copy(self) -> Field3D:
+        """The grid as a new plain field."""
+        return Field3D(np.concatenate([a for _, _, a in self.parts], axis=1))
+
+
+# ----------------------------------------------------------------------
 # the guard
 # ----------------------------------------------------------------------
 
 class SdcGuard:
-    """Per-run SDC detector/healer shared by GuardedSweep and the serve path.
+    """Per-run SDC detector/healer, driven by GuardedSweep's round loop.
 
-    The caller owns the trusted base (its last checkpointed
-    ``(good_state, good_done)`` pair — which by construction is refreshed
-    *before* any corruption window opens) and drives three hooks per
-    round:
+    The caller owns the trusted base: the verified input of the current
+    round, ``(good, good_done)``, held by reference (executors leave their
+    input untouched).  Every state may be a :class:`Field3D` or a
+    :class:`SplitField`.  The loop drives two hooks per round:
 
     ``verify_seals(state, done, good, good_done)``
         compare the grid against the CRC seals taken after the previous
@@ -271,10 +347,9 @@ class SdcGuard:
         re-execute Z bands from the trusted base through the naive
         reference rung and compare bit-for-bit (a pseudo-random sample
         at ``spot``/``seal``, every plane at ``full``); mismatches are
-        compute-side corruption, healed from the same replay.
-    ``seal(state)``
-        CRC-seal the (now verified) grid for the next round's
-        ``verify_seals``.
+        compute-side corruption, healed from the same replay.  Then
+        CRC-seal the verified grid for the next ``verify_seals``
+        (:meth:`seal` alone does that part).
 
     Healing is *surgical*: only the detected planes grown by the
     ``R * (done - good_done)`` propagation cone are recomputed
@@ -317,86 +392,82 @@ class SdcGuard:
     def active(self) -> bool:
         return self.tier != "off"
 
+    @property
+    def seals(self) -> list[int] | None:
+        """Per-plane CRCs of the last sealed grid (None until sealed)."""
+        return self._seals
+
     def invalidate(self) -> None:
         """Drop the seals (after a rollback/recovery rebinds the state)."""
         self._seals = None
 
     # -- sealing -------------------------------------------------------
-    def seal(self, state: Field3D) -> None:
+    def seal(self, state) -> None:
         """CRC-seal every plane of ``state`` for the next verify."""
         if not self.active:
             return
-        self._seals = plane_crcs(state.data)
+        self._seals = SplitField.of(state).crcs()
         self.report.sealed_planes += len(self._seals)
 
-    def verify_seals(
-        self, state: Field3D, done: int, good: Field3D, good_done: int
-    ) -> Field3D:
+    def verify_seals(self, state, done: int, good, good_done: int):
         """Verify ``state`` against the last seals; heal any mismatch."""
         if not self.active or self._seals is None:
             return state
         self.report.checks += 1
         self._inc("sdc.checks", 1)
-        crcs = plane_crcs(state.data)
+        view = SplitField.of(state)
         planes = [
-            z for z, (a, b) in enumerate(zip(crcs, self._seals)) if a != b
+            z for z, (a, b) in enumerate(zip(view.crcs(), self._seals))
+            if a != b
         ]
-        if not planes:
-            return state
-        self._detected(planes, done, channel="seal")
-        self._heal(state, done, good, good_done, planes, reverify=True)
+        if planes:
+            self._detected(planes, done, channel="seal")
+            self._heal(view, done, good, good_done, planes, reverify=True)
         return state
 
     # -- re-execution --------------------------------------------------
     def check_round(
-        self,
-        state: Field3D,
-        done: int,
-        good: Field3D,
-        good_done: int,
-        round_index: int,
-    ) -> Field3D:
-        """Re-execute bands from the trusted base and compare exactly."""
+        self, state, done: int, good, good_done: int, round_index: int
+    ):
+        """Re-execute bands from the trusted base and compare exactly,
+        then seal the verified grid."""
         if not self.active:
             return state
+        view = SplitField.of(state)
         s = done - good_done
-        if s <= 0:
-            return state
+        if s > 0:
+            self._reexecute(view, done, good, good_done, round_index)
+        self.seal(view)
+        return state
+
+    # -- internals -----------------------------------------------------
+    def _reexecute(self, view, done, good, good_done, round_index) -> None:
         self.report.checks += 1
         self._inc("sdc.checks", 1)
-        nz = state.nz
-        dirty = False
-        if self.tier == "full":
-            dirty = True  # exhaustive: always compare the full replay
-        else:
-            for core in self._bands(nz, round_index):
-                replay, e0 = self._replay(good, core, s, nz)
-                c0, c1 = core
+        s = done - good_done
+        nz = view.shape[0]
+        if self.tier != "full":
+            for c0, c1 in self._bands(nz, round_index):
+                replay, e0 = self._replay(good, (c0, c1), s, nz)
                 if not np.array_equal(
-                    replay.data[:, c0 - e0 : c1 - e0], state.data[:, c0:c1]
+                    replay.data[:, c0 - e0 : c1 - e0], view.planes(c0, c1)
                 ):
-                    dirty = True
                     break
-        if not dirty:
-            return state
+            else:
+                return  # every sampled band matches
         # derive (or at full tier, simply perform) the complete corrupted
         # set from one whole-grid replay, then patch surgically
         full, _ = self._replay(good, (0, nz), s, nz)
         planes = [
-            z
-            for z in range(nz)
-            if not np.array_equal(full.data[:, z], state.data[:, z])
+            z for z in range(nz)
+            if not np.array_equal(full.data[:, z : z + 1],
+                                  view.planes(z, z + 1))
         ]
-        if not planes:
-            return state  # full tier, clean round
-        self._detected(planes, done, channel="reexec")
-        self._heal(
-            state, done, good, good_done, planes, reverify=False,
-            replay=full,
-        )
-        return state
+        if planes:
+            self._detected(planes, done, channel="reexec")
+            self._heal(view, done, good, good_done, planes, reverify=False,
+                       replay=full)
 
-    # -- internals -----------------------------------------------------
     def _bands(self, nz: int, round_index: int) -> list[tuple[int, int]]:
         """The deterministic pseudo-random Z-band sample for this round."""
         width = self.band_planes or max(1, nz // 8)
@@ -408,17 +479,19 @@ class SdcGuard:
         return [bands[i] for i in sorted(int(i) for i in picked)]
 
     def _replay(
-        self, good: Field3D, core: tuple[int, int], s: int, nz: int
+        self, good, core: tuple[int, int], s: int, nz: int
     ) -> tuple[Field3D, int]:
         """Re-derive ``core``'s planes from the trusted base via the naive
         rung; returns (replayed sub-field, its global z offset)."""
-        h = self.kernel.radius * s
-        e0, e1 = loaded_extent(core, nz, h)
-        sub = Field3D(np.ascontiguousarray(good.data[:, e0:e1]))
-        out = run_naive(self.kernel.restricted_to(e0, e1), sub, s)
-        self.report.verified_cells += (
-            (e1 - e0) * good.ny * good.nx * s
-        )
+        r = self.kernel.radius
+        e0, e1 = loaded_extent(core, nz, r * s)
+        if e1 - e0 <= 2 * r:
+            e0, e1 = 0, nz  # a sliver the naive rung cannot sweep
+        sub = Field3D(np.ascontiguousarray(SplitField.of(good).planes(e0, e1)))
+        # a grid of <= 2R planes is all constant boundary shell
+        out = run_naive(self.kernel.restricted_to(e0, e1), sub, s) \
+            if e1 - e0 > 2 * r else sub
+        self.report.verified_cells += (e1 - e0) * sub.ny * sub.nx * s
         return out, e0
 
     def _detected(self, planes: list[int], done: int, channel: str) -> None:
@@ -433,9 +506,9 @@ class SdcGuard:
 
     def _heal(
         self,
-        state: Field3D,
+        view: SplitField,
         done: int,
-        good: Field3D,
+        good,
         good_done: int,
         planes: list[int],
         *,
@@ -457,13 +530,13 @@ class SdcGuard:
                 "restart from a checkpoint on trusted hardware"
             )
         s = done - good_done
-        if s < 0:
+        if s <= 0:
             self.report.unhealable += 1
             raise SdcUnhealableError(
                 f"corruption detected at step {done} with no trusted base "
-                f"at or before it (base is at step {good_done})"
+                f"before it (base is at step {good_done})"
             )
-        nz, ny, nx = state.shape
+        nz, ny, nx = view.shape
         z0, z1 = min(planes), max(planes) + 1
         h = self.kernel.radius * s
         e0, e1 = loaded_extent((z0, z1), nz, h)
@@ -471,26 +544,20 @@ class SdcGuard:
             "sdc_heal", step=done, planes=len(planes), z0=z0, z1=z1,
             extent=e1 - e0, replay_steps=s,
         ):
-            if s == 0:
-                # resting corruption right at the base step: the base holds
-                # the exact planes, no replay needed
-                state.data[:, z0:z1] = good.data[:, z0:z1]
-                cells = (z1 - z0) * ny * nx
-            else:
-                off = 0  # a caller-supplied replay covers the whole grid
-                if replay is None:
-                    replay, off = self._replay(good, (z0, z1), s, nz)
-                    # _replay charged these cells to verification; they are
-                    # heal work, move them over
-                    self.report.verified_cells -= (e1 - e0) * ny * nx * s
-                state.data[:, z0:z1] = replay.data[:, z0 - off : z1 - off]
-                cells = (e1 - e0) * ny * nx * s
+            off = 0  # a caller-supplied replay covers the whole grid
+            if replay is None:
+                replay, off = self._replay(good, (z0, z1), s, nz)
+                # _replay charged these cells to verification; they are
+                # heal work, move them over
+                self.report.verified_cells -= replay.nz * ny * nx * s
+            view.patch(z0, replay.data[:, z0 - off : z1 - off])
+        cells = (e1 - e0) * ny * nx * s
         self.report.heals += 1
         self.report.replayed_cells += cells
         self._inc("sdc.healed", 1)
         self._inc("sdc.replayed_cells", cells)
         if reverify and self._seals is not None:
-            crcs = plane_crcs(state.data[:, z0:z1])
+            crcs = plane_crcs(view.planes(z0, z1))
             bad = [
                 z0 + i
                 for i, crc in enumerate(crcs)

@@ -1,16 +1,18 @@
-"""Guarded sweep execution: health checks, retry, repair, checkpoints.
+"""Guarded sweep execution: the one round loop of every entry point.
 
 :class:`GuardedSweep` wraps any executor with a ``run(field, steps[,
 traffic])`` method (the blocking executors, the threaded 3.5D executor, or
 a plain function adapter) and drives it **round by round** — chunks of
 ``round_steps`` time steps, the executor's natural ``dim_T`` granularity.
 Driving rounds externally is bit-exact (each round reads only the full
-grid state of the previous one) and is what makes the guards possible:
+grid state of the previous one) and is what makes the guards possible.
+``repro run``, every serve job and
+:class:`~repro.distributed.DistributedJacobi` run through this loop:
 
 * after every round the grid is health-checked for NaN/Inf; the ``health``
   policy decides whether a poisoned grid raises
   (:class:`HealthCheckError`), warns and continues, or **repairs** — rolls
-  back to the last good state and re-executes the rounds since;
+  back one round, to its verified input, and re-executes it;
 * a round that *raises* a transient error (an injected fault, a flaky
   backend) is retried up to ``max_retries`` times with exponential
   backoff before :class:`SweepRetriesExhaustedError` surfaces the original
@@ -19,8 +21,11 @@ grid state of the previous one) and is what makes the guards possible:
   a :class:`~repro.resilience.checkpoint.CheckpointStore`, and ``run``
   resumes from a matching snapshot — the crash/restart path of long sweeps.
 
-The ``grid.nan`` fault site fires here (poisoning one plane after a round)
-so every policy is testable without a genuinely unstable kernel.
+The trusted base that a repair and the integrity replays read is the
+verified input of the current round, held by reference: executors leave
+their input untouched and return a private field.  The ``grid.nan`` fault
+site fires here (poisoning one plane after a round) so every policy is
+testable without a genuinely unstable kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from ..obs.trace import TRACE
 from .checkpoint import CheckpointError, CheckpointStore
 from .faultinject import FAULTS, ResilienceError
 from .report import RunReport
-from .sdc import SdcGuard, inject_flips
+from .sdc import SdcGuard, SplitField, grid_is_finite
 
 __all__ = [
     "GuardedSweep",
@@ -81,20 +86,15 @@ class SweepInterruptedError(ResilienceError):
         )
 
 
-def grid_is_finite(data: np.ndarray) -> bool:
-    """True when the grid holds no NaN/Inf (trivially true for int grids)."""
-    if not np.issubdtype(data.dtype, np.floating):
-        return True
-    return bool(np.isfinite(data).all())
-
-
 class GuardedSweep:
     """Watchdog wrapper around an executor's ``run`` method.
 
     Parameters
     ----------
     executor:
-        Anything with ``run(field, steps, traffic=None) -> Field3D``.
+        Anything with ``run(field, steps, traffic=None) -> Field3D`` that
+        leaves ``field`` untouched, or an executor that keeps its own
+        buffers and supplies ``open_rounds`` (see :meth:`_open`).
     round_steps:
         Steps advanced per guarded round; defaults to ``executor.dim_t``
         (falling back to 1), the granularity at which chunked execution is
@@ -109,8 +109,8 @@ class GuardedSweep:
         bands sampled per round, and the surgical-heal budget.  An
         active tier CRC-seals the grid after every round, verifies the
         seals at the next round boundary, re-executes Z bands from the
-        last trusted state through the naive reference rung, and heals
-        detected corruption by replaying only its propagation cone.
+        round's verified input through the naive reference rung, and
+        heals detected corruption by replaying only its propagation cone.
         The ``memory.flip`` fault site fires here (after sealing, so
         flips are *resting* corruption the next verify must catch).
     kernel:
@@ -129,12 +129,12 @@ class GuardedSweep:
         A :class:`RunReport` accumulating degradations/retries/repairs.
     stop:
         Optional ``threading.Event``-like object (anything with
-        ``is_set()``).  Checked at every round boundary; when set, the
-        sweep writes a final checkpoint (if a store is configured) and
-        raises :class:`SweepInterruptedError` carrying the consistent
-        state — the cooperative-cancellation hook behind graceful
-        SIGINT/SIGTERM in ``repro run`` and job preemption in the serve
-        daemon.
+        ``is_set()``).  Checked at every round boundary, after the seal
+        verify; when set, the sweep writes a final checkpoint (if a store
+        is configured) and raises :class:`SweepInterruptedError` carrying
+        the consistent state — the cooperative-cancellation hook behind
+        graceful SIGINT/SIGTERM in ``repro run`` and job cancellation,
+        deadlines and preemption in the serve daemon.
     sleep:
         Injection point for the backoff clock (tests pass a no-op).
     """
@@ -206,22 +206,24 @@ class GuardedSweep:
 
     # ------------------------------------------------------------------
     def run(self, field, steps: int, traffic=None, resume: bool = False):
-        """Advance ``field`` by ``steps`` under the configured guards."""
+        """Advance ``field`` by ``steps`` under the configured guards.
+
+        The result is the executor's own output, not a further copy:
+        executors leave their input untouched and return a private field.
+        """
         if steps < 0:
             raise ValueError("steps must be >= 0")
         state, done = field, 0
         if resume:
             state, done = self._try_resume(field, steps)
+        state, step, close = self._open(state)
         if steps == 0 or done >= steps:
-            return state.copy()
+            return state.copy() if close is None else close(state)
 
-        # last verified-good (state, step) pair, for repair-from-checkpoint
-        # and the SDC replays; refreshed at every checkpoint boundary (in
-        # memory even when no on-disk store is configured).  No other
-        # policy reads it, so it is not copied for them.
-        keep_good = self.health == "repair" or self.sdc is not None
-        good_state = state.copy() if keep_good else None
-        good_done = done
+        sdc = self.sdc
+        # the trusted base: the verified input of the current round, held
+        # by reference.  The SDC replays and a repair rollback read it.
+        good, good_done = state, done
         repairs_left = max(1, self.max_retries) if self.health == "repair" else 0
         rounds_since_snapshot = 0
         retries_before = self.report.retries
@@ -229,65 +231,57 @@ class GuardedSweep:
         round_index = 0
         with TRACE.span("guarded_run", steps=steps, health=self.health):
             while done < steps:
+                if sdc is not None:
+                    # resting corruption since the last seal (the window the
+                    # memory.flip probe below opens) heals here, before this
+                    # round consumes it or a stop checkpoints it
+                    state = self._integrity(
+                        sdc.verify_seals, state, done, good, good_done
+                    )
                 if self.stop is not None and self.stop.is_set():
                     self._interrupt(state, done)
-                if self.sdc is not None:
-                    # resting corruption since the last seal (the window the
-                    # memory.flip probe below opens) heals here, *before*
-                    # this round consumes it
-                    state = self.sdc.verify_seals(
-                        state, done, good_state, good_done
-                    )
+                good, good_done = state, done
                 round_t = min(self.round_steps, steps - done)
                 with TRACE.span("guard_round", done=done, round_t=round_t):
-                    state = self._round_with_retry(state, round_t, traffic)
+                    state = self._round_with_retry(step, state, round_t,
+                                                   traffic)
                 done += round_t
                 self.report.rounds += 1
                 round_index += 1
+                view = SplitField.of(state)
                 if FAULTS.should("grid.nan"):
-                    state.data[:, state.nz // 2] = np.nan
-                if self.health != "off" and not grid_is_finite(state.data):
-                    state, done, rounds_since_snapshot, repairs_left = (
-                        self._unhealthy(
-                            state, done, good_state, good_done,
-                            rounds_since_snapshot, repairs_left,
-                        )
-                    )
-                    if self.sdc is not None:
-                        self.sdc.invalidate()  # rollback voided the seals
+                    z = view.shape[0] // 2
+                    view.planes(z, z + 1)[...] = np.nan  # a view: one part
+                if self.health != "off" and not view.finite():
+                    repairs_left = self._unhealthy(done, repairs_left)
+                    if self.health == "repair":
+                        # roll back one round: re-execute it from its input
+                        state, done = good.copy(), good_done
+                    if sdc is not None:
+                        sdc.invalidate()  # the seals describe a lost state
                     continue
-                if self.sdc is not None:
+                if sdc is not None:
                     # compute-side SDC: re-execute bands from the trusted
                     # base through the naive rung, then seal the verified
                     # grid for the next round's resting-corruption check
-                    state = self.sdc.check_round(
-                        state, done, good_state, good_done, round_index - 1
+                    state = self._integrity(
+                        sdc.check_round, state, done, good, good_done,
+                        round_index - 1,
                     )
-                    self.sdc.seal(state)
                 rounds_since_snapshot += 1
                 if rounds_since_snapshot >= self.checkpoint_every and done < steps:
-                    if keep_good:
-                        good_state = state.copy()
-                    good_done = done
                     rounds_since_snapshot = 0
                     if self.checkpoint is not None:
-                        self.checkpoint.save(state.data, done, self.meta)
-                        self.report.checkpoints_written += 1
-                        METRICS.inc("resilience.checkpoint_bytes",
-                                    state.data.nbytes)
-                if self.sdc is not None:
-                    # the memory.flip probe: resting bit flips land *after*
-                    # sealing and after the trusted base was refreshed, so
-                    # they are in-window for the next verify_seals
-                    inject_flips(
-                        state.data, rank=0, round_index=round_index - 1,
-                        seed=self.sdc_seed,
-                    )
-            if self.sdc is not None:
+                        self._save(view, done)
+                if sdc is not None:
+                    # the memory.flip probe: resting bit flips land after
+                    # sealing, so they are in-window for the next verify
+                    view.flip(round_index - 1, seed=self.sdc_seed)
+            if sdc is not None:
                 # final verify: flips injected after the last round's seal
                 # stay in-window
-                state = self.sdc.verify_seals(
-                    state, done, good_state, good_done
+                state = self._integrity(
+                    sdc.verify_seals, state, done, good, good_done
                 )
         if METRICS.armed:
             METRICS.inc("resilience.retries",
@@ -296,16 +290,40 @@ class GuardedSweep:
                         self.report.repairs - repairs_before)
             METRICS.set_gauge("resilience.degradations",
                               len(self.report.degradations))
-        return state.copy()
+        return state if close is None else close(state)
+
+    # -- what an entry point overrides ---------------------------------
+    def _open(self, state):
+        """``(state, step, close)`` of a run.
+
+        An executor that keeps its own buffers across rounds supplies them
+        through ``open_rounds(field, sdc)``: the state is its view of them
+        (a :class:`SplitField`), ``step(state, round_t, traffic)`` runs one
+        round and ``close(state)`` returns the result field.  Any other
+        executor steps through ``run`` and its output is the result.
+        """
+        open_rounds = getattr(self.executor, "open_rounds", None)
+        if open_rounds is None:
+            return state, self.executor.run, None
+        return open_rounds(state, self.sdc)
+
+    def _integrity(self, hook, *args):
+        """Run one :class:`SdcGuard` hook (the serve daemon meters it)."""
+        return hook(*args)
 
     # ------------------------------------------------------------------
+    def _save(self, state, done: int) -> None:
+        view = SplitField.of(state)
+        data = view.planes(0, view.shape[0])
+        self.checkpoint.save(data, done, self.meta)
+        self.report.checkpoints_written += 1
+        METRICS.inc("resilience.checkpoint_bytes", data.nbytes)
+
     def _interrupt(self, state, done: int) -> None:
         """Cooperative stop at a round boundary: final checkpoint, then raise."""
-        checkpointed = False
-        if self.checkpoint is not None:
-            self.checkpoint.save(state.data, done, self.meta)
-            self.report.checkpoints_written += 1
-            checkpointed = True
+        checkpointed = self.checkpoint is not None
+        if checkpointed:
+            self._save(state, done)
         raise SweepInterruptedError(
             done, state=state.copy(), checkpointed=checkpointed
         )
@@ -347,10 +365,10 @@ class GuardedSweep:
         self.report.resumed_from = snap.step
         return resumed, snap.step
 
-    def _round_with_retry(self, state, round_t: int, traffic):
-        """One executor round, retried with exponential backoff."""
+    def _round_with_retry(self, step, state, round_t: int, traffic):
+        """One round, retried with exponential backoff."""
         if self.max_retries == 0:
-            return self.executor.run(state, round_t, traffic)
+            return step(state, round_t, traffic)
         delay = self.backoff
         attempt = 0
         while True:
@@ -360,7 +378,7 @@ class GuardedSweep:
             if traffic is not None:
                 attempt_traffic = type(traffic)()
             try:
-                out = self.executor.run(state, round_t, attempt_traffic)
+                out = step(state, round_t, attempt_traffic)
             except Exception as exc:
                 attempt += 1
                 if attempt > self.max_retries:
@@ -376,19 +394,17 @@ class GuardedSweep:
                 traffic.merge(attempt_traffic)
             return out
 
-    def _unhealthy(
-        self, state, done, good_state, good_done, rounds_since_snapshot,
-        repairs_left,
-    ):
-        """Apply the health policy to a non-finite grid."""
+    def _unhealthy(self, done: int, repairs_left: int) -> int:
+        """Apply the health policy to a non-finite grid; returns the repair
+        budget left (the caller rolls a repaired round back)."""
         msg = f"non-finite values in the grid after step {done}"
         if self.health == "warn":
             warnings.warn(HealthWarning(msg), stacklevel=3)
             self.report.warnings.append(msg)
-            return state, done, rounds_since_snapshot + 1, repairs_left
+            return repairs_left
         if self.health == "repair" and repairs_left > 0:
             self.report.repairs += 1
-            return good_state.copy(), good_done, 0, repairs_left - 1
+            return repairs_left - 1
         raise HealthCheckError(
             msg
             + (

@@ -77,6 +77,11 @@ class BoundedPriorityQueue:
     (admission control) decides between rejecting the newcomer and
     :meth:`shed_lowest` before pushing.  ``pop`` blocks with a timeout so
     worker loops stay responsive to drain/stop flags.
+
+    A slot can be *held* (:meth:`hold`) for a job that is not queued yet:
+    an admitted job until its journal record is written, a running job
+    asked to yield until it is back.  Held slots count as taken, so no
+    other claim can overfill the queue while the holder is on its way.
     """
 
     def __init__(self, capacity: int):
@@ -84,6 +89,7 @@ class BoundedPriorityQueue:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
         self._items: list[tuple[int, int, object]] = []  # (prio, seq, item)
+        self._held = 0
         self._seq = 0
         self._cond = threading.Condition()
 
@@ -93,16 +99,30 @@ class BoundedPriorityQueue:
 
     def full(self) -> bool:
         with self._cond:
-            return len(self._items) >= self.capacity
+            return len(self._items) + self._held >= self.capacity
 
-    def push(self, item, priority: int, force: bool = False) -> None:
-        """Enqueue ``item``.  The capacity check guards *admission*; requeues
-        of already-accepted work (preemption, crash recovery, a shed victim
-        restored after an accept-drop) pass ``force=True`` — they were
-        admitted under the cap once and must never be lost to it, and the
-        transient overshoot is bounded by the worker count."""
+    def hold(self) -> bool:
+        """Take a free slot for a later ``push(held=True)``; False if none."""
         with self._cond:
-            if not force and len(self._items) >= self.capacity:
+            if len(self._items) + self._held >= self.capacity:
+                return False
+            self._held += 1
+            return True
+
+    def release(self) -> None:
+        """Give back a held slot that will not be pushed."""
+        with self._cond:
+            self._held -= 1
+
+    def push(self, item, priority: int, force: bool = False,
+             held: bool = False) -> None:
+        """Enqueue ``item`` into a free slot, or its ``held`` one.  Crash
+        recovery passes ``force=True``: its jobs were admitted under the
+        cap once and must never be lost to it."""
+        with self._cond:
+            if held:
+                self._held -= 1
+            elif not force and len(self._items) + self._held >= self.capacity:
                 raise OverflowError(
                     f"queue full ({self.capacity} jobs); admission control "
                     "must shed or reject before pushing"
@@ -126,11 +146,13 @@ class BoundedPriorityQueue:
                 return None
             return self._items.pop(0)[2]
 
-    def shed_lowest(self):
-        """Remove and return the lowest-priority item (None when empty)."""
+    def shed_lowest(self, hold: bool = False):
+        """Remove and return the lowest-priority item (None when empty);
+        ``hold`` keeps its slot held for the job displacing it."""
         with self._cond:
             if not self._items:
                 return None
+            self._held += hold
             return self._items.pop()[2]
 
     def worst_priority(self) -> int | None:
@@ -215,10 +237,12 @@ class AdmissionController:
                     f"sustained, burst {self.bucket.burst:g})"
                 ),
             )
-        if queue.full():
+        # an admitted job holds its slot until it is pushed (or released)
+        if not queue.hold():
             worst = queue.worst_priority()
-            if worst is not None and spec.priority < worst:
-                victim = queue.shed_lowest()
+            victim = (queue.shed_lowest(hold=True)
+                      if worst is not None and spec.priority < worst else None)
+            if victim is not None:
                 return AdmissionDecision(
                     ok=True,
                     reason="accepted by displacing lower-priority work",

@@ -72,14 +72,15 @@ class JobSpec:
     tenant: str = "default"
     #: wall-clock budget from acceptance to completion, seconds
     deadline_s: float | None = None
-    #: cross-check the result against the naive reference (overload may
-    #: shed this; the job then completes as degraded-but-correct)
+    #: verify the result: the job runs at least at the ``full`` integrity
+    #: tier (overload may shed it; the job then completes as
+    #: degraded-but-correct)
     verify: bool = True
     #: silent-data-corruption integrity tier (``off``/``spot``/``seal``/
     #: ``full``, see :mod:`repro.resilience.sdc`).  Verification cpu is
     #: metered per tenant (``verify_cpu_ns`` in the usage ledger); under
-    #: amber overload the tier is shed exactly like result verification
-    #: and the job completes degraded-but-correct
+    #: amber overload the tier is shed and the job completes
+    #: degraded-but-correct
     integrity: str = "off"
     #: end-to-end trace correlation id minted by the client at submit;
     #: stamped on every job span on both sides of the socket.  Empty means

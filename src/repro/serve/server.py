@@ -2,9 +2,9 @@
 
 :class:`ServeCore` is the whole service with the sockets peeled off — a
 bounded priority queue fed by admission control, a pool of worker threads
-driving jobs round-by-round (the same round granularity that makes
-:class:`~repro.resilience.watchdog.GuardedSweep` checkpoints bit-exact),
-a crash-safe :class:`~repro.serve.journal.JobJournal`, and per-job
+running each job through
+:class:`~repro.resilience.watchdog.GuardedSweep`'s round loop, a
+crash-safe :class:`~repro.serve.journal.JobJournal`, and per-job
 on-disk checkpoints.  :class:`JobServer` is the thin unix-socket
 front-end speaking the newline-JSON protocol of
 :mod:`repro.serve.protocol`.
@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core.blocking35d import Blocking35D
-from ..core.naive import run_naive
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.serving import JobTraceLog, UsageLedger, prometheus_exposition
@@ -55,7 +54,8 @@ from ..resilience.checkpoint import (
 )
 from ..resilience.fallback import bind_with_fallback
 from ..resilience.faultinject import FAULTS, ResilienceError
-from ..resilience.sdc import SdcError, SdcGuard, inject_flips
+from ..resilience.sdc import SdcError
+from ..resilience.watchdog import GuardedSweep, SweepInterruptedError
 from ..stencils.grid import Field3D
 from ..stencils.seven_point import SevenPointStencil
 from ..stencils.twentyseven_point import TwentySevenPointStencil
@@ -88,6 +88,18 @@ IDLE_HANDLERS = 4
 #: answerable, ~34k small-job records; older ids answer ``not-found`` as
 #: expired, and the journal keeps the full history
 RETAIN_FINISHED_BYTES = 16 << 20
+
+
+#: ledger usage field -> the counter it is mirrored into
+_METERED = {
+    "site_updates": "serve.site_updates", "cpu_ns": "serve.cpu_ns",
+    "bytes_read": "traffic.bytes_read", "bytes_written": "traffic.bytes_written",
+    "verify_cpu_ns": "serve.verify_cpu_ns",
+}
+
+#: the integrity counters a job adds to the daemon registry
+_SDC_COUNTERS = ("sdc.checks", "sdc.detected", "sdc.healed",
+                 "sdc.replayed_cells")
 
 
 def make_kernel(spec: JobSpec):
@@ -278,7 +290,7 @@ class ServeCore:
             "accepted": 0, "rejected": 0, "dropped": 0, "shed": 0,
             "completed": 0, "degraded": 0, "failed": 0, "cancelled": 0,
             "deadline_misses": 0, "preemptions": 0, "resumes": 0,
-            "recovered": 0, "verification_shed": 0, "sdc_shed": 0,
+            "recovered": 0, "sdc_shed": 0,
         }
         self.replay_info: dict = {}
         # Serving telemetry is always-on: the daemon owns a private armed
@@ -303,6 +315,13 @@ class ServeCore:
     def _observe_q(self, name: str, value: float) -> None:
         self.metrics.observe_quantile(name, value)
         METRICS.observe_quantile(name, value)
+
+    def _charge(self, tenant: str, **usage: int) -> None:
+        """Charge integer usage to the tenant's ledger and mirror it into
+        the counters, so the ledger reconciles exactly."""
+        self.ledger.charge(tenant, **usage)
+        for key, amount in usage.items():
+            self._inc(_METERED[key], amount)
 
     def _note_queue_depth(self) -> None:
         """The one place the queue-depth gauge is written.
@@ -554,13 +573,13 @@ class ServeCore:
             # admitted, then dropped before the journal commit point: the
             # client gets an explicit retryable error, never silence, and
             # nothing was journaled so no state can leak
-            if decision.shed is not None:
-                shed_ctx = self._live.get(decision.shed)
-                if shed_ctx is not None:
-                    self.queue.push(
-                        decision.shed, shed_ctx.record.spec.priority,
-                        force=True,
-                    )
+            shed_ctx = self._live.get(decision.shed)
+            if shed_ctx is not None:  # the victim gets its slot back
+                self.queue.push(
+                    decision.shed, shed_ctx.record.spec.priority, held=True,
+                )
+            else:
+                self.queue.release()
             self.counters["dropped"] += 1
             return {
                 "ok": False, "error": "dropped",
@@ -596,7 +615,7 @@ class ServeCore:
                 tenant=spec.tenant, priority=spec.priority,
                 shed=decision.shed or "",
             )
-        self.queue.push(jid, spec.priority)
+        self.queue.push(jid, spec.priority, held=True)
         self._note_queue_depth()
         self._maybe_preempt(spec.priority)
         return {"ok": True, "id": jid, "status": "queued",
@@ -728,7 +747,8 @@ class ServeCore:
                     or r.spec.priority > victim.record.spec.priority
                 ):
                     victim = ctx
-            if victim is not None:
+            # the victim's way back to the queue is held, never overfills it
+            if victim is not None and self.queue.hold():
                 victim.preempt = True
 
     def _mark_shed(self, jid: str, reason: str) -> None:
@@ -761,7 +781,6 @@ class ServeCore:
                     ctx, "failed",
                     f"internal error: {type(exc).__name__}: {exc}",
                 )
-                self._clear_checkpoint(ctx)
             finally:
                 with self._lock:
                     self._busy -= 1
@@ -769,19 +788,6 @@ class ServeCore:
 
     def _checkpoint_store(self, jid: str) -> CheckpointStore:
         return CheckpointStore(self.state_dir / "checkpoints" / f"{jid}.npz")
-
-    def _save_checkpoint(self, ctx: _JobContext, state: Field3D) -> None:
-        record = ctx.record
-        self._checkpoint_store(record.id).save(
-            state.data, record.done_steps, {"id": record.id}
-        )
-        ctx.owns_checkpoint = True
-
-    def _clear_checkpoint(self, ctx: _JobContext) -> None:
-        """Remove a finishing job's checkpoint file, if it may have one."""
-        if ctx.owns_checkpoint:
-            self._checkpoint_store(ctx.record.id).clear()
-            ctx.owns_checkpoint = False
 
     def _run_job(self, ctx: _JobContext, warm: _WarmExecutor) -> None:
         record = ctx.record
@@ -809,22 +815,16 @@ class ServeCore:
         if FAULTS.should("serve.deadline", detail=spec.tenant):
             ctx.deadline_at = self._clock() - 1.0  # storm: already expired
         degraded_reasons: list[str] = []
-        verify = spec.verify
-        if verify and self.overload_level() != GREEN:
-            # degrade before shedding: drop the cross-check first
-            verify = False
-            degraded_reasons.append(
-                "overload: result verification shed (grid "
-                f"{self.overload_level()})"
-            )
-            self.counters["verification_shed"] += 1
-        integrity = getattr(spec, "integrity", "off") or "off"
+        # result verification is the full integrity tier
+        integrity = spec.integrity
+        if spec.verify and integrity == "off":
+            integrity = "full"
         if integrity != "off" and self.overload_level() != GREEN:
-            # integrity checks degrade exactly like result verification:
-            # shed under amber, job completes degraded-but-correct
+            # degrade before shedding: under amber the job runs unverified
+            # and completes degraded-but-correct
             degraded_reasons.append(
-                f"overload: integrity tier {integrity} shed (grid "
-                f"{self.overload_level()})"
+                f"overload: verification shed: integrity tier {integrity} "
+                f"shed (grid {self.overload_level()})"
             )
             self.counters["sdc_shed"] += 1
             self._inc("serve.sdc_shed")
@@ -834,190 +834,26 @@ class ServeCore:
             kernel, used, plan_degradations = self.plans.get(spec, field)
             record.backend_used = used
             degraded_reasons = plan_degradations + degraded_reasons
-            executor = warm.get(spec, kernel)
+            sweep = _JobSweep(self, ctx, warm.get(spec, kernel), integrity)
         except (ValueError, ResilienceError) as exc:
             self._finish(
                 ctx, "failed", f"cannot bind job: {type(exc).__name__}: {exc}"
             )
-            self._clear_checkpoint(ctx)
             return
-        state = field
-        rounds_since_ck = 0
-        rounds_done = 0
-        # the SDC tier: the guard re-executes through the *reference*
-        # kernel (a different rung of the bit-exact ladder than the bound
-        # backend), from a trusted base refreshed each verified round
-        guard: SdcGuard | None = None
-        good_state: Field3D | None = None
-        good_done = record.done_steps
-        if integrity != "off":
-            guard = SdcGuard(
-                make_kernel(spec), tier=integrity, seed=spec.seed
-            )
-            good_state = Field3D.from_array(field.data.copy())
-
-        def _integrity_phase(name: str, fn):
-            """One metered guard phase: cpu to the tenant's verify_cpu_ns,
-            counter deltas to the daemon registry (the guard writes the
-            global METRICS itself when armed — no dual write here, or an
-            armed bench would double-count), wall span to the job trace."""
-            t0 = time.perf_counter_ns()
-            w0 = time.time_ns()
-            r = guard.report
-            before = (r.checks, r.detections, r.heals, r.replayed_cells)
-            try:
-                return fn()
-            finally:
-                ns = time.perf_counter_ns() - t0
-                self.ledger.charge(spec.tenant, verify_cpu_ns=ns)
-                self._inc("serve.verify_cpu_ns", ns)
-                for key, b, a in (
-                    ("sdc.checks", before[0], r.checks),
-                    ("sdc.detected", before[1], r.detections),
-                    ("sdc.healed", before[2], r.heals),
-                    ("sdc.replayed_cells", before[3], r.replayed_cells),
-                ):
-                    if a > b:
-                        self.metrics.inc(key, a - b)
-                if ctx.trace is not None:
-                    ctx.trace.add(
-                        name, w0, time.time_ns(), tier=integrity,
-                        detections=r.detections,
-                    )
-                    if r.heals > before[2]:
-                        ctx.trace.add(
-                            "sdc_heal", w0, time.time_ns(),
-                            heals=r.heals - before[2],
-                            replayed_cells=r.replayed_cells,
-                        )
-
         run_t0_ns = time.time_ns()
         try:
             with TRACE.span(
                 "serve_job", id=record.id, kernel=spec.kernel, grid=spec.grid,
                 tenant=spec.tenant, priority=spec.priority,
             ):
-                while record.done_steps < spec.steps:
-                    if self._hard_kill:
-                        ctx.state = state  # lost with the process; journal decides
-                        return
-                    if ctx.cancel:
-                        self._finish(
-                            ctx, "cancelled",
-                            f"cancelled by client after "
-                            f"{record.done_steps}/{spec.steps} steps",
-                        )
-                        self._clear_checkpoint(ctx)
-                        return
-                    if (
-                        ctx.deadline_at is not None
-                        and self._clock() > ctx.deadline_at
-                    ):
-                        self.counters["deadline_misses"] += 1
-                        self._inc("serve.deadline_misses")
-                        self._finish(
-                            ctx, "failed",
-                            f"deadline exceeded after "
-                            f"{record.done_steps}/{spec.steps} steps",
-                        )
-                        self._clear_checkpoint(ctx)
-                        return
-                    if ctx.preempt:
-                        ctx.preempt = False
-                        self._save_checkpoint(ctx, state)
-                        ctx.state = state
-                        with self._lock:
-                            record.status = "queued"
-                            record.preemptions += 1
-                        self.counters["preemptions"] += 1
-                        self._inc("serve.preemptions")
-                        self.ledger.count(spec.tenant, "preempted")
-                        self.journal.append(
-                            "requeued", id=record.id, done=record.done_steps,
-                            durable=False,
-                        )
-                        ctx.enqueued_ns = time.time_ns()
-                        self.queue.push(record.id, spec.priority, force=True)
-                        return
-                    if FAULTS.should("serve.stall"):
-                        time.sleep(self.stall_s)
-                    if guard is not None:
-                        # resting corruption since the last seal is healed
-                        # BEFORE this round consumes it
-                        state = _integrity_phase(
-                            "sdc_check",
-                            lambda: guard.verify_seals(
-                                state, record.done_steps, good_state,
-                                good_done,
-                            ),
-                        )
-                    round_t = min(spec.dim_t, spec.steps - record.done_steps)
-                    # meter the round: modeled traffic + worker cpu time,
-                    # charged to the tenant and mirrored into the global
-                    # counters with *integer* arithmetic so the ledger
-                    # reconciles exactly
-                    traffic = TrafficStats()
-                    cpu_t0 = time.perf_counter_ns()
-                    round_w0 = time.time_ns()
-                    state = executor.run(state, round_t, traffic)
-                    cpu_ns = time.perf_counter_ns() - cpu_t0
-                    if ctx.trace is not None:
-                        ctx.trace.add(
-                            "job_round", round_w0, time.time_ns(),
-                            steps=round_t, done=record.done_steps + round_t,
-                            updates=traffic.updates,
-                        )
-                    self.ledger.charge(
-                        spec.tenant,
-                        site_updates=traffic.updates,
-                        bytes_read=traffic.bytes_read,
-                        bytes_written=traffic.bytes_written,
-                        cpu_ns=cpu_ns,
-                    )
-                    self._inc("serve.site_updates", traffic.updates)
-                    self._inc("serve.cpu_ns", cpu_ns)
-                    self._inc("traffic.bytes_read", traffic.bytes_read)
-                    self._inc("traffic.bytes_written", traffic.bytes_written)
-                    record.done_steps += round_t
-                    if guard is not None:
-                        def _check_and_seal():
-                            out = guard.check_round(
-                                state, record.done_steps, good_state,
-                                good_done, rounds_done,
-                            )
-                            guard.seal(out)
-                            return out
-                        state = _integrity_phase("sdc_check", _check_and_seal)
-                        # the just-verified state becomes the trusted base
-                        # (refreshed PRE-flip, so it stays clean); the
-                        # memory.flip probe then fires in-window
-                        good_state = Field3D.from_array(state.data.copy())
-                        good_done = record.done_steps
-                        inject_flips(
-                            state.data, rank=0, round_index=rounds_done,
-                            seed=spec.seed,
-                        )
-                    rounds_done += 1
-                    rounds_since_ck += 1
-                    if (
-                        rounds_since_ck >= self.checkpoint_every_rounds
-                        and record.done_steps < spec.steps
-                    ):
-                        self._save_checkpoint(ctx, state)
-                        rounds_since_ck = 0
-                if guard is not None:
-                    # flips landing after the final seal stay in-window
-                    state = _integrity_phase(
-                        "sdc_check",
-                        lambda: guard.verify_seals(
-                            state, record.done_steps, good_state, good_done
-                        ),
-                    )
+                out = sweep.run(field, spec.steps - record.done_steps)
+        except SweepInterruptedError as exc:
+            self._stopped(ctx, sweep.reason, exc.state)
+            return
         except SdcError as exc:
             self._finish(
                 ctx, "failed", f"integrity: {type(exc).__name__}: {exc}"
             )
-            self._clear_checkpoint(ctx)
             return
         finally:
             if ctx.trace is not None:
@@ -1026,27 +862,53 @@ class ServeCore:
                     done=record.done_steps, status=record.status,
                     backend=record.backend_used,
                 )
-        if guard is not None and guard.report.degraded:
+            sdc = sweep.report.sdc
+            if sdc is not None:  # the job's totals; its guard writes METRICS
+                for key, amount in zip(_SDC_COUNTERS, (
+                    sdc.checks, sdc.detections, sdc.heals, sdc.replayed_cells,
+                )):
+                    if amount:
+                        self.metrics.inc(key, amount)
+        if sdc is not None and sdc.degraded:
             degraded_reasons.append(
-                f"sdc: {guard.report.detections} detection(s), "
-                f"{guard.report.heals} healed surgically (tier {integrity})"
+                f"sdc: {sdc.detections} detection(s), "
+                f"{sdc.heals} healed surgically (tier {integrity})"
             )
-        sha = data_digest(state.data)
-        if verify:
-            ref = run_naive(make_kernel(spec), make_field(spec), spec.steps)
-            if not np.array_equal(state.data, ref.data):
-                self._finish(
-                    ctx, "failed", "result mismatched the naive reference"
-                )
-                self._clear_checkpoint(ctx)
-                return
         ctx.state = None
-        self._clear_checkpoint(ctx)
         status = "degraded" if degraded_reasons else "done"
         with self._lock:
-            record.sha256 = sha
+            record.sha256 = data_digest(out.data)
             record.degradations = degraded_reasons
         self._finish(ctx, status, "")
+
+    def _stopped(self, ctx: _JobContext, reason: str, state: Field3D) -> None:
+        """A job the round loop stopped: killed, cancelled, expired or
+        preempted (the only reason that checkpointed; it requeues)."""
+        record, spec = ctx.record, ctx.record.spec
+        progress = f"{record.done_steps}/{spec.steps} steps"
+        if reason == "kill":
+            return  # lost with the process; the journal decides
+        if reason == "cancel":
+            self._finish(ctx, "cancelled", f"cancelled by client after {progress}")
+        elif reason == "deadline":
+            self.counters["deadline_misses"] += 1
+            self._inc("serve.deadline_misses")
+            self._finish(ctx, "failed", f"deadline exceeded after {progress}")
+        if reason != "preempt":
+            return
+        ctx.state = state
+        with self._lock:
+            ctx.preempt = False  # its held slot is taken by the push below
+            record.status = "queued"
+            record.preemptions += 1
+        self.counters["preemptions"] += 1
+        self._inc("serve.preemptions")
+        self.ledger.count(spec.tenant, "preempted")
+        self.journal.append(
+            "requeued", id=record.id, done=record.done_steps, durable=False,
+        )
+        ctx.enqueued_ns = time.time_ns()
+        self.queue.push(record.id, spec.priority, held=True)
 
     def _finish(self, ctx: _JobContext, status: str, reason: str) -> None:
         record = ctx.record
@@ -1058,6 +920,12 @@ class ServeCore:
             record.finished_s = self._clock()
             self._live.pop(record.id, None)
             self._retain(record, ctx.trace)
+            held, ctx.preempt = ctx.preempt, False
+        if held:  # asked to yield, it finished first: free its way back
+            self.queue.release()
+        if ctx.owns_checkpoint:  # a finished job keeps no checkpoint file
+            self._checkpoint_store(record.id).clear()
+            ctx.owns_checkpoint = False
         self.journal.append(
             "done" if status in ("done", "degraded", "failed") else status,
             id=record.id, status=status, reason=reason, sha256=record.sha256,
@@ -1080,6 +948,99 @@ class ServeCore:
                 "serve.latency_s",
                 max(0.0, record.finished_s - record.submitted_s),
             )
+
+
+class _JobSweep(GuardedSweep):
+    """GuardedSweep's round loop as one serve job runs it.
+
+    The job brings its step (one executor round, metered to the tenant),
+    its stop reasons and its checkpoint file: the sweep is its own
+    ``stop`` and ``checkpoint``.  A stop records its :attr:`reason`,
+    ``kill``, ``cancel``, ``deadline`` or ``preempt``; only a preempt
+    checkpoints.  Health is off and rounds are not retried; integrity
+    replays run through the reference kernel, a different rung than the
+    bound backend.
+    """
+
+    def __init__(self, core: ServeCore, ctx: _JobContext, executor,
+                 integrity: str) -> None:
+        spec = ctx.record.spec
+        self.core, self.ctx = core, ctx
+        self.reason: str | None = None
+        super().__init__(
+            executor, round_steps=spec.dim_t, health="off", checkpoint=self,
+            checkpoint_every=core.checkpoint_every_rounds,
+            meta={"id": ctx.record.id}, stop=self, sdc=integrity,
+            sdc_seed=spec.seed,
+            kernel=make_kernel(spec) if integrity != "off" else None,
+        )
+
+    def is_set(self) -> bool:
+        core, ctx = self.core, self.ctx
+        if core._hard_kill:
+            self.reason = "kill"
+        elif ctx.cancel:
+            self.reason = "cancel"
+        elif ctx.deadline_at is not None and core._clock() > ctx.deadline_at:
+            self.reason = "deadline"
+        elif ctx.preempt:
+            self.reason = "preempt"
+        return self.reason is not None
+
+    def save(self, data: np.ndarray, step: int, meta: dict) -> None:
+        # ``step`` counts from this run's start; the file keeps the job's
+        if self.reason in (None, "preempt"):
+            record = self.ctx.record
+            self.core._checkpoint_store(record.id).save(
+                data, record.done_steps, meta
+            )
+            self.ctx.owns_checkpoint = True
+
+    def _open(self, state):
+        return state, self._round, None
+
+    def _round(self, state, round_t: int, traffic=None):
+        """One executor round, metered: modeled traffic and worker cpu
+        time, charged to the tenant."""
+        ctx = self.ctx
+        record = ctx.record
+        if FAULTS.should("serve.stall"):
+            time.sleep(self.core.stall_s)
+        traffic = TrafficStats()
+        cpu_t0 = time.perf_counter_ns()
+        round_w0 = time.time_ns()
+        out = self.executor.run(state, round_t, traffic)
+        cpu_ns = time.perf_counter_ns() - cpu_t0
+        record.done_steps += round_t
+        if ctx.trace is not None:
+            ctx.trace.add(
+                "job_round", round_w0, time.time_ns(), steps=round_t,
+                done=record.done_steps, updates=traffic.updates,
+            )
+        self.core._charge(
+            record.spec.tenant, site_updates=traffic.updates,
+            bytes_read=traffic.bytes_read, bytes_written=traffic.bytes_written,
+            cpu_ns=cpu_ns,
+        )
+        return out
+
+    def _integrity(self, hook, *args):
+        """One guard hook, metered: cpu to the tenant's verify_cpu_ns, wall
+        span to the job trace."""
+        ctx, r = self.ctx, self.sdc.report
+        t0, w0, heals = time.perf_counter_ns(), time.time_ns(), r.heals
+        try:
+            return hook(*args)
+        finally:
+            self.core._charge(ctx.record.spec.tenant,
+                              verify_cpu_ns=time.perf_counter_ns() - t0)
+            if ctx.trace is not None:
+                w1 = time.time_ns()
+                ctx.trace.add("sdc_check", w0, w1, tier=self.sdc.tier,
+                              detections=r.detections)
+                if r.heals > heals:
+                    ctx.trace.add("sdc_heal", w0, w1, heals=r.heals - heals,
+                                  replayed_cells=r.replayed_cells)
 
 
 class JobServer:

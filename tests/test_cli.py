@@ -353,6 +353,92 @@ class TestDistributedCLI:
         mdoc = json.loads(open(mx).read())
         assert mdoc["counters"]["comm.messages"] > 0
 
+    # --ranks runs through the same guarded round loop as a serial run, so
+    # every run flag is honoured (or refused with exit 2)
+    _ranks = ["run", "--grid", "16", "--steps", "4", "--tile", "16",
+              "--dim-t", "2", "--ranks", "2"]
+
+    def test_ranks_checkpoint_writes_the_file(self, tmp_path, capsys):
+        ck = tmp_path / "snap.npz"
+        assert main(self._ranks + ["--checkpoint", str(ck)]) == 0
+        assert ck.exists()
+        assert "bit-identical" in capsys.readouterr().out
+
+    def test_ranks_resume_continues_from_the_checkpoint(self, tmp_path,
+                                                        capsys):
+        ck = str(tmp_path / "snap.npz")
+        assert main(self._ranks + ["--checkpoint", ck]) == 0
+        capsys.readouterr()
+        rc = main(self._ranks + ["--checkpoint", ck, "--resume"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "resumed      : from step 2" in out
+        assert "bit-identical" in out
+
+    def test_ranks_health_raise_fails_with_4(self, capsys):
+        from repro.resilience.faultinject import FAULTS
+
+        with FAULTS.injected("grid.nan"):
+            rc = main(self._ranks + ["--health", "raise"])
+        assert rc == 4
+        assert "HealthCheckError" in capsys.readouterr().err
+
+    def test_ranks_health_repair_recovers_with_3(self, capsys):
+        from repro.resilience.faultinject import FAULTS
+
+        with FAULTS.injected("grid.nan@1"):
+            rc = main(self._ranks + ["--steps", "6", "--health", "repair"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "bit-identical" in out and "repairs" in out
+
+    def test_ranks_retries_recover_a_failed_round(self, capsys):
+        from repro.resilience.faultinject import FAULTS
+
+        args = self._ranks + ["--backend", "numpy-inplace", "--no-fallback"]
+        with FAULTS.injected("backend.compute=numpy-inplace:1"):
+            assert main(args) == 4
+        capsys.readouterr()
+        with FAULTS.injected("backend.compute=numpy-inplace:1"):
+            rc = main(args + ["--retries", "2"])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "bit-identical" in out and "retries      : 1" in out
+
+    def test_ranks_sigint_checkpoints_and_exits_4(self, tmp_path, capsys):
+        import os
+        import signal
+        import threading
+
+        ck = tmp_path / "ck.npz"
+        timer = threading.Timer(1.0, lambda: os.kill(os.getpid(),
+                                                     signal.SIGINT))
+        timer.start()
+        try:
+            rc = main(["run", "--grid", "24", "--steps", "40000", "--dim-t",
+                       "2", "--tile", "8", "--ranks", "2", "--checkpoint",
+                       str(ck), "--no-check"])
+        finally:
+            timer.cancel()
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert "interrupted" in err and "final checkpoint written" in err
+        assert ck.exists()
+
+    def test_ranks_with_threads_is_usage_error(self, capsys):
+        assert main(self._ranks + ["--threads", "2"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_ranks_with_deadline_is_usage_error(self, capsys):
+        # the SPMD deadline only bounds threaded sweeps; a rank run used
+        # to ignore it silently
+        assert main(self._ranks + ["--deadline", "1"]) == 2
+        assert "--threads" in capsys.readouterr().err
+
+    def test_ranks_with_a_spatial_scheme_is_usage_error(self, capsys):
+        assert main(self._ranks + ["--scheme", "3d"]) == 2
+        assert "--scheme" in capsys.readouterr().err
+
 
 class TestFaultsCommand:
     def test_lists_every_site(self, capsys):

@@ -241,12 +241,13 @@ class TestGuardedSweep:
         assert guard.report.degraded
         assert_fields_equal(out, run_naive(seven_point, small_field, 6))
 
-    @pytest.mark.parametrize("health,copies", [("raise", 0), ("repair", 3)])
+    @pytest.mark.parametrize("health,copies", [("raise", 0), ("repair", 0)])
     def test_trusted_base_copied_only_when_read(
         self, seven_point, small_field, monkeypatch, health, copies
     ):
-        # 5 steps in rounds of 2: the trusted base is taken at the start and
-        # at two round boundaries, but only repair (or SDC) ever reads it
+        # 5 steps in rounds of 2: the trusted base is each round's input,
+        # held by reference, so not even repair copies it before a
+        # rollback; the result is the last round's private output
         made = []
         original = type(small_field).copy
 
@@ -257,8 +258,8 @@ class TestGuardedSweep:
         guard = GuardedSweep(self._executor(seven_point), health=health)
         monkeypatch.setattr(type(small_field), "copy", counting_copy)
         out = guard.run(small_field, 5)
-        # one copy per executor round (3) plus the returned result
-        assert len(made) == 3 + 1 + copies
+        # one copy per executor round (3), none by the guard
+        assert len(made) == 3 + copies
         assert_fields_equal(out, run_naive(seven_point, small_field, 5))
 
     def test_repair_exhaustion_raises(self, seven_point, small_field):

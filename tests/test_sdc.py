@@ -417,17 +417,15 @@ class TestDistributedIntegrity:
 
     @pytest.mark.parametrize("overlap", [False, True])
     def test_halo_handshake_is_a_second_line_of_defense(
-        self, seven_point, overlap
+        self, seven_point, overlap, monkeypatch
     ):
-        # disable the compute-side seal verification so corrupt planes
-        # survive to the halo exchange: the cross-rank checksum handshake
-        # must still refuse to consume them (defense in depth; healing
-        # needs the seals, so refusal is the contract here)
-        class HandshakeOnly(DistributedJacobi):
-            def _sdc_verify(self, *args, **kwargs):
-                return None
-
-        dj = HandshakeOnly(
+        # disable the seal verification so corrupt planes survive to the
+        # halo exchange: the cross-rank checksum handshake must still
+        # refuse to consume them (defense in depth; healing needs the
+        # seals, so refusal is the contract here)
+        monkeypatch.setattr(SdcGuard, "verify_seals",
+                            lambda self, state, *args: state)
+        dj = DistributedJacobi(
             seven_point, 4, dim_t=2, integrity="seal", sdc_seed=0,
             overlap=overlap,
         )

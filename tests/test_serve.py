@@ -115,6 +115,19 @@ class TestBoundedPriorityQueue:
         assert len(q) == 2
         assert q.pop(0) == "requeued"
 
+    def test_held_slot_counts_as_taken_until_pushed(self):
+        q = BoundedPriorityQueue(2)
+        assert q.hold()  # a job on its way in
+        q.push("a", 1)
+        assert q.full() and not q.hold()
+        with pytest.raises(OverflowError):
+            q.push("b", 1)
+        q.push("held", 0, held=True)  # the holder still gets its slot
+        assert len(q) == 2 and q.pop(0) == "held"
+        assert q.hold()
+        q.release()
+        assert not q.full()
+
     def test_shed_lowest_and_pop_timeout(self):
         q = BoundedPriorityQueue(4)
         q.push("a", 1)
@@ -346,6 +359,33 @@ class TestServeCore:
         assert vrec.status == "done"
         assert vrec.preemptions >= 1
         assert vrec.sha256 == reference_sha(spec)  # preempt/resume exact
+        assert core.drain()
+
+    def test_preemption_never_overfills_the_queue(self, tmp_path):
+        # regression: a preempted job was requeued past the cap, and the
+        # next admission pushed into the overfull queue (OverflowError in
+        # submit); a victim now yields only into a slot held for it
+        core = ServeCore(tmp_path / "s", workers=1, queue_cap=1,
+                         stall_s=0.02, fsync=False)
+        core.start()
+        low = JobSpec(grid=10, steps=40, priority=5, verify=False)
+        with FAULTS.injected(HOLD):
+            running = core.submit(low.to_dict())["id"]
+            wait_for(lambda: core.status(running).status == "running")
+            queued = core.submit(low.to_dict())["id"]
+            assert len(core.queue) == 1
+            hi = core.submit(JobSpec(grid=10, steps=2, priority=0,
+                                     verify=False).to_dict())
+            assert hi["ok"] and hi["shed"] == queued
+            depths = []
+            for _ in range(20):
+                depths.append(len(core.queue))
+                time.sleep(0.005)
+        wait_terminal(core)
+        assert max(depths) <= 1
+        assert core.status(running).preemptions == 0  # no room to yield
+        assert core.status(running).status == "done"
+        assert core.status(hi["id"]).status == "done"
         assert core.drain()
 
     def test_accept_drop_is_explicit_and_retryable(self, tmp_path):
