@@ -231,9 +231,17 @@ class Blocking35D:
         round_t: int,
         traffic: TrafficStats | None = None,
         *,
+        z_core: tuple[int, int] | None = None,
         _shell_token: object | None = None,
     ) -> None:
         """One blocked round: ``dst`` receives the state ``round_t`` steps ahead.
+
+        ``z_core`` (local planes of ``src``) names the output planes the
+        caller keeps; the round then computes only their dependence cone
+        and writes only those planes of ``dst``.  A caller that cuts a
+        larger grid along Z passes the planes that sit deep enough from
+        its cuts, so nothing it throws away is computed.  ``None`` keeps
+        every interior plane.
 
         ``_shell_token`` identifies the run whose (constant) boundary shell
         is in ``src``; direct callers may leave it ``None``, which refreshes
@@ -242,7 +250,7 @@ class Blocking35D:
         token = _shell_token if _shell_token is not None else object()
         nz, ny, nx = src.shape
         tiles = self._plan_tiles(ny, nx, round_t)
-        schedule = self._get_schedule(nz, round_t)
+        schedule = self._get_schedule(nz, round_t, z_core)
         if traffic is not None:
             traffic.notes.setdefault("tiles_per_round", len(tiles))
             traffic.notes.setdefault("dim_t", self.dim_t)
@@ -256,7 +264,7 @@ class Blocking35D:
         # (repro.perf.fused, see ``kappa``).
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
         if sweep_runner is not None:
-            runner = sweep_runner(self, src, dst, round_t)
+            runner = sweep_runner(self, src, dst, round_t, z_core=z_core)
             if runner is not None:
                 if TRACE.armed:
                     with TRACE.span(runner.span, tiles=len(tiles),
@@ -300,11 +308,14 @@ class Blocking35D:
             self._kappas[key] = kappa
         return kappa
 
-    def _get_schedule(self, nz: int, round_t: int) -> Schedule:
-        key = (nz, round_t)
+    def _get_schedule(
+        self, nz: int, round_t: int, z_core: tuple[int, int] | None = None
+    ) -> Schedule:
+        key = (nz, round_t, z_core)
         schedule = self._schedules.get(key)
         if schedule is None:
-            schedule = build_schedule(nz, self.kernel.radius, round_t, self.concurrent)
+            schedule = build_schedule(nz, self.kernel.radius, round_t,
+                                      self.concurrent, z_core)
             if self.validate:
                 schedule.validate()
             self._schedules[key] = schedule

@@ -20,6 +20,7 @@ __all__ = [
     "AxisTile",
     "axis_tiles",
     "compute_range",
+    "cone_ranges",
     "loaded_extent",
     "Tile2D",
     "plan_tiles_2d",
@@ -75,6 +76,28 @@ def compute_range(
     lo = max(radius, core[0] - grow)
     hi = min(n - radius, core[1] + grow)
     return (lo, hi)
+
+
+def cone_ranges(
+    core: tuple[int, int],
+    n: int,
+    radius: int,
+    dim_t: int,
+) -> list[tuple[int, int]]:
+    """The dependence cone of the output planes ``core`` along one axis.
+
+    Entry ``t`` is the half-open range time instance ``t`` of a blocked
+    round touches: the planes it loads at ``t = 0`` (the core plus
+    ``radius * dim_t``), then :func:`compute_range` at ``t = 1 .. dim_t``.
+    ``core`` is clipped to the interior ``[radius, n - radius)`` first; a
+    core with no interior plane has an empty cone.
+    """
+    core = (max(radius, core[0]), min(n - radius, core[1]))
+    if core[0] >= core[1]:
+        return [(0, 0)] * (dim_t + 1)
+    return [loaded_extent(core, n, radius * dim_t)] + [
+        compute_range(core, n, radius, dim_t, t) for t in range(1, dim_t + 1)
+    ]
 
 
 def axis_tiles(n: int, radius: int, dim_t: int, tile: int) -> list[AxisTile]:
@@ -166,6 +189,8 @@ class SlabSplit:
     interior: AxisTile | None
     lo_strip: AxisTile | None
     hi_strip: AxisTile | None
+    lo_cut: bool = False
+    hi_cut: bool = False
 
     @property
     def owned(self) -> int:
@@ -201,6 +226,30 @@ class SlabSplit:
         """Redundant work as a fraction of the fused schedule's sweeps."""
         return self.redundant_planes() / self.fused_extent_planes()
 
+    def cone_plane_updates(self, radius: int) -> int:
+        """Plane-updates one cone-trimmed overlap round of this split
+        performs, ``halo = radius * round_t``: the interior and each strip
+        compute only the dependence cone of their core, the sum of the
+        :func:`compute_range` widths over instances ``1 .. round_t``.  A
+        slab too thin to leave an interior of ``2R + 1`` planes runs the
+        fused schedule instead: the cone of its owned planes over the
+        ghost-augmented slab."""
+        round_t = self.halo // radius
+        if self.interior is None or self.owned < 2 * radius + 1:
+            regions = [AxisTile(core=(self.z0, self.z1),
+                                extent=(self.z0 - self.halo * self.lo_cut,
+                                        self.z1 + self.halo * self.hi_cut))]
+        else:
+            regions = [r for r in (self.interior, self.lo_strip, self.hi_strip)
+                       if r is not None]
+        total = 0
+        for r in regions:
+            e0, e1 = r.extent
+            cone = cone_ranges((r.core[0] - e0, r.core[1] - e0), e1 - e0,
+                               radius, round_t)
+            total += sum(hi - lo for lo, hi in cone[1:])
+        return total
+
 
 def split_slab(
     z0: int,
@@ -228,7 +277,7 @@ def split_slab(
     ilo = z0 + (halo if lo_cut else 0)
     ihi = z1 - (halo if hi_cut else 0)
     if ilo >= ihi:  # too thin: nothing computable before the halos arrive
-        return SlabSplit(z0, z1, halo, None, None, None)
+        return SlabSplit(z0, z1, halo, None, None, None, lo_cut, hi_cut)
     interior = AxisTile(core=(ilo, ihi), extent=(z0, z1))
     lo_strip = (
         AxisTile(core=(z0, ilo), extent=loaded_extent((z0, ilo), nz, halo))
@@ -240,4 +289,5 @@ def split_slab(
         if hi_cut
         else None
     )
-    return SlabSplit(z0, z1, halo, interior, lo_strip, hi_strip)
+    return SlabSplit(z0, z1, halo, interior, lo_strip, hi_strip, lo_cut,
+                     hi_cut)

@@ -25,6 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+from .regions import cone_ranges
+
 __all__ = ["StepKind", "Step", "Schedule", "build_schedule", "lag_for"]
 
 
@@ -156,29 +158,29 @@ def build_schedule(
     radius: int,
     dim_t: int,
     concurrent: bool = True,
+    z_core: tuple[int, int] | None = None,
 ) -> Schedule:
-    """Build the full step schedule for a z-axis of ``nz`` planes.
+    """Build the step schedule for a z-axis of ``nz`` planes.
 
     Instance 0 loads plane ``k`` at iteration ``k``; instance ``t`` computes
-    plane ``k - lag*t``.  Loads cover ``[0, nz)``; computes/stores cover the
-    interior ``[R, nz - R)``.  Iterations continue until the final instance
-    has stored its last plane.
+    plane ``k - lag*t``.  By default loads cover ``[0, nz)`` and
+    computes/stores the interior ``[R, nz - R)``.  With ``z_core`` (the
+    output planes the caller keeps) each instance covers only the
+    dependence cone of those planes (:func:`~repro.core.regions.cone_ranges`):
+    the planes outside it would be thrown away, so they are not computed.
+    Iterations continue until the final instance has stored its last plane.
     """
     if nz < 2 * radius + 1:
         raise ValueError(f"nz={nz} too small for radius {radius}")
     lag = lag_for(radius, concurrent)
+    spans = cone_ranges(
+        (radius, nz - radius) if z_core is None else z_core, nz, radius, dim_t
+    )
+    kinds = [StepKind.LOAD] + [StepKind.COMPUTE] * (dim_t - 1) + [StepKind.STORE]
     steps: list[Step] = []
-    idx = 0
-    last_iter = (nz - radius - 1) + lag * dim_t
-    for k in range(last_iter + 1):
-        for t in range(dim_t + 1):
+    for k in range(nz + lag * dim_t):
+        for t, ((lo, hi), kind) in enumerate(zip(spans, kinds)):
             z = k - lag * t
-            if t == 0:
-                if 0 <= z < nz:
-                    steps.append(Step(idx, k, t, z, StepKind.LOAD))
-                    idx += 1
-            elif radius <= z < nz - radius:
-                kind = StepKind.STORE if t == dim_t else StepKind.COMPUTE
-                steps.append(Step(idx, k, t, z, kind))
-                idx += 1
+            if lo <= z < hi:
+                steps.append(Step(len(steps), k, t, z, kind))
     return Schedule(nz=nz, radius=radius, dim_t=dim_t, concurrent=concurrent, steps=steps)

@@ -8,8 +8,10 @@ Per blocked round of ``round_t`` time steps:
 2. **local compute** — each rank runs one 3.5D round (or ``round_t`` naive
    sweeps) on its ghost-augmented slab.  By the depth induction of
    :mod:`repro.core.periodic`, every owned plane sits at depth ``>= h``
-   from the slab cuts and is therefore exact; stale values nearer the cut
-   are discarded;
+   from the slab cuts and is therefore exact.  The 3.5D round computes
+   only the dependence cone of the owned planes (``Blocking35D``'s Z
+   core), so nothing nearer the cut is computed; the naive sweeps compute
+   it and throw it away;
 3. the rank's two buffers swap roles: the one just written holds the
    owned state of the next round.
 
@@ -75,7 +77,7 @@ import numpy as np
 
 from ..core.blocking35d import Blocking35D
 from ..core.naive import naive_sweep
-from ..core.regions import split_slab
+from ..core.regions import AxisTile, split_slab
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
@@ -111,17 +113,17 @@ _TAG_DOWN = 2
 class _Region:
     """One region of a rank's round, bound once and reused every round.
 
-    ``views[i]`` are the region's planes in buffer ``i``; a round reads
-    ``views[cur]`` and writes ``views[1 - cur]`` directly, or — for a
-    boundary strip (``core`` set) — writes the shared strip scratch
-    ``out`` and keeps only its ``core`` planes (region-local indices).
+    ``views[i]`` are the region's planes in buffer ``i``.  A round reads
+    ``views[cur]`` and writes only the region's ``core`` planes
+    (region-local indices) of ``views[1 - cur]``: the blocked round
+    computes just their dependence cone, so the other planes it reads —
+    ghosts, or owned planes another region produces — are never written.
     """
 
     kernel: PlaneKernel
     views: tuple[Field3D, Field3D]
     executor: Blocking35D | None  # None: the naive reference scheme
-    out: Field3D | None = None
-    core: tuple[int, int] | None = None
+    core: tuple[int, int]
 
 
 class _RankSlab:
@@ -276,8 +278,6 @@ class DistributedJacobi:
         #: persistent per-rank buffers, valid for the layout ``_layout``
         self._layout: tuple | None = None
         self._ranks: dict[int, _RankSlab] = {}
-        #: one strip output buffer shared by every boundary strip
-        self._scratch: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     def run(
@@ -406,7 +406,6 @@ class DistributedJacobi:
         layout = (tuple(slabs), data.shape, data.dtype, halo)
         if layout != self._layout:
             self._ranks = {s.rank: _RankSlab(s, halo, data) for s in slabs}
-            self._scratch = None
             self._layout = layout
         for s in slabs:
             self._ranks[s.rank].fill(data[:, s.z0 : s.z1], self.kernel.radius)
@@ -600,8 +599,8 @@ class DistributedJacobi:
                 continue
             with TRACE.span("rank_compute", rank=s.rank, phase="interior"):
                 t0 = time.perf_counter_ns()
-                self._sweep(rs, self._region(rs, "interior", h, (s.z0, s.z1)),
-                            round_t, traffic)
+                reg = self._region(rs, "interior", h, split.interior)
+                self._sweep(rs, reg, round_t, traffic)
                 comm.advance(s.rank, time.perf_counter_ns() - t0)
             with TRACE.span("halo_wait", rank=s.rank):
                 self._wait_ghosts(s, rs, lo_req, hi_req)
@@ -609,8 +608,7 @@ class DistributedJacobi:
                 for name, strip in (("lo", split.lo_strip),
                                     ("hi", split.hi_strip)):
                     if strip is not None:
-                        reg = self._region(rs, name, h, strip.extent,
-                                           core=strip.core)
+                        reg = self._region(rs, name, h, strip)
                         self._sweep(rs, reg, round_t, traffic)
 
     def _wait_ghosts(self, s: Slab, rs: _RankSlab, lo_req, hi_req) -> None:
@@ -631,30 +629,24 @@ class DistributedJacobi:
 
     # ------------------------------------------------------------------
     def _fused(self, rs: _RankSlab, h: int) -> _Region:
-        """The whole ghost-augmented slab: owned planes plus ``h`` ghosts
-        per cut side (the non-overlap and thin-slab region)."""
+        """The owned planes out of the whole ghost-augmented slab (``h``
+        ghosts per cut side): the non-overlap and thin-slab region."""
         s = rs.slab
-        return self._region(rs, "fused", h, (s.z0 - h * s.lo_cut,
-                                             s.z1 + h * s.hi_cut))
+        return self._region(rs, "fused", h, AxisTile(
+            core=(s.z0, s.z1),
+            extent=(s.z0 - h * s.lo_cut, s.z1 + h * s.hi_cut),
+        ))
 
     def _region(
-        self,
-        rs: _RankSlab,
-        name: str,
-        h: int,
-        extent: tuple[int, int],
-        core: tuple[int, int] | None = None,
+        self, rs: _RankSlab, name: str, h: int, planes: AxisTile
     ) -> _Region:
-        """The region ``name`` of ``rs`` at halo depth ``h``, bound once.
-
-        ``extent`` is the global z range it reads.  A strip (``core`` set)
-        writes the shared strip scratch, sized for the deepest strip any
-        round can have: ``3 * R * dim_T`` planes.
-        """
+        """The region ``name`` of ``rs`` at halo depth ``h``, bound once:
+        it reads the global planes ``planes.extent`` and produces
+        ``planes.core``."""
         reg = rs.regions.get((name, h))
         if reg is not None:
             return reg
-        e0, e1 = extent
+        e0, e1 = planes.extent
         b0, b1 = e0 - rs.base, e1 - rs.base
         views = (Field3D(rs.bufs[0][:, b0:b1]), Field3D(rs.bufs[1][:, b0:b1]))
         kernel = self.kernel.restricted_to(e0, e1)
@@ -664,17 +656,8 @@ class DistributedJacobi:
             executor = Blocking35D(kernel, dim_t=h // kernel.radius,
                                    tile_y=self.tile_y or ny,
                                    tile_x=self.tile_x or nx)
-        out = None
-        if core is not None:
-            if self._scratch is None:
-                ncomp, _, ny, nx = rs.bufs[0].shape
-                depth = 3 * self.kernel.radius * self.dim_t
-                self._scratch = np.zeros((ncomp, depth, ny, nx),
-                                         rs.bufs[0].dtype)
-            out = Field3D(self._scratch[:, : e1 - e0])
-            core = (core[0] - e0, core[1] - e0)
-        reg = rs.regions[(name, h)] = _Region(kernel, views, executor, out,
-                                              core)
+        core = (planes.core[0] - e0, planes.core[1] - e0)
+        reg = rs.regions[(name, h)] = _Region(kernel, views, executor, core)
         return reg
 
     def _sweep(
@@ -684,35 +667,31 @@ class DistributedJacobi:
         round_t: int,
         traffic: TrafficStats | None,
     ) -> None:
-        """Advance one region by ``round_t`` steps into the other buffer.
+        """Advance one region's core planes by ``round_t`` steps into the
+        other buffer.
 
-        A strip's output lands in the shared scratch, whose XY shell holds
-        nothing useful, so only the XY interior of its core planes is
-        copied back; the other buffer's owned planes already carry the
-        constant shell.  A region thinner than ``2R + 1`` planes has no
-        computable plane: its owned planes are all physical shell, which
-        the other buffer already holds, so the round leaves it as is.
+        The blocked round computes only the core's dependence cone and
+        writes only the core; the other buffer's owned planes already
+        carry the constant shell.  The naive scheme sweeps the whole
+        region and keeps the core planes.  A region thinner than
+        ``2R + 1`` planes has no computable plane: its owned planes are all
+        physical shell, which the other buffer already holds, so the round
+        leaves it as is.
         """
-        src = reg.views[rs.cur]
-        dst = reg.views[1 - rs.cur] if reg.out is None else reg.out
+        src, dst = reg.views[rs.cur], reg.views[1 - rs.cur]
         if src.nz < 2 * reg.kernel.radius + 1:
             return
         if reg.executor is not None:
-            reg.executor.sweep_round(src, dst, round_t, traffic)
-        else:
-            a, b = src.copy(), src.like()
-            copy_shell(a, b, reg.kernel.radius)
-            for _ in range(round_t):
-                naive_sweep(reg.kernel, a, b, traffic)
-                a, b = b, a
-            np.copyto(dst.data, a.data)
-        if reg.core is not None:
-            r = reg.kernel.radius
-            k0, k1 = reg.core
-            _, _, ny, nx = dst.data.shape
-            keep = (slice(None), slice(k0, k1), slice(r, ny - r),
-                    slice(r, nx - r))
-            reg.views[1 - rs.cur].data[keep] = dst.data[keep]
+            reg.executor.sweep_round(src, dst, round_t, traffic,
+                                     z_core=reg.core)
+            return
+        a, b = src.copy(), src.like()
+        copy_shell(a, b, reg.kernel.radius)
+        for _ in range(round_t):
+            naive_sweep(reg.kernel, a, b, traffic)
+            a, b = b, a
+        k0, k1 = reg.core
+        np.copyto(dst.data[:, k0:k1], a.data[:, k0:k1])
 
     # ------------------------------------------------------------------
     def expected_messages(self, nz: int, steps: int) -> int:

@@ -622,13 +622,15 @@ class CodegenSweepKernel(FusedSweepKernel):
     engine = "codegen"
 
     # ------------------------------------------------------------------
-    def sweep_runner(self, executor, src, dst, round_t, parallel=False):
+    def sweep_runner(self, executor, src, dst, round_t, parallel=False,
+                     z_core=None):
         """The (cached) whole-round runner, or ``None`` when unsupported.
 
-        Runners prebind the complete plan — tiles, schedule meta, stacked
-        ring/shell storage and the compiled sweep function — and are cached
-        on the executor they bind, matched by ping/pong buffer pairing, so
-        they live and die with it and never travel with the kernel.
+        Runners prebind the complete plan — tiles, schedule meta (trimmed
+        to the dependence cone of ``z_core``), stacked ring/shell storage
+        and the compiled sweep function — and are cached on the executor
+        they bind, matched by ping/pong buffer pairing and Z core, so they
+        live and die with it and never travel with the kernel.
         """
         FAULTS.fire("backend.compute", detail="codegen")
         if FAULTS.armed("memory.flip"):
@@ -641,14 +643,16 @@ class CodegenSweepKernel(FusedSweepKernel):
                 and runner.dst_data is dst.data
                 and runner.round_t == round_t
                 and runner.parallel == parallel
+                and runner.z_core == z_core
             ):
                 return runner
         runner = _CodegenSweepRunner.build(
-            self, executor, src, dst, round_t, parallel
+            self, executor, src, dst, round_t, parallel, z_core
         )
         if runner is None:
             # unsupported here: the fused-numpy volume round, if it pays
-            return super().sweep_runner(executor, src, dst, round_t, parallel)
+            return super().sweep_runner(executor, src, dst, round_t, parallel,
+                                        z_core)
         cache.append(runner)
         # ping/pong plus one spare pair (mirrors the fused runner cache)
         del cache[:-4]
@@ -661,7 +665,7 @@ class _CodegenSweepRunner:
     span = "codegen_round"
 
     @classmethod
-    def build(cls, kernel, executor, src, dst, round_t, parallel):
+    def build(cls, kernel, executor, src, dst, round_t, parallel, z_core):
         kind = _compiled_kind(kernel.inner, src.data, dst.data)
         if kind is None:
             return None
@@ -677,14 +681,17 @@ class _CodegenSweepRunner:
         fn = module.sweep_py if mode == "python" else module.sweep_jit
         if fn is None:
             return None
-        return cls(kernel, executor, src, dst, round_t, parallel, kind, fn)
+        return cls(kernel, executor, src, dst, round_t, parallel, kind, fn,
+                   z_core)
 
-    def __init__(self, kernel, executor, src, dst, round_t, parallel, kind, fn):
+    def __init__(self, kernel, executor, src, dst, round_t, parallel, kind, fn,
+                 z_core):
         self.kernel = kernel
         self.src_data = src.data
         self.dst_data = dst.data
         self.round_t = round_t
         self.parallel = parallel
+        self.z_core = z_core
         self.kind = kind
         self.fn = fn
         self.ops_per_update = kernel.ops_per_update
@@ -697,7 +704,7 @@ class _CodegenSweepRunner:
         esize = kernel.element_size(dtype)
         self.slots = ring_slots(r, executor.concurrent)
         self.tiles = executor._plan_tiles(ny, nx, round_t)
-        schedule = executor._get_schedule(nz, round_t)
+        schedule = executor._get_schedule(nz, round_t, z_core)
         iters = schedule.iterations()
         steps = [
             (s.kind, s.t, s.z) for k in sorted(iters) for s in iters[k]

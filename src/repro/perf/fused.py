@@ -53,11 +53,10 @@ import threading
 import numpy as np
 
 from ..core.buffer import ring_slots
-from ..core.regions import compute_range
+from ..core.regions import compute_range, cone_ranges
 from ..core.schedule import Schedule, StepKind
 from ..resilience.faultinject import FAULTS
 from ..stencils.generic import GenericStencil
-from ..stencils.grid import interior_points
 from ..stencils.seven_point import SevenPointStencil
 from ..stencils.twentyseven_point import TwentySevenPointStencil
 from ..stencils.variable import VariableCoefficientStencil
@@ -149,7 +148,8 @@ class FusedSweepKernel(InplaceKernel):
         return _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
 
     # ------------------------------------------------------------------
-    def sweep_runner(self, executor, src, dst, round_t, parallel=False):
+    def sweep_runner(self, executor, src, dst, round_t, parallel=False,
+                     z_core=None):
         """The (cached) whole-round runner of a multi-tile round.
 
         A 3.5D round cuts bandwidth by ``dim_T / kappa`` (Eq. 2), so when
@@ -163,7 +163,7 @@ class FusedSweepKernel(InplaceKernel):
         path), for kernels and layouts without a flat lowering, and for
         single-tile rounds (the full-plane plan is already the batched
         layout's limit case).  Runners live in ``executor.sweep_runners``,
-        matched by ping/pong buffer identity like codegen's.
+        matched by ping/pong buffer identity and Z core like codegen's.
         """
         if parallel or FAULTS.armed("memory.flip"):
             return None
@@ -174,6 +174,7 @@ class FusedSweepKernel(InplaceKernel):
                 and runner.src_data is src.data
                 and runner.dst_data is dst.data
                 and runner.round_t == round_t
+                and runner.z_core == z_core
             ):
                 break
         else:
@@ -185,7 +186,7 @@ class FusedSweepKernel(InplaceKernel):
                 cls = _BatchedRunner
             else:
                 return None
-            runner = cls(self, executor, src, dst, round_t)
+            runner = cls(self, executor, src, dst, round_t, z_core)
             cache.append(runner)
             del cache[:-4]  # ping/pong plus one spare pair
         FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
@@ -810,15 +811,20 @@ class _VolumeRunner(_RoundRunner):
     them from ``src`` (the boundary is constant in time), the trick the
     full-plane flat store uses.  Steps ping-pong from ``src`` through
     private scratch volumes into ``dst``, so ``src`` is never written and
-    ``dst`` is written only on its interior planes.  Traffic is charged
-    exactly as ``round_t`` calls of :func:`~repro.core.naive.naive_sweep`.
+    ``dst`` is written only on its interior planes.  With a Z core, step
+    ``t`` covers only the planes of its dependence cone
+    (:func:`~repro.core.regions.cone_ranges`) and ``dst`` only the core.
+    Traffic is charged as ``round_t`` calls of
+    :func:`~repro.core.naive.naive_sweep`, each over the planes its step
+    computes (every interior plane without a core).
     """
 
     span = "volume_round"
 
-    def __init__(self, kernel, executor, src, dst, round_t):
+    def __init__(self, kernel, executor, src, dst, round_t, z_core):
         inner = kernel.inner
         self.src_data, self.dst_data, self.round_t = src.data, dst.data, round_t
+        self.z_core = z_core
         r = kernel.radius
         nz, ny, nx = src.shape
         plane = ny * nx
@@ -849,9 +855,20 @@ class _VolumeRunner(_RoundRunner):
                     (_copy, vol[e:], srcflat[e:], None)]
         impl = _flat_impl(inner, src.data, dst.data)
         src3 = src.data[0]
-        for a, b in zip(chain, chain[1:]):
-            for c0 in range(s, e, VOLUME_CHUNK):
-                c1 = min(c0 + VOLUME_CHUNK, e)
+        spans = cone_ranges(
+            (r, nz - r) if z_core is None else z_core, nz, r, round_t
+        )[1:]
+        rp = upd = 0
+        for a, b, (z0, z1) in zip(chain, chain[1:], spans):
+            if z0 >= z1:
+                continue
+            rp += z1 - z0 + 2 * r
+            upd += z1 - z0
+            # from the first to the last interior point of the step's planes
+            lo = z0 * plane + r * nx + r
+            hi = (z1 - 1) * plane + (ny - r - 1) * nx + nx - r
+            for c0 in range(lo, hi, VOLUME_CHUNK):
+                c1 = min(c0 + VOLUME_CHUNK, hi)
 
                 def window(dz, dy, dx, a=a, c0=c0, c1=c1):
                     off = dz * plane + dy * nx + dx
@@ -861,22 +878,20 @@ class _VolumeRunner(_RoundRunner):
                 _emit_taps(ops, impl, inner, dtype.type, b[c0:c1], tmp, window)
             b3 = b.reshape(nz, ny, nx)
             for box in (
-                (slice(r, nz - r), slice(0, r)),
-                (slice(r, nz - r), slice(ny - r, ny)),
+                (slice(z0, z1), slice(0, r)),
+                (slice(z0, z1), slice(ny - r, ny)),
             ):
                 ops.append((_copy, b3[box], src3[box], None))
             xb, xs = (
-                _x_lanes(v.reshape(nz, plane)[r : nz - r], ny, nx, r)
+                _x_lanes(v.reshape(nz, plane)[z0:z1], ny, nx, r)
                 for v in (b3, src3)
             )
             ops.append((_copy, xb, xs, None))
         self._ops = tuple(ops)
-        npts = interior_points(src.shape, r)
+        pts = (ny - 2 * r) * (nx - 2 * r)
         esize = src.element_size()
         self._traffic = (
-            round_t * nz * plane * esize, round_t * nz,
-            round_t * npts * esize, round_t * (nz - 2 * r),
-            round_t * npts,
+            rp * plane * esize, rp, upd * pts * esize, upd, upd * pts,
         )
         self.ops_per_update = kernel.ops_per_update
 
@@ -941,9 +956,10 @@ class _BatchedRunner(_RoundRunner):
 
     span = "batched_round"
 
-    def __init__(self, kernel, executor, src, dst, round_t):
+    def __init__(self, kernel, executor, src, dst, round_t, z_core):
         inner = kernel.inner
         self.src_data, self.dst_data, self.round_t = src.data, dst.data, round_t
+        self.z_core = z_core
         r = kernel.radius
         nz, ny, nx = src.shape
         dtype = src.data.dtype
@@ -1033,17 +1049,23 @@ class _BatchedRunner(_RoundRunner):
         for z in shell_zs:
             gather(self._shell_ops, ("s", z), z)
         ops: list = []
-        for step in executor._get_schedule(nz, round_t).steps:
+        loads = stores = 0
+        computes = [0] * (round_t + 1)  # planes computed per instance
+        for step in executor._get_schedule(nz, round_t, z_core).steps:
             kind, t, z = step.kind, step.t, step.z
             if kind is StepKind.LOAD:
                 if z not in sc.shell:
                     gather(ops, pkey(0, z), z)
-            elif kind is StepKind.COMPUTE:
+                    loads += 1
+                continue
+            computes[t] += 1
+            if kind is StepKind.COMPUTE:
                 target = (t, z % slots)
                 stencil(ops, planes[target][s:e], t, z)
                 for a, b in zip(edges[target], edges[pkey(t - 1, z)]):
                     ops.append((_copy, a, b, None))
             else:
+                stores += 1
                 stencil(ops, sc.out[s:e], t, z)
                 for view, (ty, tx) in zip(cores, pairs):
                     ops.append((_copy,
@@ -1052,20 +1074,20 @@ class _BatchedRunner(_RoundRunner):
         self._ops = tuple(ops)
         # the per-tile plans' charge, summed over tiles: shell and load
         # reads of each extent, one update per instance-region point, the
-        # core written once
+        # core written once per stored plane
         esize = src.element_size()
         ext = sum(tile.extent_points for tile in tiles)
         core = sum(tile.core_points for tile in tiles)
-        inner_zs = nz - 2 * r
         pts = 0
         for tile in tiles:
             for t in range(1, round_t + 1):
                 y0, y1 = compute_range(tile.y.core, ny, r, round_t, t)
                 x0, x1 = compute_range(tile.x.core, nx, r, round_t, t)
-                pts += inner_zs * (y1 - y0) * (x1 - x0)
+                pts += computes[t] * (y1 - y0) * (x1 - x0)
+        reads = len(shell_zs) + loads
         self._traffic = (
-            nz * ext * esize, nz * len(tiles),
-            inner_zs * core * esize, inner_zs * len(tiles),
+            reads * ext * esize, reads * len(tiles),
+            stores * core * esize, stores * len(tiles),
             pts,
         )
 

@@ -102,14 +102,17 @@ def _probe_first_tile(wrapped, ref_kernel, name: str, probe_field) -> None:
     This is where lazily-failing backends (JIT compilation at first call,
     injected ``backend.compute`` faults) actually fail, and where a backend
     that runs but produces different bits is caught before it contaminates
-    a long sweep.
+    a long sweep.  ``memory.flip`` is held off meanwhile: a flip is silent
+    data corruption for the sweep's integrity guard to catch, not a
+    backend fault, and spending it here would degrade a working backend.
     """
     from ..core.blocking35d import Blocking35D
     from ..core.naive import run_naive
 
     FAULTS.fire("backend.compute", detail=name)
     ny, nx = probe_field.ny, probe_field.nx
-    out = Blocking35D(wrapped, 1, ny, nx).run(probe_field, 1)
+    with FAULTS.held("memory.flip"):
+        out = Blocking35D(wrapped, 1, ny, nx).run(probe_field, 1)
     ref = run_naive(ref_kernel, probe_field, 1)
     if not np.array_equal(out.data, ref.data):
         raise ResilienceError(

@@ -170,6 +170,7 @@ class FaultInjector:
     def __init__(self) -> None:
         self._specs: list[FaultSpec] = []
         self._lock = threading.Lock()
+        self._local = threading.local()  # .held: sites held off (held())
         self.fired: list[tuple[str, str | None]] = []
 
     # -- arming --------------------------------------------------------
@@ -209,18 +210,40 @@ class FaultInjector:
             with self._lock:
                 self._specs = saved
 
+    @contextmanager
+    def held(self, site: str):
+        """Hold ``site`` off on this thread for a ``with`` block.
+
+        Its probes neither fire nor spend budget there and ``armed`` does
+        not count it; other sites, and other threads, stay armed.  A
+        backend's bind probe holds ``memory.flip`` this way so the flip is
+        left for the sweep whose integrity guard must catch it.
+        """
+        held = getattr(self._local, "held", None)
+        if held is None:
+            held = self._local.held = set()
+        outer = site in held
+        held.add(site)
+        try:
+            yield self
+        finally:
+            if not outer:
+                held.discard(site)
+
     # -- probing -------------------------------------------------------
     def armed(self, site: str | None = None) -> bool:
         """True when any spec (for ``site``, if given) still has budget."""
+        held = getattr(self._local, "held", ())
         with self._lock:
             return any(
                 s.times != 0 and (site is None or s.site == site)
+                and s.site not in held
                 for s in self._specs
             )
 
     def should(self, site: str, detail: str | None = None) -> bool:
         """True when an armed spec fires for this probe (consumes budget)."""
-        if not self._specs:
+        if not self._specs or site in getattr(self._local, "held", ()):
             return False
         with self._lock:
             for spec in self._specs:

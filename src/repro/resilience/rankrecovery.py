@@ -33,11 +33,11 @@ the classic buddy-checkpointing failure model.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import data_digest
 from .faultinject import ResilienceError
 
 __all__ = [
@@ -75,10 +75,10 @@ class BuddySnapshot:
     z1: int
     data: np.ndarray  # (ncomp, z1 - z0, ny, nx) slab copy
     meta: dict = field(default_factory=dict)
-    #: sha256 content digest of ``data``, stamped by the store at
-    #: checkpoint time and re-verified at restore — a replica that rotted
-    #: in the holder's memory is refused, never replayed from
-    sha256: str = ""
+    #: CRC32 of ``data``, stamped by the store at checkpoint time and
+    #: re-verified at restore — a replica that rotted in the holder's
+    #: memory is refused, never replayed from
+    crc32: int | None = None
 
 
 class BuddyStore:
@@ -102,12 +102,14 @@ class BuddyStore:
         """Record ``snap`` as the owner's round-start state; replicate to
         ``holder`` when one is given (counted in ``bytes_replicated``).
 
-        Both copies are stamped with a sha256 content digest;
+        Both copies are stamped with a CRC32 of the slab, the checksum the
+        SDC plane seals use: a snapshot lives in memory for one round, and
+        what can rot it there is bit flips, not an adversary.
         :meth:`restore` re-verifies it so state that rotted between
         checkpoint and recovery is refused instead of replayed from.
         """
-        if not snap.sha256:
-            snap.sha256 = data_digest(snap.data)
+        if snap.crc32 is None:
+            snap.crc32 = _slab_crc(snap.data)
         self._own[snap.owner] = snap
         self.snapshots += 1
         if holder is None:
@@ -122,7 +124,7 @@ class BuddyStore:
             z1=snap.z1,
             data=snap.data.copy(),
             meta=dict(snap.meta),
-            sha256=snap.sha256,
+            crc32=snap.crc32,
         )
         self._replica[snap.owner] = (holder, replica)
         self.bytes_replicated += replica.data.nbytes
@@ -158,14 +160,19 @@ class BuddyStore:
 
     @staticmethod
     def _verified(snap: BuddySnapshot, kind: str) -> BuddySnapshot:
-        """Refuse a snapshot whose payload no longer matches its digest."""
-        if snap.sha256 and data_digest(snap.data) != snap.sha256:
+        """Refuse a snapshot whose payload no longer matches its CRC32."""
+        if snap.crc32 is not None and _slab_crc(snap.data) != snap.crc32:
             raise UnrecoverableRankFailureError(
                 f"rank {snap.owner}'s {kind} (round {snap.round_index}) "
-                "failed its sha256 content digest — the round-start slab "
-                "rotted after checkpointing and cannot be replayed from"
+                "failed its crc32 check — the round-start slab rotted "
+                "after checkpointing and cannot be replayed from"
             )
         return snap
+
+
+def _slab_crc(data: np.ndarray) -> int:
+    """CRC32 of a slab's raw bytes (C order)."""
+    return zlib.crc32(np.ascontiguousarray(data))
 
 
 def buddy_of(rank: int, live: list[int]) -> int | None:

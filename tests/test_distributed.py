@@ -767,3 +767,174 @@ class TestWarmRankBuffers:
         assert owns and all(
             any(np.shares_memory(o, b) for b in bufs) for o in owns
         )
+
+
+# ----------------------------------------------------------------------
+# cone-trimmed rounds: each region computes only its core's dependence cone
+# ----------------------------------------------------------------------
+
+#: (layout, tile for a dim_t): one whole-plane tile; several tiles whose
+#: plan has kappa <= dim_t (fused-numpy's batched round); tiles so small
+#: that kappa > dim_t (its volume round).  Planes are 16 x 16.
+_CONE_LAYOUTS = {
+    "single": lambda dim_t: None,
+    "batched": lambda dim_t: 14,
+    "volume": lambda dim_t: 2 * dim_t + 2,
+}
+
+
+def _cone_cases():
+    """Every kernel x rung x layout once; ranks, dim_t and overlap cycle
+    so that each value meets several kernels, rungs and layouts."""
+    cases = []
+    for k, kind in enumerate(("7pt", "27pt", "varco")):
+        for g, rung in enumerate(("fused-numpy", "numpy", "codegen")):
+            for layout_i, layout in enumerate(_CONE_LAYOUTS):
+                cases.append(_cone_case(kind, rung, layout, k, g, layout_i))
+    return cases
+
+
+def _cone_case(kind, rung, layout, k, g, layout_i):
+    n_ranks = 2 + (layout_i + g) % 3
+    if layout == "batched":  # a multi-tile plan with kappa <= dim_t
+        dim_t = 2 + (g + k) % 3
+    else:
+        dim_t = 1 + (layout_i + 2 * g + k) % 4
+    steps = dim_t + 1  # a full round, then a partial one when dim_t > 1
+    overlap = (k + g + layout_i) % 2 == 0
+    return pytest.param(
+        kind, rung, layout, n_ranks, dim_t, steps, overlap,
+        id=f"{kind}-{rung}-{layout}-r{n_ranks}-t{dim_t}-"
+        f"{'overlap' if overlap else 'fused'}",
+    )
+
+
+def _cone_run(kind, rung, layout, n_ranks, dim_t, steps, overlap, **kw):
+    from repro.perf.backends import wrap_kernel
+
+    h = dim_t  # every kernel here has radius 1
+    shape = (n_ranks * (2 * h + 2) + 1, 16, 16)
+    kernel = _case_kernel(kind, shape)
+    tile = _CONE_LAYOUTS[layout](dim_t)
+    dj = DistributedJacobi(wrap_kernel(kernel, rung), n_ranks, dim_t=dim_t,
+                           tile_y=tile, tile_x=tile, overlap=overlap, **kw)
+    field = Field3D.random(shape, dtype=np.float32, seed=n_ranks + dim_t)
+    out, _ = dj.run(field, steps)
+    return dj, out, run_naive(kernel, field, steps)
+
+
+@pytest.mark.parametrize(
+    "kind,rung,layout,n_ranks,dim_t,steps,overlap", _cone_cases())
+def test_cone_trimmed_rounds_match_naive(monkeypatch, tmp_path, kind, rung,
+                                         layout, n_ranks, dim_t, steps,
+                                         overlap):
+    from repro.perf.codegen import (
+        CODEGEN_CACHE_ENV,
+        CODEGEN_MODE_ENV,
+        _CodegenSweepRunner,
+    )
+    from repro.perf.fused import _BatchedRunner, _VolumeRunner
+
+    monkeypatch.setenv(CODEGEN_MODE_ENV, "python")
+    monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "cg"))
+    dj, out, ref = _cone_run(kind, rung, layout, n_ranks, dim_t, steps,
+                             overlap)
+    assert np.array_equal(out.data, ref.data)
+    # the layout really ran the path it names (full rounds only: a
+    # partial round has its own tile plan)
+    executors = [reg.executor for rs in dj._ranks.values()
+                 for (_, h), reg in rs.regions.items() if h == dim_t]
+    runners = {type(r) for ex in executors for r in ex.sweep_runners}
+    if rung == "codegen":
+        assert runners == {_CodegenSweepRunner}
+    elif rung == "fused-numpy" and kind != "varco":
+        expect = {"single": set(), "batched": {_BatchedRunner},
+                  "volume": {_VolumeRunner}}[layout]
+        assert runners == expect
+    else:  # no flat lowering (varco) or the reference rung: per-tile plans
+        assert runners == set()
+
+
+@pytest.mark.parametrize("layout", sorted(_CONE_LAYOUTS))
+def test_cone_trimmed_stepwise_round_matches_naive(layout):
+    """An armed ``memory.flip`` keeps the fused rungs on the stepwise
+    schedule path (its ring site lives there); this flip is armed but out
+    of reach, so the trimmed schedule must reproduce the oracle."""
+    from repro.resilience.faultinject import FAULTS
+
+    with FAULTS.injected("memory.flip=ring:1@1000000000"):
+        _, out, ref = _cone_run("7pt", "fused-numpy", layout, 3, 2, 5, True)
+    assert np.array_equal(out.data, ref.data)
+
+
+def test_cone_trimmed_ring_flip_is_healed_bit_exact():
+    from repro.resilience.faultinject import FAULTS
+
+    detected = 0
+    for skip in range(0, 40, 8):
+        with FAULTS.injected(f"memory.flip=ring:1@{skip}"):
+            dj, out, ref = _cone_run("7pt", "fused-numpy", "single", 3, 2, 5,
+                                     True, integrity="full")
+        assert np.array_equal(out.data, ref.data)
+        assert dj.sdc_report.heals == dj.sdc_report.detections
+        detected += dj.sdc_report.detections
+    assert detected >= 1
+
+
+def _cone_updates(shape, n_ranks, dim_t, steps, r=1):
+    """The closed form: per round, each rank's overlap split computes the
+    cone of every region's core (``SlabSplit.cone_plane_updates``) over
+    the whole XY interior (one whole-plane tile)."""
+    from repro.core.regions import split_slab
+
+    nz, ny, nx = shape
+    rounds = [dim_t] * (steps // dim_t) + [steps % dim_t] * (steps % dim_t > 0)
+    planes = 0
+    for round_t in rounds:
+        for s in decompose_z(nz, n_ranks, r * dim_t):
+            split = split_slab(s.z0, s.z1, nz, r * round_t, s.lo_cut,
+                               s.hi_cut)
+            planes += split.cone_plane_updates(r)
+    return planes * (ny - 2 * r) * (nx - 2 * r)
+
+
+class TestConeTrimmedCounts:
+    def test_halo_4rank_updates_equal_the_closed_form(self):
+        from repro.core.traffic import TrafficStats
+        from repro.perf.backends import wrap_kernel
+
+        k = SevenPointStencil()
+        f = Field3D.random((128, 128, 128), dtype=np.float32, seed=1)
+        dj = DistributedJacobi(wrap_kernel(k, "fused-numpy"), 4, dim_t=4,
+                               tile_y=128, tile_x=128, overlap=True,
+                               latency_s=2e-4, bandwidth_bytes_s=2e9)
+        traffic = TrafficStats()
+        out, comm = dj.run(f, 8, traffic)
+        assert traffic.updates == _cone_updates(f.shape, 4, 4, 8)
+        assert traffic.updates == 19_432_224  # 612 plane-updates per round
+        # exchange unchanged by the trim: 3 boundaries x 2 directions x 2
+        # rounds of 4-plane halos
+        total = comm.total_stats()
+        assert total.messages_sent == dj.expected_messages(f.nz, 8) == 12
+        assert total.bytes_sent == dj.expected_bytes(f, 8) == 3_145_728
+        assert np.array_equal(out.data, run_naive(k, f, 8).data)
+
+    @pytest.mark.parametrize("n_ranks,dim_t,steps,nz", [
+        (2, 1, 3, 11), (2, 3, 7, 14), (3, 2, 5, 24), (4, 4, 9, 40),
+        (4, 2, 5, 9),  # slabs too thin for an interior: fused rounds
+    ])
+    @pytest.mark.parametrize("rung", ["fused-numpy", "numpy"])
+    def test_updates_equal_the_closed_form(self, n_ranks, dim_t, steps, nz,
+                                           rung):
+        from repro.core.traffic import TrafficStats
+        from repro.perf.backends import wrap_kernel
+
+        k = SevenPointStencil()
+        f = Field3D.random((nz, 9, 10), dtype=np.float32, seed=nz)
+        dj = DistributedJacobi(wrap_kernel(k, rung), n_ranks, dim_t=dim_t,
+                               overlap=True)
+        traffic = TrafficStats()
+        out, _ = dj.run(f, steps, traffic)
+        assert traffic.updates == _cone_updates(f.shape, n_ranks, dim_t,
+                                                steps)
+        assert np.array_equal(out.data, run_naive(k, f, steps).data)

@@ -152,6 +152,24 @@ class TestSplitSlab:
         assert s.redundant_planes() == 8  # 2 * 2*halo
         assert s.overestimation() == pytest.approx(8 / 14)
 
+    def test_cone_plane_updates(self):
+        # halo-4rank geometry: 128 planes, 4 ranks of 32, R 1, dim_T 4
+        edge = split_slab(0, 32, 128, halo=4, lo_cut=False, hi_cut=True)
+        mid = split_slab(32, 64, 128, halo=4, lo_cut=True, hi_cut=True)
+        # interior: core (0, 28) clipped to (1, 28), widened by 3, 2, 1, 0
+        # at t = 1..4 and clipped to (1, 31): 30 + 29 + 28 + 27
+        # strip: core of 4 planes widened by 2R(4 - t): 10 + 8 + 6 + 4
+        assert edge.cone_plane_updates(1) == 114 + 28
+        assert mid.cone_plane_updates(1) == (30 + 28 + 26 + 24) + 2 * 28
+        # so a round of the four ranks computes 2 * (142 + 164) = 612
+        # plane-updates, where sweeping every non-shell plane of each
+        # region at every instance computed 2 * 4 * (40 + 50) = 720
+
+    def test_cone_plane_updates_of_a_thin_slab_is_the_fused_cone(self):
+        s = split_slab(10, 14, 40, halo=2, lo_cut=True, hi_cut=True)
+        # the owned planes (10, 14) out of (8, 16), widened by 2 then 0
+        assert s.cone_plane_updates(1) == 6 + 4
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             split_slab(10, 10, 40, halo=2, lo_cut=True, hi_cut=True)

@@ -124,6 +124,21 @@ class TestFaultInjector:
             assert inj.armed("grid.nan")
         assert not inj.armed()
 
+    def test_held_site_is_off_on_this_thread_only(self):
+        inj = FaultInjector()
+        inj.arm("memory.flip=ring:1", "grid.nan")
+        seen = []
+        with inj.held("memory.flip"):
+            assert not inj.armed("memory.flip")
+            assert not inj.should("memory.flip", "ring")  # budget kept
+            assert inj.armed("grid.nan")
+            worker = threading.Thread(
+                target=lambda: seen.append(inj.armed("memory.flip")))
+            worker.start()
+            worker.join()
+        assert seen == [True]
+        assert inj.should("memory.flip", "ring")
+
     def test_env_loading(self):
         inj = FaultInjector()
         n = inj.load_env({"REPRO_FAULTS": "grid.nan, comm.drop:2"})

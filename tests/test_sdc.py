@@ -329,11 +329,30 @@ class TestDurableDigests:
         restored = store.restore(0, alive=lambda r: True)
         np.testing.assert_array_equal(restored.data, data)
         data[0, 2, 1, 1] += 1e-12  # rot the owner's copy in place
-        with pytest.raises(UnrecoverableRankFailureError, match="sha256"):
+        with pytest.raises(UnrecoverableRankFailureError, match="crc32"):
             store.restore(0, alive=lambda r: True)
         # the replica was copied before the rot: still restorable
         replica = store.restore(0, alive=lambda r: r != 0)
-        assert replica.sha256 and not np.shares_memory(replica.data, data)
+        assert replica.crc32 and not np.shares_memory(replica.data, data)
+
+    @pytest.mark.parametrize("offset", ["first", "middle", "last"])
+    def test_buddy_replica_rotted_in_place_refused(self, offset):
+        store = BuddyStore()
+        data = np.random.default_rng(5).random((1, 4, 3, 3))
+        store.checkpoint(
+            BuddySnapshot(owner=0, round_index=2, z0=0, z1=4, data=data),
+            holder=1,
+        )
+        owner_dead = lambda r: r != 0  # noqa: E731
+        replica = store.restore(0, alive=owner_dead)
+        raw = replica.data.reshape(-1).view(np.uint8)
+        i = {"first": 0, "middle": raw.size // 2, "last": raw.size - 1}[offset]
+        raw[i] ^= 0x10  # one flipped bit in the holder's memory
+        with pytest.raises(UnrecoverableRankFailureError, match="crc32"):
+            store.restore(0, alive=owner_dead)
+        # the owner's own copy is intact: a live owner still restores
+        np.testing.assert_array_equal(
+            store.restore(0, alive=lambda r: True).data, data)
 
 
 class TestQuarantineGC:
@@ -553,6 +572,42 @@ class TestCliSdc:
             "--verify", "full",
         ])
         assert rc == 3
+
+    @pytest.mark.parametrize("ranks", [[], ["--ranks", "2"]])
+    def test_ring_flip_is_left_for_the_guard_not_the_bind_probe(
+        self, capsys, monkeypatch, ranks
+    ):
+        # the first-tile probe holds memory.flip off: the default rung
+        # binds, and the sweep's guard detects and heals the flip
+        monkeypatch.setenv("REPRO_FAULTS", "memory.flip=ring:1")
+        rc = cli_main([
+            "run", *ranks, "--grid", "24", "--steps", "8", "--dim-t", "2",
+            "--tile", "24", "--verify", "full",
+        ])
+        out = capsys.readouterr().out
+        assert rc == 3
+        assert "backend      : fused-numpy" in out
+        assert "backend used" not in out  # no degradation
+        assert "sdc detected" in out and "sdc healed" in out
+        assert "bit-identical to the naive reference" in out
+
+    def test_bind_probe_keeps_backend_faults_armed(self):
+        from repro.resilience import (
+            DegradedExecutionWarning,
+            bind_with_fallback,
+        )
+
+        probe = Field3D.random((10, 10, 10), seed=1)
+        # @1 skips the probe's own entry fire, so the fault fires in the
+        # fused tile runner, inside the memory.flip hold
+        with FAULTS.injected("memory.flip=ring:1",
+                             "backend.compute=fused-numpy@1"):
+            with pytest.warns(DegradedExecutionWarning):
+                bound = bind_with_fallback(SevenPointStencil(), "fused-numpy",
+                                           probe_field=probe)
+            assert FAULTS.armed("memory.flip")  # budget left for the sweep
+        assert bound.used == "numpy-inplace"
+        assert [d.stage for d in bound.degradations] == ["probe"]
 
     def test_faults_list_documents_sdc_sites(self, capsys):
         assert cli_main(["faults"]) == 0
