@@ -953,7 +953,7 @@ def _cmd_faults() -> int:
     print("  rank.crash=2@1   kill rank 2 after it survives 1 round")
     print("  comm.drop:3      drop the next 3 transported messages")
     print("  serve.journal=done   tear the next terminal journal record")
-    print("  backend.compute=fused-numba:*   every fused-numba compute raises")
+    print("  backend.compute=fused-numpy:*   every fused-numpy compute raises")
     print("  memory.flip=0:2:3    flip 3 bits in rank 0's grid after round 2")
     print("  memory.flip=ring     flip a bit in a 3.5D ring-buffer plane")
     print("  disk.bitrot@1        rot the 2nd checkpoint payload written")

@@ -320,6 +320,7 @@ class TuningCache:
         (The ``cache.corrupt`` fault site simulates the crash a *non*-atomic
         writer would suffer, for the quarantine tests.)
         """
+        from ..resilience.atomic import atomic_write
         from ..resilience.faultinject import FAULTS
 
         data = self._load()
@@ -334,19 +335,14 @@ class TuningCache:
         )
         data[key] = entry
         self._evict(data)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         serialized = json.dumps(data, indent=2, sort_keys=True) + "\n"
         if FAULTS.should("cache.corrupt"):
             # simulated crash mid-write: a half-written JSON at the real path
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "w", encoding="utf-8") as fh:
                 fh.write(serialized[: max(1, len(serialized) // 2)])
             return
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(serialized)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.path)
+        atomic_write(self.path, serialized)
 
     def _evict(self, data: dict) -> int:
         """Drop least-recently-written entries beyond ``max_entries``."""
@@ -374,14 +370,11 @@ class TuningCache:
         data = self._load()
         removed = self._evict(data)
         if removed:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            serialized = json.dumps(data, indent=2, sort_keys=True) + "\n"
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(serialized)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            from ..resilience.atomic import atomic_write
+
+            atomic_write(
+                self.path, json.dumps(data, indent=2, sort_keys=True) + "\n"
+            )
         return removed, len(data)
 
     def clear(self) -> None:

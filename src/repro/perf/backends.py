@@ -18,10 +18,13 @@ A *backend* is a strategy for executing a :class:`~repro.stencils.base.PlaneKern
     per-kernel :class:`~repro.stencils.base.ScratchArena` and all arithmetic
     uses ``np.add/np.multiply(..., out=...)`` with the same operand pairing,
     so results stay bit-identical while the steady state allocates nothing.
-``numba``
-    Optional ``@njit``-compiled plane loops, auto-detected at import time.
-    Kernels without a compiled specialization fall back to the in-place
-    path.  Unavailable (but still listed) when numba is not installed.
+``fused-numpy``
+    The 3.5D executors' fused sweeps: prebound ufunc instruction plans per
+    tile, batched and volume rounds (:mod:`repro.perf.fused`).  The default.
+``codegen``
+    The one compiled path: each 3.5D round's whole loop nest generated as
+    source, ``@njit``-compiled and disk-cached (:mod:`repro.perf.codegen`).
+    Listed but unavailable when numba is not installed.
 
 Selection: explicitly by name, or via the ``REPRO_BACKEND`` environment
 variable (the default when no name is given), or through the CLI's
@@ -34,10 +37,8 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..resilience.faultinject import FAULTS
-from ..stencils.base import PlaneKernel, ScratchArena, validate_footprint
+from ..stencils.base import PlaneKernel, ScratchArena
 
 __all__ = [
     "REPRO_BACKEND_ENV",
@@ -120,344 +121,6 @@ class InplaceKernel(PlaneKernel):
 
 
 # ----------------------------------------------------------------------
-# optional numba backend
-# ----------------------------------------------------------------------
-
-def _detect_numba() -> tuple[bool, str | None]:
-    try:
-        import numba  # noqa: F401
-    except Exception as exc:  # pragma: no cover - depends on environment
-        return False, (
-            f"numba not importable: {exc}; install it with "
-            "`pip install numba` (or `pip install 'repro[numba]'`)"
-        )
-    return True, None
-
-
-_NUMBA_AVAILABLE, _NUMBA_REASON = _detect_numba()
-_SEVEN_POINT_JIT = None
-_TWENTY_SEVEN_JIT = None
-_GENERIC_R1_JIT = None
-_VARCO_JIT = None
-
-
-def _seven_point_jit():  # pragma: no cover - requires numba
-    """Compile (once) the scalar-loop 7-point plane update.
-
-    The loop associates the neighbor sums exactly as the NumPy reference —
-    ``((below+above) + (y-pair)) + (x-pair)`` — and numba's default
-    ``fastmath=False`` forbids FMA contraction, so results are bit-identical.
-    """
-    global _SEVEN_POINT_JIT
-    if _SEVEN_POINT_JIT is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def run(out, below, mid, above, y0, y1, x0, x1, alpha, beta):
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    acc = (
-                        (below[y, x] + above[y, x])
-                        + (mid[y - 1, x] + mid[y + 1, x])
-                    ) + (mid[y, x - 1] + mid[y, x + 1])
-                    out[y, x] = alpha * mid[y, x] + beta * acc
-
-        _SEVEN_POINT_JIT = run
-    return _SEVEN_POINT_JIT
-
-
-def _twenty_seven_jit():  # pragma: no cover - requires numba
-    """Compile (once) the scalar-loop 27-point plane update.
-
-    Per point the four neighbor groups are summed in the reference
-    generation order (``_FACES``/``_EDGES``/``_CORNERS``), each group
-    starting from its first member, then weighted and accumulated onto
-    ``center * mid`` — the exact association of
-    ``TwentySevenPointStencil.compute_plane``.
-    """
-    global _TWENTY_SEVEN_JIT
-    if _TWENTY_SEVEN_JIT is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def run(out, below, mid, above, y0, y1, x0, x1, offs,
-                center, face, edge, corner):
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    sface = below[y + offs[0, 1], x + offs[0, 2]]
-                    for j in range(1, 6):
-                        dz = offs[j, 0]
-                        yy = y + offs[j, 1]
-                        xx = x + offs[j, 2]
-                        if dz < 0:
-                            sface += below[yy, xx]
-                        elif dz > 0:
-                            sface += above[yy, xx]
-                        else:
-                            sface += mid[yy, xx]
-                    dz = offs[6, 0]
-                    yy = y + offs[6, 1]
-                    xx = x + offs[6, 2]
-                    if dz < 0:
-                        sedge = below[yy, xx]
-                    elif dz > 0:
-                        sedge = above[yy, xx]
-                    else:
-                        sedge = mid[yy, xx]
-                    for j in range(7, 18):
-                        dz = offs[j, 0]
-                        yy = y + offs[j, 1]
-                        xx = x + offs[j, 2]
-                        if dz < 0:
-                            sedge += below[yy, xx]
-                        elif dz > 0:
-                            sedge += above[yy, xx]
-                        else:
-                            sedge += mid[yy, xx]
-                    dz = offs[18, 0]
-                    yy = y + offs[18, 1]
-                    xx = x + offs[18, 2]
-                    if dz < 0:
-                        scorner = below[yy, xx]
-                    else:
-                        scorner = above[yy, xx]
-                    for j in range(19, 26):
-                        dz = offs[j, 0]
-                        yy = y + offs[j, 1]
-                        xx = x + offs[j, 2]
-                        if dz < 0:
-                            scorner += below[yy, xx]
-                        else:
-                            scorner += above[yy, xx]
-                    v = center * mid[y, x]
-                    v += face * sface
-                    v += edge * sedge
-                    v += corner * scorner
-                    out[y, x] = v
-
-        _TWENTY_SEVEN_JIT = run
-    return _TWENTY_SEVEN_JIT
-
-
-def _generic_r1_jit():  # pragma: no cover - requires numba
-    """Compile (once) the radius-1 generic-taps plane update.
-
-    Accumulates taps in the kernel's sorted order starting from the first
-    tap, matching ``GenericStencil.compute_plane``'s zero-initialized sum
-    (identical up to the sign of exact zeros, which ``np.array_equal``
-    treats as equal).
-    """
-    global _GENERIC_R1_JIT
-    if _GENERIC_R1_JIT is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def run(out, below, mid, above, y0, y1, x0, x1, offs, weights):
-            ntaps = offs.shape[0]
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    dz = offs[0, 0]
-                    yy = y + offs[0, 1]
-                    xx = x + offs[0, 2]
-                    if dz < 0:
-                        v = below[yy, xx]
-                    elif dz > 0:
-                        v = above[yy, xx]
-                    else:
-                        v = mid[yy, xx]
-                    acc = weights[0] * v
-                    for j in range(1, ntaps):
-                        dz = offs[j, 0]
-                        yy = y + offs[j, 1]
-                        xx = x + offs[j, 2]
-                        if dz < 0:
-                            v = below[yy, xx]
-                        elif dz > 0:
-                            v = above[yy, xx]
-                        else:
-                            v = mid[yy, xx]
-                        acc += weights[j] * v
-                    out[y, x] = acc
-
-        _GENERIC_R1_JIT = run
-    return _GENERIC_R1_JIT
-
-
-def _varco_jit():  # pragma: no cover - requires numba
-    """Compile (once) the variable-coefficient 7-point plane update.
-
-    Neighbor accumulation order matches
-    ``VariableCoefficientStencil.compute_plane``: the z pair first, then the
-    four unpaired in-plane neighbors, then ``a*mid + b*acc``.
-    """
-    global _VARCO_JIT
-    if _VARCO_JIT is None:
-        import numba
-
-        @numba.njit(cache=False)
-        def run(out, below, mid, above, y0, y1, x0, x1,
-                coef_a, coef_b, gz, gy0, gx0):
-            for y in range(y0, y1):
-                for x in range(x0, x1):
-                    acc = below[y, x] + above[y, x]
-                    acc += mid[y - 1, x]
-                    acc += mid[y + 1, x]
-                    acc += mid[y, x - 1]
-                    acc += mid[y, x + 1]
-                    out[y, x] = (
-                        coef_a[gz, gy0 + y, gx0 + x] * mid[y, x]
-                        + coef_b[gz, gy0 + y, gx0 + x] * acc
-                    )
-
-        _VARCO_JIT = run
-    return _VARCO_JIT
-
-
-class _NumbaPlaneKernel(PlaneKernel):  # pragma: no cover - requires numba
-    """Shared delegation shell for njit-compiled plane kernels."""
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.radius = inner.radius
-        self.ncomp = inner.ncomp
-        self.ops_per_update = inner.ops_per_update
-        self.flops_per_update = getattr(inner, "flops_per_update", 0)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.inner!r})"
-
-    def element_size(self, dtype) -> int:
-        return self.inner.element_size(dtype)
-
-    def padded_for(self, halo: int, shape: tuple[int, int, int]) -> PlaneKernel:
-        inner = self.inner.padded_for(halo, shape)
-        return self if inner is self.inner else type(self)(inner)
-
-    def restricted_to(self, zlo: int, zhi: int) -> PlaneKernel:
-        inner = self.inner.restricted_to(zlo, zhi)
-        return self if inner is self.inner else type(self)(inner)
-
-
-class _NumbaSevenPoint(_NumbaPlaneKernel):  # pragma: no cover - requires numba
-    """njit-compiled SevenPointStencil (same coefficients, same bits)."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._fn = _seven_point_jit()
-
-    def compute_plane(self, out, src, yr, xr, gz=0, gy0=0, gx0=0):
-        validate_footprint(out.shape[1:], yr, xr, self.radius)
-        dtype = out.dtype.type
-        self._fn(
-            out[0],
-            src[0][0],
-            src[1][0],
-            src[2][0],
-            yr[0],
-            yr[1],
-            xr[0],
-            xr[1],
-            dtype(self.inner.alpha),
-            dtype(self.inner.beta),
-        )
-
-
-class _NumbaTwentySevenPoint(_NumbaPlaneKernel):  # pragma: no cover
-    """njit-compiled TwentySevenPointStencil (same group order, same bits)."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        from ..stencils.twentyseven_point import _CORNERS, _EDGES, _FACES
-
-        self._offs = np.array(
-            list(_FACES) + list(_EDGES) + list(_CORNERS), dtype=np.int64
-        )
-        self._fn = _twenty_seven_jit()
-
-    def compute_plane(self, out, src, yr, xr, gz=0, gy0=0, gx0=0):
-        validate_footprint(out.shape[1:], yr, xr, self.radius)
-        dtype = out.dtype.type
-        self._fn(
-            out[0], src[0][0], src[1][0], src[2][0],
-            yr[0], yr[1], xr[0], xr[1], self._offs,
-            dtype(self.inner.center), dtype(self.inner.face),
-            dtype(self.inner.edge), dtype(self.inner.corner),
-        )
-
-
-class _NumbaGenericR1(_NumbaPlaneKernel):  # pragma: no cover - requires numba
-    """njit-compiled radius-1 GenericStencil (sorted tap order, same bits)."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._offs = np.array(inner._order, dtype=np.int64)
-        self._weights: dict = {}
-        self._fn = _generic_r1_jit()
-
-    def compute_plane(self, out, src, yr, xr, gz=0, gy0=0, gx0=0):
-        validate_footprint(out.shape[1:], yr, xr, self.radius)
-        weights = self._weights.get(out.dtype)
-        if weights is None:
-            weights = self._weights[out.dtype] = np.array(
-                [self.inner.taps[o] for o in self.inner._order], dtype=out.dtype
-            )
-        self._fn(
-            out[0], src[0][0], src[1][0], src[2][0],
-            yr[0], yr[1], xr[0], xr[1], self._offs, weights,
-        )
-
-
-class _NumbaVariableCoefficient(_NumbaPlaneKernel):  # pragma: no cover
-    """njit-compiled VariableCoefficientStencil (same-dtype coefficients)."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner)
-        self._fn = _varco_jit()
-        self._fallback = InplaceKernel(inner)
-
-    def compute_plane(self, out, src, yr, xr, gz=0, gy0=0, gx0=0):
-        if self.inner.alpha.dtype != out.dtype:
-            # mixed precision follows NumPy promotion in the reference;
-            # delegate instead of silently changing the rounding
-            self._fallback.compute_plane(out, src, yr, xr, gz, gy0, gx0)
-            return
-        validate_footprint(out.shape[1:], yr, xr, self.radius)
-        self._fn(
-            out[0], src[0][0], src[1][0], src[2][0],
-            yr[0], yr[1], xr[0], xr[1],
-            self.inner.alpha, self.inner.beta, gz, gy0, gx0,
-        )
-
-
-def _numba_specialize(kernel: PlaneKernel) -> PlaneKernel | None:  # pragma: no cover
-    """The njit per-plane specialization for ``kernel``, or ``None``."""
-    from ..stencils.generic import GenericStencil
-    from ..stencils.seven_point import SevenPointStencil
-    from ..stencils.twentyseven_point import TwentySevenPointStencil
-    from ..stencils.variable import VariableCoefficientStencil
-
-    if type(kernel) is SevenPointStencil:
-        return _NumbaSevenPoint(kernel)
-    if type(kernel) is TwentySevenPointStencil:
-        return _NumbaTwentySevenPoint(kernel)
-    if type(kernel) is GenericStencil and kernel.radius == 1:
-        return _NumbaGenericR1(kernel)
-    if type(kernel) is VariableCoefficientStencil:
-        return _NumbaVariableCoefficient(kernel)
-    return None
-
-
-def _wrap_numba(kernel: PlaneKernel) -> PlaneKernel:  # pragma: no cover
-    if not _NUMBA_AVAILABLE:
-        raise BackendUnavailableError(f"backend 'numba' unavailable: {_NUMBA_REASON}")
-    specialized = _numba_specialize(kernel)
-    if specialized is not None:
-        return specialized
-    # no compiled specialization: the in-place path is the next-best hot path
-    return InplaceKernel(kernel)
-
-
-# ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
 
@@ -465,18 +128,16 @@ def _wrap_numba(kernel: PlaneKernel) -> PlaneKernel:  # pragma: no cover
 class Backend:
     """A named kernel-execution strategy.
 
-    ``available``/``unavailable_reason`` describe availability decided at
-    import time; backends whose availability depends on mutable environment
-    state (e.g. ``codegen``, whose ``REPRO_CODEGEN_MODE=python`` fallback
-    can be enabled at any point) supply ``probe``, a callable re-evaluated
-    on every availability query.
+    ``probe``, when given, decides availability: it is re-evaluated on every
+    availability query, so a backend whose availability depends on mutable
+    environment state (``codegen``, whose ``REPRO_CODEGEN_MODE=python``
+    fallback can be enabled at any point) is judged afresh each time.  A
+    backend without a probe is always available.
     """
 
     name: str
     description: str
     wrap: Callable[[PlaneKernel], PlaneKernel]
-    available: bool = True
-    unavailable_reason: str | None = None
     probe: Callable[[], tuple[bool, str | None]] | None = None
 
 
@@ -494,11 +155,9 @@ def backend_names() -> list[str]:
 
 
 def backend_availability(name: str) -> tuple[bool, str | None]:
-    """Current ``(available, reason)`` for a backend, probing dynamic ones."""
+    """Current ``(available, reason)`` for a backend."""
     b = get_backend(name)
-    if b.probe is not None:
-        return b.probe()
-    return b.available, b.unavailable_reason
+    return b.probe() if b.probe is not None else (True, None)
 
 
 def available_backends() -> list[str]:
@@ -522,7 +181,7 @@ def default_backend_name() -> str:
 
     ``fused-numpy`` binds for every kernel (kernels it cannot lower run its
     in-place plan) and is bit-identical to ``numpy``, so the default never
-    degrades.  The compiled rungs stay opt-in.
+    degrades.  The compiled rung stays opt-in.
     """
     return os.environ.get(REPRO_BACKEND_ENV, "fused-numpy")
 
@@ -531,7 +190,7 @@ def wrap_kernel(kernel: PlaneKernel, backend: str | None = None) -> PlaneKernel:
     """Bind ``kernel`` to a backend (default: :func:`default_backend_name`).
 
     Raises :class:`BackendUnavailableError` when the backend exists but
-    cannot run here (e.g. ``numba`` without numba installed).  The
+    cannot run here (e.g. ``codegen`` without numba installed).  The
     ``backend.bind`` fault site fires here (detail = backend name), so the
     fallback chain's bind-failure path is testable on any machine.
     """
@@ -543,6 +202,24 @@ def wrap_kernel(kernel: PlaneKernel, backend: str | None = None) -> PlaneKernel:
         )
     FAULTS.fire("backend.bind", detail=b.name)
     return b.wrap(kernel)
+
+
+def _wrap_fused_numpy(kernel: PlaneKernel) -> PlaneKernel:
+    from .fused import FusedSweepKernel  # deferred: fused imports this module
+
+    return FusedSweepKernel(kernel)
+
+
+def _wrap_codegen(kernel: PlaneKernel) -> PlaneKernel:
+    from .codegen import CodegenSweepKernel
+
+    return CodegenSweepKernel(kernel)
+
+
+def _codegen_probe() -> tuple[bool, str | None]:
+    from .codegen import codegen_available
+
+    return codegen_available()
 
 
 register_backend(
@@ -562,34 +239,6 @@ register_backend(
 )
 register_backend(
     Backend(
-        name="numba",
-        description="njit-compiled plane loops (7pt/27pt/generic-R1/varco; "
-        "other kernels fall back to the in-place path)",
-        wrap=_wrap_numba,
-        available=_NUMBA_AVAILABLE,
-        unavailable_reason=_NUMBA_REASON,
-    )
-)
-
-
-def _wrap_fused_numpy(kernel: PlaneKernel) -> PlaneKernel:
-    from .fused import FusedSweepKernel  # deferred: fused imports this module
-
-    return FusedSweepKernel(kernel)
-
-
-def _wrap_fused_numba(kernel: PlaneKernel) -> PlaneKernel:  # pragma: no cover
-    if not _NUMBA_AVAILABLE:
-        raise BackendUnavailableError(
-            f"backend 'fused-numba' unavailable: {_NUMBA_REASON}"
-        )
-    from .fused import FusedNumbaSweepKernel
-
-    return FusedNumbaSweepKernel(kernel)
-
-
-register_backend(
-    Backend(
         name="fused-numpy",
         description="fused z-iteration sweeps via prebound ufunc instruction "
         "plans (per-time-instance loop and Python dispatch hoisted out of "
@@ -597,34 +246,6 @@ register_backend(
         wrap=_wrap_fused_numpy,
     )
 )
-register_backend(
-    Backend(
-        name="fused-numba",
-        description="njit whole-z-iteration sweeps with prange row "
-        "parallelism (7pt/27pt/generic/varco; other kernels use the fused "
-        "numpy plan)",
-        wrap=_wrap_fused_numba,
-        available=_NUMBA_AVAILABLE,
-        unavailable_reason=_NUMBA_REASON,
-    )
-)
-
-
-def _wrap_codegen(kernel: PlaneKernel) -> PlaneKernel:
-    from .codegen import CodegenSweepKernel, codegen_available
-
-    ok, reason = codegen_available()
-    if not ok:
-        raise BackendUnavailableError(f"backend 'codegen' unavailable: {reason}")
-    return CodegenSweepKernel(kernel)
-
-
-def _codegen_probe() -> tuple[bool, str | None]:
-    from .codegen import codegen_available
-
-    return codegen_available()
-
-
 register_backend(
     Backend(
         name="codegen",
@@ -646,12 +267,8 @@ def bound_rung(kernel: PlaneKernel) -> str:
     engine = getattr(kernel, "engine", None)
     if engine == "codegen":
         return "codegen"
-    if engine == "numba":
-        return "fused-numba"
     if engine == "numpy":
         return "fused-numpy"
-    if isinstance(kernel, _NumbaPlaneKernel):
-        return "numba"
     if isinstance(kernel, InplaceKernel):
         return "numpy-inplace"
     return "numpy"

@@ -1,7 +1,7 @@
 """Plan-level codegen: compile whole 3.5D sweeps to cached parallel kernels.
 
-The fused engines of :mod:`repro.perf.fused` hoist Python dispatch out of the
-*z-iteration*; this module hoists it out of the *entire sweep round*.  A
+The fused-numpy engine of :mod:`repro.perf.fused` hoists Python dispatch out
+of the *z-iteration*; this module hoists it out of the *entire sweep round*.  A
 whole round's prebound instruction plan — the tile loop, every ring-buffer
 plane rotation, the boundary-strip seam writes and all ``dim_T``
 z-iterations — is lowered into **one generated kernel** whose outer loop
@@ -19,9 +19,11 @@ Layout of the layer:
     widths arrive as int64 arrays at call time, so one compiled kernel
     serves every grid size, tile shape and ``round_t`` — which is what lets
     a warm disk cache mean zero JIT cost for *new* plans too.  The scalar
-    loop bodies mirror the proven bit-exact fused-numba kernels line for
-    line (same operand association, same shell substitution, same strip
-    refresh), so results are bit-identical to every other backend.
+    loop bodies follow the fused-numpy lowerings (same operand association,
+    same shell substitution, same strip refresh), so results are
+    bit-identical to every other backend; ``REPRO_CODEGEN_MODE=python``
+    runs the generated source interpreted, which is how that is checked
+    without numba.
 ``CodegenCache``
     On-disk store of generated modules under
     ``$REPRO_CODEGEN_CACHE`` (default ``$XDG_CACHE_HOME/repro/codegen``),
@@ -55,7 +57,9 @@ import numpy as np
 from ..core.buffer import ring_slots
 from ..core.regions import compute_range
 from ..core.schedule import StepKind
+from ..resilience.atomic import atomic_write
 from ..resilience.faultinject import FAULTS
+from ..resilience.quarantine import quarantine
 from .fused import _CORNERS, _EDGES, _FACES, FusedSweepKernel, _compiled_kind
 
 __all__ = [
@@ -548,7 +552,7 @@ class CodegenCache:
                     return mod
             else:
                 self._quarantine(path)
-        self._write(path, text)
+        atomic_write(path, text)
         CODEGEN_STATS.generated += 1
         return self._import(path, text)
 
@@ -562,21 +566,8 @@ class CodegenCache:
         return f"{header}# sha256={digest}\n{source}"
 
     @staticmethod
-    def _write(path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-
-    @staticmethod
     def _quarantine(path: Path) -> None:
-        corrupt = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, corrupt)
-        except OSError:
+        if quarantine(path) is None:
             try:
                 path.unlink()
             except OSError:
@@ -780,7 +771,7 @@ class _CodegenSweepRunner:
         self.src3 = src.data[0]
         self.dst3 = dst.data[0]
 
-        # --- stencil constants (same bindings as the fused-numba runner) -
+        # --- stencil constants --------------------------------------------
         scalar = dtype.type
         self.alpha = scalar(0)
         self.beta = scalar(0)

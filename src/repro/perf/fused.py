@@ -8,29 +8,21 @@ NumPy substrate the interpreter dispatch around each step — region lookups,
 ring-liveness checks, footprint validation, slice construction — costs as
 much as the arithmetic itself.  AN5D and the wavefront-diamond line of work
 (PAPERS.md) both fuse the whole temporal chain into one compiled sweep; this
-module provides that layering on top of the PR 1 backend registry.
+module provides that layering on top of the backend registry.
 
-Two fused engines share one integration seam (``FusedSweepKernel``):
+The ``fused-numpy`` engine (``FusedSweepKernel``) runs a *prebound
+instruction plan*: at tile-bind time every schedule step of every
+z-iteration is lowered to a short list of ``(ufunc, a, b, out)``
+instructions whose operands are pre-sliced views of the ring buffers, shell
+planes and source/destination grids.  Executing one z-iteration is then a
+single ``run_iteration`` call that replays ~5 steps' worth of prebound
+ufuncs, and the serial executor replays a whole tile-round in one
+``run_tile`` call — the per-time-instance loop is fused and all per-step
+interpreter work (slicing, validation, dict lookups) is hoisted out of the
+sweep entirely.  The compiled form of the same round is
+:mod:`repro.perf.codegen`, which extends ``FusedSweepKernel``.
 
-``fused-numpy``
-    A *prebound instruction plan*: at tile-bind time every schedule step of
-    every z-iteration is lowered to a short list of ``(ufunc, a, b, out)``
-    instructions whose operands are pre-sliced views of the ring buffers,
-    shell planes and source/destination grids.  Executing one z-iteration is
-    then a single ``run_iteration`` call that replays ~5 steps' worth of
-    prebound ufuncs, and the serial executor replays a whole tile-round in
-    one ``run_tile`` call — the per-time-instance loop is fused and all
-    per-step interpreter work (slicing, validation, dict lookups) is hoisted
-    out of the sweep entirely.
-``fused-numba``
-    Optional ``@njit`` kernels that execute an *entire* z-iteration — all
-    ``dim_T`` ring-plane updates plus the load and store seam planes — in a
-    single compiled call per z-step, with ``prange`` row parallelism for the
-    serial executor.  Available for the 7-point, 27-point, generic-taps and
-    variable-coefficient stencils; other kernels fall back to the numpy
-    instruction plan.
-
-On the serial executor the numpy engine's
+On the serial executor the
 :meth:`FusedSweepKernel.sweep_runner` hook replaces the tile loop of a
 multi-tile round.  When Eq. 2 says blocking cannot pay (``kappa >
 round_t``) it runs a *volume round*: ``round_t`` plain sweeps of the same
@@ -38,7 +30,7 @@ flat lowerings over the whole volume (:class:`_VolumeRunner`).  Otherwise
 it runs a *batched round*: every tile at once over one halo-expanded plane
 (:class:`_BatchedRunner`).
 
-Both engines preserve the executors' contracts exactly: identical operand
+The engine preserves the executors' contracts exactly: identical operand
 pairing and reduction order (bit-exact against the naive reference),
 identical boundary-strip refresh semantics, identical traffic accounting,
 and row-span restriction so :class:`~repro.runtime.parallel35d.ParallelBlocking35D`
@@ -64,8 +56,6 @@ from .backends import InplaceKernel
 
 __all__ = [
     "FusedSweepKernel",
-    "FusedNumbaSweepKernel",
-    "fused_engine_for",
 ]
 
 # 27-point neighbor groups, in the exact order the reference kernel sums them.
@@ -134,18 +124,13 @@ class FusedSweepKernel(InplaceKernel):
                 and runner.schedule is schedule
                 and runner.round_t == round_t
             ):
-                runner.sync(ctx)
                 return runner
-        runner = self._build_runner(executor, src, dst, ctx, schedule, round_t)
-        if runner is not None:
-            cache.append(runner)
-            # ping/pong plus one spare pair; older (stale-buffer) runners
-            # are dropped so repeated run() calls cannot accumulate state
-            del cache[:-4]
+        runner = _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
+        cache.append(runner)
+        # ping/pong plus one spare pair; older (stale-buffer) runners are
+        # dropped so repeated run() calls cannot accumulate state
+        del cache[:-4]
         return runner
-
-    def _build_runner(self, executor, src, dst, ctx, schedule, round_t):
-        return _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
 
     # ------------------------------------------------------------------
     def sweep_runner(self, executor, src, dst, round_t, parallel=False,
@@ -193,28 +178,6 @@ class FusedSweepKernel(InplaceKernel):
         return runner
 
 
-class FusedNumbaSweepKernel(FusedSweepKernel):
-    """Numba engine: one compiled call per z-iteration (njit + prange)."""
-
-    engine = "numba"
-    #: the compiled tile path is not dispatch-bound: no volume rounds
-    sweep_runner = None
-
-    def _build_runner(self, executor, src, dst, ctx, schedule, round_t):
-        runner = _NumbaFusedRunner.build(
-            self, executor, src, dst, ctx, schedule, round_t
-        )
-        if runner is not None:
-            return runner
-        # unsupported kernel/layout: the numpy instruction plan is still fused
-        return _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
-
-
-def fused_engine_for(kernel) -> str | None:
-    """The fused engine a wrapped kernel will use, or ``None`` if unfused."""
-    return getattr(kernel, "engine", None) if hasattr(kernel, "tile_runner") else None
-
-
 #: kernels whose flat lowering depends on z only through the planes it reads
 _VOLUME_IMPLS = ("7pt", "27pt", "generic")
 
@@ -237,8 +200,8 @@ def _flat_impl(inner, src_data, dst_data) -> str | None:
 
 
 def _compiled_kind(inner, src_data, dst_data) -> str | None:
-    """The compiled kernel family (fused-numba, codegen) for ``inner`` on
-    this buffer pair, or ``None`` when only the numpy plan applies."""
+    """The codegen kernel family for ``inner`` on this buffer pair, or
+    ``None`` when only the numpy plan applies."""
     impl = _flat_impl(inner, src_data, dst_data)
     if impl == "varco" and inner.alpha.dtype != src_data.dtype:
         # mixed-precision coefficient fields follow NumPy promotion in the
@@ -302,12 +265,33 @@ def _emit_taps(ops, impl, inner, dtype, out, tmp, window) -> None:
 
 
 # ======================================================================
-# shared bind-time geometry
+# per-tile prebound instruction plans
 # ======================================================================
 
 
-class _RunnerBase:
-    """Geometry and plane bookkeeping shared by both fused engines."""
+class _NumpyFusedRunner:
+    """Executes z-iterations by replaying prebound ufunc instructions.
+
+    A *plan* (one per row span, built lazily on the thread that will run it
+    so scratch comes from that thread's arena pool) is one flat tuple of
+    ``(fn, a, b, out)`` instructions covering every z-iteration in order,
+    the ``[start, end)`` offsets of each iteration key within it, and the
+    per-key and whole-tile traffic records.  ``run_tile`` replays the whole
+    tuple with one aggregate traffic charge (the serial executor's
+    untraced path); ``run_iteration`` replays one key's slice (row spans
+    and traced runs).  All slicing, region arithmetic, shell lookups and
+    liveness reasoning happened once, at bind time.
+
+    Plans are interned while they are emitted.  A ring plane lives in slot
+    ``z % slots``, so the instructions of a ring-target compute step repeat
+    with that period in z: each distinct step is lowered once and its
+    instruction block reused.  Every view of a ring or shell plane is made
+    once, keyed by plane and bounds.  Both memos belong to the tile (its
+    rings and shell planes), so the ping and pong runners of a tile share
+    them.  Views of the source and destination grids are made fresh: each
+    is used by one z only, and a tile-lifetime memo would pin grids that a
+    stale runner no longer uses.
+    """
 
     def __init__(self, kernel, executor, src, dst, ctx, schedule, round_t):
         self.kernel = kernel
@@ -343,78 +327,14 @@ class _RunnerBase:
             and self.ex0 == 0
             and self.ex1 == self.nx
         )
-
-    def sync(self, ctx) -> None:
-        """Refresh any engine-private copies of per-run tile state."""
-
-    def run_tile(self, traffic=None) -> None:
-        """Every z-iteration of the tile, in order, on the whole plane."""
-        for k in self.iteration_keys:
-            self.run_iteration(k, traffic=traffic)
-
-    def _charge(self, traffic, rec) -> None:
-        """Record one aggregate ``(rb, rp, wb, wp, pts)`` traffic charge."""
-        rb, rp, wb, wp, pts = rec
-        if rb or rp:
-            traffic.read(rb, planes=rp)
-        if wb or wp:
-            traffic.write(wb, planes=wp)
-        if pts:
-            traffic.update(pts, self.ops_per_update)
-
-    # -- plane geometry -------------------------------------------------
-    def _is_shell(self, z: int) -> bool:
-        return z in self.shell
-
-    def _rows_local(self, rows) -> tuple[int, int]:
-        if rows is None:
-            return 0, self.eny
-        return (
-            max(0, rows[0] - self.ey0),
-            min(self.eny, rows[1] - self.ey0),
-        )
-
-
-# ======================================================================
-# numpy engine: prebound instruction plans
-# ======================================================================
-
-
-class _NumpyFusedRunner(_RunnerBase):
-    """Executes z-iterations by replaying prebound ufunc instructions.
-
-    A *plan* (one per row span, built lazily on the thread that will run it
-    so scratch comes from that thread's arena pool) is one flat tuple of
-    ``(fn, a, b, out)`` instructions covering every z-iteration in order,
-    the ``[start, end)`` offsets of each iteration key within it, and the
-    per-key and whole-tile traffic records.  ``run_tile`` replays the whole
-    tuple with one aggregate traffic charge (the serial executor's
-    untraced path); ``run_iteration`` replays one key's slice (row spans
-    and traced runs).  All slicing, region arithmetic, shell lookups and
-    liveness reasoning happened once, at bind time.
-
-    Plans are interned while they are emitted.  A ring plane lives in slot
-    ``z % slots``, so the instructions of a ring-target compute step repeat
-    with that period in z: each distinct step is lowered once and its
-    instruction block reused.  Every view of a ring or shell plane is made
-    once, keyed by plane and bounds.  Both memos belong to the tile (its
-    rings and shell planes), so the ping and pong runners of a tile share
-    them.  Views of the source and destination grids are made fresh: each
-    is used by one z only, and a tile-lifetime memo would pin grids that a
-    stale runner no longer uses.
-    """
-
-    def __init__(self, kernel, executor, src, dst, ctx, schedule, round_t):
-        super().__init__(kernel, executor, src, dst, ctx, schedule, round_t)
         self.arena = kernel.arena
         self._plans: dict = {}
-        inner = self.inner
         # Non-contractive kernels can amplify throwaway seam lanes past the
         # FP range round over round (see SevenPointStencil); suppress the
         # spurious warnings then.  np.errstate is not re-enterable, so a
         # fresh context is created per iteration when needed.
-        self._suppress_fp = not getattr(inner, "_seam_contractive", False)
-        self._impl = _flat_impl(inner, self.src_data, self.dst_data)
+        self._suppress_fp = not getattr(self.inner, "_seam_contractive", False)
+        self._impl = _flat_impl(self.inner, self.src_data, self.dst_data)
         if self._impl is not None:
             self._src2 = self.src_data[0]
             self._dst2 = self.dst_data[0]
@@ -458,6 +378,25 @@ class _NumpyFusedRunner(_RunnerBase):
         if plan is None:
             plan = self._plans[rows] = self._build_plan(rows)
         return plan
+
+    def _charge(self, traffic, rec) -> None:
+        """Record one aggregate ``(rb, rp, wb, wp, pts)`` traffic charge."""
+        rb, rp, wb, wp, pts = rec
+        if rb or rp:
+            traffic.read(rb, planes=rp)
+        if wb or wp:
+            traffic.write(wb, planes=wp)
+        if pts:
+            traffic.update(pts, self.ops_per_update)
+
+    # -- plane geometry -------------------------------------------------
+    def _rows_local(self, rows) -> tuple[int, int]:
+        if rows is None:
+            return 0, self.eny
+        return (
+            max(0, rows[0] - self.ey0),
+            min(self.eny, rows[1] - self.ey0),
+        )
 
     def _replay(self, ops) -> None:
         if self._suppress_fp:
@@ -553,7 +492,7 @@ class _NumpyFusedRunner(_RunnerBase):
         return tuple(ops), spans, stats, tuple(total)
 
     def _emit_load(self, ops, z, rows) -> int:
-        if self._is_shell(z):
+        if z in self.shell:
             return 0  # resident since _load_shell_planes
         ly0, ly1 = self._rows_local(rows)
         if ly0 >= ly1:
@@ -1103,494 +1042,3 @@ class _BatchedRunner(_RoundRunner):
 
 
 _ROUND_RUNNERS = (_VolumeRunner, _BatchedRunner)
-
-
-# ======================================================================
-# numba engine: one compiled call per z-iteration
-# ======================================================================
-
-_JIT_CACHE: dict = {}
-
-
-def _numba_iteration_kernels(kind: str, parallel: bool):  # pragma: no cover
-    """Compile (once per kind/parallel flag) the fused z-iteration kernel."""
-    key = (kind, parallel)
-    fn = _JIT_CACHE.get(key)
-    if fn is not None:
-        return fn
-    import numba
-
-    jit = numba.njit(parallel=parallel, cache=False)
-    yrange = numba.prange if parallel else range
-
-    if kind == "7pt":
-
-        @jit
-        def run(rings, shell, src3, dst3, meta, nsteps, ey0, ex0, nz, slots,
-                sy_lo, sy_hi, sx_lo, sx_hi, taps_off, taps_w, coef_a, coef_b,
-                alpha, beta):
-            r = 1
-            eny, enx = rings.shape[2], rings.shape[3]
-            for i in range(nsteps):
-                kind_c = meta[i, 0]
-                t = meta[i, 1]
-                z = meta[i, 2]
-                ly0 = meta[i, 3]
-                ly1 = meta[i, 4]
-                lx0 = meta[i, 5]
-                lx1 = meta[i, 6]
-                if kind_c == 0:  # load
-                    out = rings[0, z % slots]
-                    for y in yrange(ly0, ly1):
-                        for x in range(enx):
-                            out[y, x] = src3[z, ey0 + y, ex0 + x]
-                    continue
-                # source planes for instance t reading t-1
-                if z - 1 < r:
-                    below = shell[z - 1]
-                elif z - 1 >= nz - r:
-                    below = shell[r + (z - 1) - (nz - r)]
-                else:
-                    below = rings[t - 1, (z - 1) % slots]
-                mid = rings[t - 1, z % slots]
-                if z + 1 >= nz - r:
-                    above = shell[r + (z + 1) - (nz - r)]
-                else:
-                    above = rings[t - 1, (z + 1) % slots]
-                if kind_c == 2:  # store
-                    if ly0 < ly1:
-                        for y in yrange(ly0, ly1):
-                            for x in range(lx0, lx1):
-                                acc = (
-                                    (below[y, x] + above[y, x])
-                                    + (mid[y - 1, x] + mid[y + 1, x])
-                                ) + (mid[y, x - 1] + mid[y, x + 1])
-                                dst3[z, ey0 + y, ex0 + x] = (
-                                    alpha * mid[y, x] + beta * acc
-                                )
-                    continue
-                out = rings[t, z % slots]
-                if ly0 < ly1:
-                    for y in yrange(ly0, ly1):
-                        for x in range(lx0, lx1):
-                            acc = (
-                                (below[y, x] + above[y, x])
-                                + (mid[y - 1, x] + mid[y + 1, x])
-                            ) + (mid[y, x - 1] + mid[y, x + 1])
-                            out[y, x] = alpha * mid[y, x] + beta * acc
-                # boundary strips: constant in time, refreshed from t-1
-                sy0 = meta[i, 7]
-                sy1 = meta[i, 8]
-                for y in range(sy0, min(sy_lo, sy1)):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(max(sy_hi, sy0), sy1):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(sy0, sy1):
-                    for x in range(sx_lo):
-                        out[y, x] = mid[y, x]
-                    for x in range(enx - sx_hi, enx):
-                        out[y, x] = mid[y, x]
-
-    elif kind == "taps":
-
-        @jit
-        def run(rings, shell, src3, dst3, meta, nsteps, ey0, ex0, nz, slots,
-                sy_lo, sy_hi, sx_lo, sx_hi, taps_off, taps_w, coef_a, coef_b,
-                alpha, beta):
-            enx = rings.shape[3]
-            r = shell.shape[0] // 2
-            ntaps = taps_off.shape[0]
-            for i in range(nsteps):
-                kind_c = meta[i, 0]
-                t = meta[i, 1]
-                z = meta[i, 2]
-                ly0 = meta[i, 3]
-                ly1 = meta[i, 4]
-                lx0 = meta[i, 5]
-                lx1 = meta[i, 6]
-                if kind_c == 0:  # load
-                    out = rings[0, z % slots]
-                    for y in yrange(ly0, ly1):
-                        for x in range(enx):
-                            out[y, x] = src3[z, ey0 + y, ex0 + x]
-                    continue
-                mid = rings[t - 1, z % slots]
-                store = kind_c == 2
-                if ly0 < ly1:
-                    for y in yrange(ly0, ly1):
-                        for x in range(lx0, lx1):
-                            # accumulate taps in the reference's sorted
-                            # order, reading each source plane through the
-                            # same shell substitution as the executor
-                            zz = z + taps_off[0, 0]
-                            yy = y + taps_off[0, 1]
-                            xx = x + taps_off[0, 2]
-                            if zz < r:
-                                v = shell[zz, yy, xx]
-                            elif zz >= nz - r:
-                                v = shell[r + zz - (nz - r), yy, xx]
-                            else:
-                                v = rings[t - 1, zz % slots, yy, xx]
-                            acc = taps_w[0] * v
-                            for j in range(1, ntaps):
-                                zz = z + taps_off[j, 0]
-                                yy = y + taps_off[j, 1]
-                                xx = x + taps_off[j, 2]
-                                if zz < r:
-                                    v = shell[zz, yy, xx]
-                                elif zz >= nz - r:
-                                    v = shell[r + zz - (nz - r), yy, xx]
-                                else:
-                                    v = rings[t - 1, zz % slots, yy, xx]
-                                acc += taps_w[j] * v
-                            if store:
-                                dst3[z, ey0 + y, ex0 + x] = acc
-                            else:
-                                rings[t, z % slots, y, x] = acc
-                if store:
-                    continue
-                out = rings[t, z % slots]
-                sy0 = meta[i, 7]
-                sy1 = meta[i, 8]
-                for y in range(sy0, min(sy_lo, sy1)):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(max(sy_hi, sy0), sy1):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(sy0, sy1):
-                    for x in range(sx_lo):
-                        out[y, x] = mid[y, x]
-                    for x in range(enx - sx_hi, enx):
-                        out[y, x] = mid[y, x]
-
-    elif kind == "varco":
-
-        @jit
-        def run(rings, shell, src3, dst3, meta, nsteps, ey0, ex0, nz, slots,
-                sy_lo, sy_hi, sx_lo, sx_hi, taps_off, taps_w, coef_a, coef_b,
-                alpha, beta):
-            r = 1
-            enx = rings.shape[3]
-            for i in range(nsteps):
-                kind_c = meta[i, 0]
-                t = meta[i, 1]
-                z = meta[i, 2]
-                ly0 = meta[i, 3]
-                ly1 = meta[i, 4]
-                lx0 = meta[i, 5]
-                lx1 = meta[i, 6]
-                if kind_c == 0:
-                    out = rings[0, z % slots]
-                    for y in yrange(ly0, ly1):
-                        for x in range(enx):
-                            out[y, x] = src3[z, ey0 + y, ex0 + x]
-                    continue
-                if z - 1 < r:
-                    below = shell[z - 1]
-                elif z - 1 >= nz - r:
-                    below = shell[r + (z - 1) - (nz - r)]
-                else:
-                    below = rings[t - 1, (z - 1) % slots]
-                mid = rings[t - 1, z % slots]
-                if z + 1 >= nz - r:
-                    above = shell[r + (z + 1) - (nz - r)]
-                else:
-                    above = rings[t - 1, (z + 1) % slots]
-                store = kind_c == 2
-                if ly0 < ly1:
-                    for y in yrange(ly0, ly1):
-                        for x in range(lx0, lx1):
-                            acc = below[y, x] + above[y, x]
-                            acc += mid[y - 1, x]
-                            acc += mid[y + 1, x]
-                            acc += mid[y, x - 1]
-                            acc += mid[y, x + 1]
-                            v = (
-                                coef_a[z, ey0 + y, ex0 + x] * mid[y, x]
-                                + coef_b[z, ey0 + y, ex0 + x] * acc
-                            )
-                            if store:
-                                dst3[z, ey0 + y, ex0 + x] = v
-                            else:
-                                rings[t, z % slots, y, x] = v
-                if store:
-                    continue
-                out = rings[t, z % slots]
-                sy0 = meta[i, 7]
-                sy1 = meta[i, 8]
-                for y in range(sy0, min(sy_lo, sy1)):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(max(sy_hi, sy0), sy1):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(sy0, sy1):
-                    for x in range(sx_lo):
-                        out[y, x] = mid[y, x]
-                    for x in range(enx - sx_hi, enx):
-                        out[y, x] = mid[y, x]
-
-    elif kind == "27pt":
-
-        @jit
-        def run(rings, shell, src3, dst3, meta, nsteps, ey0, ex0, nz, slots,
-                sy_lo, sy_hi, sx_lo, sx_hi, taps_off, taps_w, coef_a, coef_b,
-                alpha, beta):
-            # taps_off holds the 26 neighbor offsets grouped faces | edges |
-            # corners (6, 12, 8) in the reference summation order; taps_w
-            # holds (center, face, edge, corner).
-            r = 1
-            eny, enx = rings.shape[2], rings.shape[3]
-            center = taps_w[0]
-            wface = taps_w[1]
-            wedge = taps_w[2]
-            wcorner = taps_w[3]
-            for i in range(nsteps):
-                kind_c = meta[i, 0]
-                t = meta[i, 1]
-                z = meta[i, 2]
-                ly0 = meta[i, 3]
-                ly1 = meta[i, 4]
-                lx0 = meta[i, 5]
-                lx1 = meta[i, 6]
-                if kind_c == 0:
-                    out = rings[0, z % slots]
-                    for y in yrange(ly0, ly1):
-                        for x in range(enx):
-                            out[y, x] = src3[z, ey0 + y, ex0 + x]
-                    continue
-                if z - 1 < r:
-                    below = shell[z - 1]
-                elif z - 1 >= nz - r:
-                    below = shell[r + (z - 1) - (nz - r)]
-                else:
-                    below = rings[t - 1, (z - 1) % slots]
-                mid = rings[t - 1, z % slots]
-                if z + 1 >= nz - r:
-                    above = shell[r + (z + 1) - (nz - r)]
-                else:
-                    above = rings[t - 1, (z + 1) % slots]
-                store = kind_c == 2
-                if ly0 < ly1:
-                    for y in yrange(ly0, ly1):
-                        for x in range(lx0, lx1):
-                            # group sums start from their first offset and
-                            # accumulate in the reference generation order
-                            sface = below[y + taps_off[0, 1], x + taps_off[0, 2]]
-                            for j in range(1, 6):
-                                dz = taps_off[j, 0]
-                                yy = y + taps_off[j, 1]
-                                xx = x + taps_off[j, 2]
-                                if dz < 0:
-                                    sface += below[yy, xx]
-                                elif dz > 0:
-                                    sface += above[yy, xx]
-                                else:
-                                    sface += mid[yy, xx]
-                            dz = taps_off[6, 0]
-                            yy = y + taps_off[6, 1]
-                            xx = x + taps_off[6, 2]
-                            if dz < 0:
-                                sedge = below[yy, xx]
-                            elif dz > 0:
-                                sedge = above[yy, xx]
-                            else:
-                                sedge = mid[yy, xx]
-                            for j in range(7, 18):
-                                dz = taps_off[j, 0]
-                                yy = y + taps_off[j, 1]
-                                xx = x + taps_off[j, 2]
-                                if dz < 0:
-                                    sedge += below[yy, xx]
-                                elif dz > 0:
-                                    sedge += above[yy, xx]
-                                else:
-                                    sedge += mid[yy, xx]
-                            dz = taps_off[18, 0]
-                            yy = y + taps_off[18, 1]
-                            xx = x + taps_off[18, 2]
-                            if dz < 0:
-                                scorner = below[yy, xx]
-                            else:
-                                scorner = above[yy, xx]
-                            for j in range(19, 26):
-                                dz = taps_off[j, 0]
-                                yy = y + taps_off[j, 1]
-                                xx = x + taps_off[j, 2]
-                                if dz < 0:
-                                    scorner += below[yy, xx]
-                                else:
-                                    scorner += above[yy, xx]
-                            v = center * mid[y, x]
-                            v += wface * sface
-                            v += wedge * sedge
-                            v += wcorner * scorner
-                            if store:
-                                dst3[z, ey0 + y, ex0 + x] = v
-                            else:
-                                rings[t, z % slots, y, x] = v
-                if store:
-                    continue
-                out = rings[t, z % slots]
-                sy0 = meta[i, 7]
-                sy1 = meta[i, 8]
-                for y in range(sy0, min(sy_lo, sy1)):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(max(sy_hi, sy0), sy1):
-                    for x in range(enx):
-                        out[y, x] = mid[y, x]
-                for y in range(sy0, sy1):
-                    for x in range(sx_lo):
-                        out[y, x] = mid[y, x]
-                    for x in range(enx - sx_hi, enx):
-                        out[y, x] = mid[y, x]
-
-    else:  # pragma: no cover - guarded by callers
-        raise ValueError(kind)
-
-    _JIT_CACHE[key] = run
-    return run
-
-
-_KIND_CODE = {StepKind.LOAD: 0, StepKind.COMPUTE: 1, StepKind.STORE: 2}
-
-
-class _NumbaFusedRunner(_RunnerBase):  # pragma: no cover - requires numba
-    """One jitted call per z-iteration over dedicated stacked ring storage."""
-
-    @classmethod
-    def build(cls, kernel, executor, src, dst, ctx, schedule, round_t):
-        kind = _compiled_kind(kernel.inner, src.data, dst.data)
-        if kind is None:
-            return None
-        return cls(kernel, executor, src, dst, ctx, schedule, round_t, kind)
-
-    def __init__(self, kernel, executor, src, dst, ctx, schedule, round_t, kind):
-        super().__init__(kernel, executor, src, dst, ctx, schedule, round_t)
-        self.kind = kind
-        inner = self.inner
-        dtype = src.data.dtype
-        r = self.radius
-        # dedicated stacked storage the jitted kernels index directly
-        self._ringstack = np.zeros(
-            (round_t, self.slots, self.eny, self.enx), dtype=dtype
-        )
-        self._shellstack = np.zeros((2 * r, self.eny, self.enx), dtype=dtype)
-        self._shell_token = None
-        self.sync(ctx)
-        self._src3 = src.data[0]
-        self._dst3 = dst.data[0]
-        scalar = dtype.type
-        zf = np.zeros(0, dtype=dtype)
-        zi = np.zeros((0, 3), dtype=np.int64)
-        z3 = np.zeros((0, 0, 0), dtype=dtype)
-        self._alpha = scalar(0)
-        self._beta = scalar(0)
-        self._taps_off, self._taps_w = zi, zf
-        self._coef_a, self._coef_b = z3, z3
-        if kind == "7pt":
-            self._alpha = scalar(inner.alpha)
-            self._beta = scalar(inner.beta)
-        elif kind == "27pt":
-            order = list(_FACES) + list(_EDGES) + list(_CORNERS)
-            self._taps_off = np.array(order, dtype=np.int64)
-            self._taps_w = np.array(
-                [inner.center, inner.face, inner.edge, inner.corner], dtype=dtype
-            )
-        elif kind == "taps":
-            self._taps_off = np.array(inner._order, dtype=np.int64)
-            self._taps_w = np.array(
-                [inner.taps[o] for o in inner._order], dtype=dtype
-            )
-        else:  # varco
-            self._coef_a = np.ascontiguousarray(inner.alpha, dtype=dtype)
-            self._coef_b = np.ascontiguousarray(inner.beta, dtype=dtype)
-        self._meta: dict = {}  # rows -> {k: (meta_array, nsteps, stats)}
-        self._fns: dict = {}
-
-    # ------------------------------------------------------------------
-    def sync(self, ctx) -> None:
-        """(Re)copy the tile's constant shell planes into stacked storage."""
-        if ctx.shell_token is self._shell_token and self._shell_token is not None:
-            return
-        r = self.radius
-        for z, plane in ctx.shell_planes.items():
-            idx = z if z < r else r + z - (self.nz - r)
-            np.copyto(self._shellstack[idx], plane[0])
-        self._shell_token = ctx.shell_token
-
-    # ------------------------------------------------------------------
-    def _fn(self, parallel: bool):
-        fn = self._fns.get(parallel)
-        if fn is None:
-            fn = self._fns[parallel] = _numba_iteration_kernels(
-                self.kind, parallel
-            )
-        return fn
-
-    def _build_meta(self, rows):
-        per_k = {}
-        sly0, sly1 = self._rows_local(rows)
-        for k in self.iteration_keys:
-            steps = self._steps[k]
-            meta = np.zeros((len(steps), 9), dtype=np.int64)
-            n = 0
-            rb = rp = wb = wp = pts = 0
-            for kind, t, z in steps:
-                if kind is StepKind.LOAD:
-                    if self._is_shell(z):
-                        continue
-                    ly0, ly1 = sly0, sly1
-                    if ly0 >= ly1:
-                        continue
-                    meta[n, :7] = (0, 0, z, ly0, ly1, 0, self.enx)
-                    n += 1
-                    rb += (ly1 - ly0) * self.enx * self.esize
-                    rp += 1 if rows is None else 0
-                    continue
-                gy0, gy1, gx0, gx1 = self._clip(t, rows)
-                a0, a1 = gy0 - self.ey0, gy1 - self.ey0
-                lx0, lx1 = gx0 - self.ex0, gx1 - self.ex0
-                code = _KIND_CODE[kind]
-                if code == 2 and a0 >= a1:
-                    continue
-                meta[n] = (code, t, z, a0, max(a0, a1), lx0, lx1, sly0, sly1)
-                n += 1
-                if a0 < a1:
-                    npts = (a1 - a0) * (lx1 - lx0)
-                    pts += npts
-                    if code == 2:
-                        wb += npts * self.esize
-                        wp += 1
-            per_k[k] = (meta, n, (rb, rp, wb, wp, pts))
-        return per_k
-
-    def _clip(self, t, rows):
-        (gy0, gy1), (gx0, gx1) = self.regions[t]
-        if rows is not None:
-            gy0, gy1 = max(gy0, rows[0]), min(gy1, rows[1])
-        return gy0, gy1, gx0, gx1
-
-    # ------------------------------------------------------------------
-    def run_iteration(self, k: int, rows=None, traffic=None) -> None:
-        plans = self._meta.get(rows)
-        if plans is None:
-            plans = self._meta[rows] = self._build_meta(rows)
-        meta, n, stats = plans[k]
-        if n:
-            # prange only when this runner owns the whole plane (the serial
-            # executor); row-partitioned workers must not nest numba threads
-            fn = self._fn(rows is None)
-            fn(
-                self._ringstack, self._shellstack, self._src3, self._dst3,
-                meta, n, self.ey0, self.ex0, self.nz, self.slots,
-                self.sy_lo, self.sy_hi, self.sx_lo, self.sx_hi,
-                self._taps_off, self._taps_w, self._coef_a, self._coef_b,
-                self._alpha, self._beta,
-            )
-        if traffic is not None:
-            self._charge(traffic, stats)

@@ -9,7 +9,7 @@ drops that assumption:
   (armed via :data:`FAULTS` or ``$REPRO_FAULTS``) so every failure mode is
   testable;
 * :mod:`~repro.resilience.fallback` — the bit-exact backend fallback chain
-  ``fused-numba -> fused-numpy -> numpy-inplace -> numpy``;
+  ``codegen -> fused-numpy -> numpy-inplace -> numpy``;
 * :mod:`~repro.resilience.watchdog` — :class:`GuardedSweep` per-round
   NaN/Inf health checks, retry with exponential backoff, repair from the
   last good state;
@@ -26,6 +26,8 @@ drops that assumption:
   ``off``/``spot``/``seal``/``full``);
 * :mod:`~repro.resilience.quarantine` — unique-name ``*.corrupt``
   quarantining with a count-capped GC (``$REPRO_CORRUPT_KEEP``);
+* :mod:`~repro.resilience.atomic` — :func:`atomic_write`, the one
+  temp -> fsync -> ``os.replace`` file write of every durable store;
 * :mod:`~repro.resilience.report` — the structured record of every
   degradation, mapped to the CLI's exit codes (0 clean, 3 degraded-but-
   correct, 4 failed).
@@ -33,6 +35,7 @@ drops that assumption:
 See ``docs/robustness.md`` for the full contract.
 """
 
+from .atomic import atomic_write
 from .chaos import (
     SCHEDULES,
     ChaosCase,
@@ -151,6 +154,7 @@ __all__ = [
     "SweepInterruptedError",
     "SweepRetriesExhaustedError",
     "UnrecoverableRankFailureError",
+    "atomic_write",
     "bind_with_fallback",
     "buddy_of",
     "corrupt_keep",

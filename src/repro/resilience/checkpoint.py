@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .faultinject import FAULTS, ResilienceError
 from .quarantine import quarantine
 
@@ -100,21 +101,11 @@ class CheckpointStore:
             "dtype": str(data.dtype),
             "sha256": data_digest(payload),
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
+        meta_bytes = np.frombuffer(json.dumps(meta_doc).encode(), dtype=np.uint8)
         try:
-            with open(tmp, "wb") as fh:
-                np.savez(
-                    fh,
-                    data=payload,
-                    step=np.int64(step),
-                    meta=np.frombuffer(
-                        json.dumps(meta_doc).encode(), dtype=np.uint8
-                    ),
-                )
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write(self.path, lambda fh: np.savez(
+                fh, data=payload, step=np.int64(step), meta=meta_bytes,
+            ))
         except OSError as exc:
             raise CheckpointError(
                 f"cannot write checkpoint {self.path}: {exc}"

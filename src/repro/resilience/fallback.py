@@ -5,7 +5,7 @@ reference NumPy kernels, so a backend failure is never a reason to abort a
 sweep — it is a reason to step down to the next-simplest backend and keep
 going.  The chain follows the performance ladder downward::
 
-    codegen -> fused-numba -> fused-numpy -> numpy-inplace -> numpy
+    codegen -> fused-numpy -> numpy-inplace -> numpy
 
 :func:`bind_with_fallback` walks that chain.  A candidate is rejected when
 
@@ -42,7 +42,7 @@ __all__ = [
 
 #: the performance ladder, fastest first; a failing backend falls to the
 #: next entry to its right
-FALLBACK_ORDER = ("codegen", "fused-numba", "fused-numpy", "numpy-inplace", "numpy")
+FALLBACK_ORDER = ("codegen", "fused-numpy", "numpy-inplace", "numpy")
 
 
 class FallbackExhaustedError(ResilienceError):

@@ -24,6 +24,7 @@ import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..resilience.atomic import atomic_write
 from ..resilience.faultinject import FAULTS
 from ..resilience.quarantine import gc_corrupt
 
@@ -143,12 +144,7 @@ class JobJournal:
                 os.fsync(fh.fileno())
             # compact the journal to exactly the validated records, so the
             # damage is quarantined once, not on every later restart
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            with open(tmp, "wb") as fh:
-                fh.writelines(good_lines)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, self.path)
+            atomic_write(self.path, b"".join(good_lines))
             # cap the .corrupt graveyard (checkpoints quarantine into the
             # same state directory)
             gc_corrupt(self.path.parent)

@@ -18,6 +18,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..perf.backends import get_backend
+
 __all__ = [
     "PROTOCOL_VERSION",
     "JobRecord",
@@ -111,6 +113,11 @@ class JobSpec:
             return "deadline_s must be positive"
         if not self.tenant:
             return "tenant must be non-empty"
+        if self.backend is not None:
+            try:
+                get_backend(self.backend)
+            except ValueError as exc:
+                return str(exc)
         return None
 
     def signature(self) -> tuple:

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 
 from repro.core import Blocking4D, Blocking25D, Blocking35D, run_naive
+from repro.perf import backends
 from repro.perf.backends import (
     REPRO_BACKEND_ENV,
+    Backend,
     BackendUnavailableError,
     InplaceKernel,
     available_backends,
+    backend_availability,
     backend_names,
     bound_rung,
     default_backend_name,
     get_backend,
     wrap_kernel,
 )
+from repro.resilience.fallback import FALLBACK_ORDER
 from repro.runtime import ParallelBlocking35D
 from repro.stencils import Field3D, SevenPointStencil, TwentySevenPointStencil
 from repro.stencils.generic import box_stencil, star_stencil
@@ -39,7 +43,15 @@ def _kernels():
 class TestRegistry:
     def test_builtin_backends_registered(self):
         names = backend_names()
-        assert {"numpy", "numpy-inplace", "numba"} <= set(names)
+        assert names == ["numpy", "numpy-inplace", "fused-numpy", "codegen"]
+
+    def test_registry_matches_fallback_ladder(self):
+        """Every built-in rung sits on the fallback ladder, and each one
+        that can bind here reports itself as the rung it runs on."""
+        assert sorted(backend_names()) == sorted(FALLBACK_ORDER)
+        for name in FALLBACK_ORDER:
+            if backend_availability(name)[0]:
+                assert bound_rung(wrap_kernel(SevenPointStencil(), name)) == name
 
     def test_available_subset(self):
         assert set(available_backends()) <= set(backend_names())
@@ -52,13 +64,17 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown backend"):
             wrap_kernel(SevenPointStencil(), "no-such-backend")
 
-    def test_unavailable_backend_raises(self):
-        numba = get_backend("numba")
-        if numba.available:  # pragma: no cover - depends on environment
-            pytest.skip("numba installed in this environment")
-        assert numba.unavailable_reason
-        with pytest.raises(BackendUnavailableError, match="numba"):
-            wrap_kernel(SevenPointStencil(), "numba")
+    def test_unavailable_backend_raises(self, monkeypatch):
+        """A backend whose probe says no stays listed but refuses to bind."""
+        monkeypatch.setitem(backends._REGISTRY, "absent", Backend(
+            name="absent", description="never binds", wrap=InplaceKernel,
+            probe=lambda: (False, "widget not installed"),
+        ))
+        assert "absent" in backend_names()
+        assert "absent" not in available_backends()
+        assert backend_availability("absent") == (False, "widget not installed")
+        with pytest.raises(BackendUnavailableError, match="widget not installed"):
+            wrap_kernel(SevenPointStencil(), "absent")
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)

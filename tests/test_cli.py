@@ -146,6 +146,24 @@ class TestResilienceExitCodes:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,env", [("fused-numba", None), (None, "numba")]
+    )
+    def test_retired_backend_names_are_unknown(
+        self, flag, env, capsys, monkeypatch
+    ):
+        from repro.perf.backends import REPRO_BACKEND_ENV
+
+        if env is None:
+            monkeypatch.delenv(REPRO_BACKEND_ENV, raising=False)
+        else:
+            monkeypatch.setenv(REPRO_BACKEND_ENV, env)
+        rc = main(self._base + (["--backend", flag] if flag else []))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "unknown backend" in err
+        assert "numpy, numpy-inplace, fused-numpy, codegen" in err
+
     def test_resume_requires_checkpoint(self, capsys):
         rc = main(self._base + ["--resume"])
         assert rc == 2

@@ -50,7 +50,10 @@ from repro.stencils import (
 
 from .conftest import assert_fields_equal
 
-_NUMBA = get_backend("numba").available
+with pytest.MonkeyPatch.context() as _mp:
+    _mp.delenv(CODEGEN_MODE_ENV, raising=False)
+    #: whether codegen's default (numba) mode can bind here
+    _NUMBA = codegen_available()[0]
 
 
 @pytest.fixture(autouse=True)
@@ -301,6 +304,20 @@ class TestDiskCache:
         assert snap["generated"] == 1
         quarantined = list(CodegenCache().dir().glob("*.corrupt"))
         assert len(quarantined) == 1
+
+    def test_repeat_corruption_keeps_distinct_evidence(self):
+        kernel = SevenPointStencil()
+        field = Field3D.random((6, 12, 12), dtype=np.float32, seed=2)
+        for _ in range(2):
+            Blocking35D(wrap_kernel(kernel, "codegen"), 2, 8, 8).run(field, 2)
+            CodegenCache().entries()[0].write_text("garbage {", encoding="utf-8")
+            clear_module_cache()
+        CODEGEN_STATS.reset()
+        out = Blocking35D(wrap_kernel(kernel, "codegen"), 2, 8, 8).run(field, 2)
+        assert_fields_equal(out, run_naive(kernel, field, 2))
+        assert CODEGEN_STATS.snapshot()["quarantined"] == 1
+        quarantined = list(CodegenCache().dir().glob("*.corrupt"))
+        assert len(quarantined) == 2  # unique names: the first sample survives
 
     def test_clear_removes_entries(self):
         kernel = wrap_kernel(SevenPointStencil(), "codegen")

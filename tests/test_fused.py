@@ -21,9 +21,8 @@ from repro.core.autotune import (
 )
 from repro.machine import CORE_I7
 from repro.perf.backends import (
-    BackendUnavailableError,
+    backend_availability,
     backend_names,
-    get_backend,
     wrap_kernel,
 )
 from repro.runtime import ParallelBlocking35D
@@ -36,9 +35,6 @@ from repro.stencils import (
 from repro.stencils.generic import box_stencil, star_stencil
 
 from .conftest import assert_fields_equal
-
-_NUMBA = get_backend("fused-numba").available
-
 
 def _varco(shape, dtype=np.float32):
     rng = np.random.default_rng(7)
@@ -58,24 +54,17 @@ def _kernels(shape):
 
 
 def _fused_backends():
+    """fused-numpy, plus the compiled rung wherever codegen can bind."""
     names = ["fused-numpy"]
-    if _NUMBA:  # pragma: no cover - depends on environment
-        names.append("fused-numba")
+    if backend_availability("codegen")[0]:  # pragma: no cover - needs numba
+        names.append("codegen")
     return names
 
 
 class TestRegistry:
     def test_fused_backends_registered(self):
-        assert {"fused-numpy", "fused-numba"} <= set(backend_names())
-        assert get_backend("fused-numpy").available
-
-    def test_fused_numba_unavailable_message_is_actionable(self):
-        b = get_backend("fused-numba")
-        if b.available:  # pragma: no cover - depends on environment
-            pytest.skip("numba installed in this environment")
-        assert "pip install" in b.unavailable_reason
-        with pytest.raises(BackendUnavailableError, match="pip install"):
-            wrap_kernel(SevenPointStencil(), "fused-numba")
+        assert {"fused-numpy", "codegen"} <= set(backend_names())
+        assert backend_availability("fused-numpy") == (True, None)
 
     def test_wrapping_preserves_kernel_contract(self):
         k = wrap_kernel(star_stencil(2), "fused-numpy")
@@ -253,7 +242,7 @@ class TestTileRoundReplay:
     def test_matches_per_iteration_and_numpy_rung(
         self, name, dtype, monkeypatch
     ):
-        from repro.perf.fused import _NumpyFusedRunner, _RunnerBase
+        from repro.perf.fused import _NumpyFusedRunner
 
         kernel, field = _replay_case(name, dtype)
         steps = 5  # a round of 3 and a partial 2
@@ -278,7 +267,11 @@ class TestTileRoundReplay:
         monkeypatch.setattr(_NumpyFusedRunner, "run_tile", counted)
         out_tile, t_tile = run("fused-numpy")
         assert calls  # the untraced serial path took the whole-tile replay
-        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", _RunnerBase.run_tile)
+        def per_iteration(self, traffic=None):
+            for k in self.iteration_keys:
+                self.run_iteration(k, traffic=traffic)
+
+        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", per_iteration)
         out_k, t_k = run("fused-numpy")
         out_ref, t_ref = run("numpy")
         assert_fields_equal(out_tile, out_k)

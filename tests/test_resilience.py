@@ -28,6 +28,7 @@ from repro.resilience import (
     ResilienceError,
     RunReport,
     SweepRetriesExhaustedError,
+    atomic_write,
     bind_with_fallback,
     fallback_chain,
     grid_is_finite,
@@ -57,9 +58,9 @@ def _disarm_faults():
 # ======================================================================
 class TestFaultSpec:
     def test_parse_full_syntax(self):
-        spec = FaultSpec.parse("backend.bind=fused-numba:3@2")
+        spec = FaultSpec.parse("backend.bind=fused-numpy:3@2")
         assert spec.site == "backend.bind"
-        assert spec.arg == "fused-numba"
+        assert spec.arg == "fused-numpy"
         assert spec.times == 3
         assert spec.after == 2
 
@@ -151,10 +152,10 @@ class TestFaultInjector:
 # ======================================================================
 class TestFallbackChain:
     def test_order(self):
-        assert fallback_chain("codegen") == list(FALLBACK_ORDER)
-        assert fallback_chain("fused-numba") == [
-            "fused-numba", "fused-numpy", "numpy-inplace", "numpy",
+        assert fallback_chain("codegen") == [
+            "codegen", "fused-numpy", "numpy-inplace", "numpy",
         ]
+        assert fallback_chain("codegen") == list(FALLBACK_ORDER)
         assert fallback_chain("fused-numpy") == [
             "fused-numpy", "numpy-inplace", "numpy",
         ]
@@ -336,6 +337,33 @@ class TestGuardedSweep:
     def test_invalid_policy_rejected(self, seven_point):
         with pytest.raises(ValueError, match="health policy"):
             GuardedSweep(self._executor(seven_point), health="panic")
+
+
+# ======================================================================
+# atomic whole-file writes
+# ======================================================================
+class TestAtomicWrite:
+    def test_bytes_text_and_writer(self, tmp_path):
+        path = tmp_path / "sub" / "f.bin"
+        atomic_write(path, b"abc")
+        assert path.read_bytes() == b"abc"
+        atomic_write(path, "caf\u00e9\n")
+        assert path.read_text(encoding="utf-8") == "caf\u00e9\n"
+        atomic_write(path, lambda fh: fh.write(b"streamed"))
+        assert path.read_bytes() == b"streamed"
+        assert not list(path.parent.glob("*.tmp"))
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "f.bin"
+        atomic_write(path, b"old")
+
+        def torn(fh):
+            fh.write(b"half")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, torn)
+        assert path.read_bytes() == b"old"
 
 
 # ======================================================================
@@ -630,7 +658,7 @@ class TestRunReport:
 
     def test_degraded_report_lines(self):
         report = RunReport(
-            requested_backend="fused-numba", used_backend="fused-numpy",
+            requested_backend="codegen", used_backend="fused-numpy",
             retries=2, repairs=1, resumed_from=4, checkpoints_written=3,
         )
         assert report.degraded

@@ -274,6 +274,22 @@ class TestServeCore:
         wait_terminal(core)
         assert core.drain()
 
+    def test_unknown_backend_rejected_at_admission(self, tmp_path):
+        assert "unknown backend 'bogus'" in JobSpec(backend="bogus").validate()
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        try:
+            for name in ("bogus", "fused-numba"):
+                reply = core.submit(JobSpec(grid=8, steps=1, backend=name).to_dict())
+                assert not reply["ok"] and reply["error"] == "rejected"
+                assert reply["reason"].startswith("invalid job: unknown backend")
+            assert core.counters["rejected"] == 2
+            assert core.counters["accepted"] == 0
+        finally:
+            assert core.drain()
+        journal = (tmp_path / "s" / "journal.jsonl").read_text()
+        assert '"ev":"accepted"' not in journal
+
     def test_deadline_storm_fails_with_reason(self, tmp_path):
         core = ServeCore(tmp_path / "s", workers=1, fsync=False)
         core.start()
@@ -1305,6 +1321,25 @@ class TestCLI:
             rc = main(["jobs", "--socket", str(tmp_path / "sock")])
             out = capsys.readouterr().out
             assert rc == 0 and "done" in out
+        finally:
+            server.stop()
+            core.drain(timeout=10.0)
+
+    def test_submit_unknown_backend_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        server = JobServer(core, tmp_path / "sock")
+        server.start()
+        try:
+            rc = main(["submit", "--socket", str(tmp_path / "sock"),
+                       "--grid", "12", "--steps", "4", "--backend",
+                       "fused-numba", "--wait"])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert "invalid job: unknown backend 'fused-numba'" in err
+            assert core.counters["accepted"] == 0
         finally:
             server.stop()
             core.drain(timeout=10.0)
