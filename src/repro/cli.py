@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         "passes, 4 when any seed fails.",
     )
     chaos.add_argument(
-        "--target", choices=["distributed", "serve", "sdc"],
+        "--target", choices=list(_CHAOS_TARGETS),
         default="distributed",
         help="what to soak (default: the distributed driver); 'sdc' soaks "
         "the silent-data-corruption defense with seeded memory.flip / "
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--ranks", type=int, default=4)
     chaos.add_argument("--grid", type=int, default=None,
                        help="cubic grid side (default: 24 distributed, "
-                       "12 serve)")
+                       "20 sdc, 12 serve)")
     chaos.add_argument("--steps", type=int, default=6)
     chaos.add_argument("--dim-t", type=int, default=2)
     chaos.add_argument("--jobs", type=int, default=12, metavar="N",
@@ -960,219 +960,72 @@ def _cmd_faults() -> int:
     return 0
 
 
+#: ``repro chaos --target`` name -> (module, target); imported on use, so
+#: a daemon started through :func:`main` never loads a soak harness
+_CHAOS_TARGETS = {
+    "distributed": ("repro.resilience.chaos", "DISTRIBUTED"),
+    "serve": ("repro.serve.chaos", "SERVE"),
+    "sdc": ("repro.resilience.sdc", "SDC"),
+}
+
+
 def _cmd_chaos(args) -> int:
     """Exit codes: 0 all seeds green, 2 usage error, 4 any seed red."""
-    if args.target == "serve":
-        return _cmd_chaos_serve(args)
-    if args.target == "sdc":
-        return _cmd_chaos_sdc(args)
-    from repro.resilience.chaos import (
-        SCHEDULES,
-        make_case,
-        run_case,
-        write_bundle,
-    )
+    import importlib
 
-    if args.grid is None:
-        args.grid = 24
-    schedules = tuple(
-        s.strip()
-        for s in (args.schedules or ",".join(SCHEDULES)).split(",")
-        if s.strip()
-    )
-    unknown = set(schedules) - set(SCHEDULES)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SCHEDULES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.seeds < 1 or args.ranks < 1:
-        print("error: --seeds and --ranks must be >= 1", file=sys.stderr)
-        return 2
+    from repro.resilience.chaos import run_soak, write_bundle
 
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"chaos soak   : {args.seeds} seed(s), {args.ranks} ranks, "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
-    print(f"schedules    : {', '.join(schedules)}")
-    failures = 0
-    for seed in seeds:
-        case = make_case(
-            seed, ranks=args.ranks, grid=args.grid, steps=args.steps,
-            dim_t=args.dim_t, schedules=schedules,
-        )
-        result = run_case(case, trace=args.bundle is not None)
-        status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.recoveries} recoveries, "
-            f"{result.comm_retries} retries, "
-            f"{result.comm_dropped} dropped, "
-            f"{result.comm_corrupted} corrupted, "
-            f"{result.comm_delayed} delayed"
-        )
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
-        if not result.ok:
-            failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if not result.bit_exact and result.error is None:
-                print("             ! result differs from the fault-free "
-                      "reference")
-            if args.bundle:
-                bundle = write_bundle(result, args.bundle)
-                print(f"             ! repro bundle: {bundle}")
-        from repro.obs import TRACE
-
-        TRACE.disarm()
-    if failures:
-        print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
-        return 4
-    print(f"verdict      : all {args.seeds} seed(s) bit-exact")
-    return 0
-
-
-def _cmd_chaos_serve(args) -> int:
-    """Serve-daemon soak: accepted jobs terminal, completed jobs bit-exact."""
-    import json
-
-    from pathlib import Path
-
-    from repro.serve.chaos import (
-        SERVE_SCHEDULES,
-        make_serve_case,
-        run_serve_case,
-    )
-
-    if args.grid is None:
-        args.grid = 12
-    schedules = tuple(
-        s.strip()
-        for s in (args.schedules or ",".join(SERVE_SCHEDULES)).split(",")
-        if s.strip()
-    )
-    unknown = set(schedules) - set(SERVE_SCHEDULES)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SERVE_SCHEDULES)}",
-            file=sys.stderr,
-        )
-        return 2
+    module, attr = _CHAOS_TARGETS[args.target]
+    target = getattr(importlib.import_module(module), attr)
     if args.seeds < 1:
         print("error: --seeds must be >= 1", file=sys.stderr)
         return 2
-
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"serve soak   : {args.seeds} seed(s), {args.jobs} jobs of "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
-    print(f"schedules    : {', '.join(schedules)}")
-    failures = 0
-    for seed in seeds:
-        case = make_serve_case(
-            seed, jobs=args.jobs, grid=args.grid, steps=args.steps,
-            dim_t=args.dim_t, schedules=schedules,
-        )
-        result = run_serve_case(case)
-        status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.accepted} accepted, {result.refused} refused, "
-            f"{result.completed} done, {result.degraded} degraded, "
-            f"{result.failed} failed, {result.recovered} recovered, "
-            f"{result.quarantined_records} quarantined"
-        )
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
-        if not result.ok:
-            failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if result.hash_mismatches:
-                print(f"             ! {result.hash_mismatches} completed "
-                      "job(s) differ from the fault-free reference")
-            if result.non_terminal:
-                print(f"             ! {result.non_terminal} accepted job(s) "
-                      "never reached a terminal status")
-            if args.bundle:
-                bundle = Path(args.bundle) / f"serve-seed-{seed}"
-                bundle.mkdir(parents=True, exist_ok=True)
-                with open(bundle / "case.json", "w", encoding="utf-8") as fh:
-                    json.dump(result.to_dict(), fh, indent=2)
-                    fh.write("\n")
-                with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
-                    fh.write(",".join(case.specs) + "\n")
-                print(f"             ! repro bundle: {bundle}")
-    if failures:
-        print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
-        return 4
-    print(f"verdict      : all {args.seeds} seed(s) clean "
-          "(no silent loss, completed jobs bit-exact)")
-    return 0
-
-
-def _cmd_chaos_sdc(args) -> int:
-    """SDC soak: no silent corruption — every healed run bit-exact."""
-    from repro.resilience.sdc import (
-        SDC_SCHEDULES,
-        make_sdc_case,
-        run_sdc_case,
-        write_sdc_bundle,
-    )
-
-    if args.grid is None:
-        args.grid = 20
     schedules = tuple(
         s.strip()
-        for s in (args.schedules or ",".join(SDC_SCHEDULES)).split(",")
+        for s in (args.schedules or ",".join(target.schedules)).split(",")
         if s.strip()
     )
-    unknown = set(schedules) - set(SDC_SCHEDULES)
-    if unknown:
-        print(
-            f"error: unknown schedule(s) {', '.join(sorted(unknown))}; "
-            f"known: {', '.join(SDC_SCHEDULES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.seeds < 1:
-        print("error: --seeds must be >= 1", file=sys.stderr)
+    shape = {
+        key: getattr(args, key)
+        for key in target.defaults
+        if getattr(args, key, None) is not None
+    }
+    seeds = range(args.seed_base, args.seed_base + args.seeds)
+    try:
+        results = run_soak(target, seeds, schedules=schedules,
+                           trace=args.bundle is not None, **shape)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    seeds = range(args.seed_base, args.seed_base + args.seeds)
-    print(f"sdc soak     : {args.seeds} seed(s), tier {args.tier}, "
-          f"{args.grid}^3 x {args.steps} steps (dim_T={args.dim_t})")
+    headline = target.headline.format(**{**target.defaults, **shape})
+    print(f"{target.title:<13}: {args.seeds} seed(s), {headline}")
     print(f"schedules    : {', '.join(schedules)}")
     failures = 0
-    for seed in seeds:
-        case = make_sdc_case(
-            seed, grid=args.grid, steps=args.steps, dim_t=args.dim_t,
-            tier=args.tier, schedules=schedules,
-        )
-        result = run_sdc_case(case)
+    for result in results:
+        case = result.case
         status = "ok" if result.ok else "FAIL"
-        detail = (
-            f"{result.flips_fired} flip(s), {result.detections} detected, "
-            f"{result.heals} healed, {result.replayed_cells} cells replayed, "
-            f"{result.checks} checks"
+        detail = ", ".join(
+            value if isinstance(value, str) else f"{value} {label}"
+            for label, value in result.counts.items()
         )
-        if result.bitrot_detected is not None:
-            detail += (", bitrot refused" if result.bitrot_detected
-                       else ", BITROT TRUSTED")
-        print(f"seed {seed:<4}    : {status} ({detail}) [{case.describe()}]")
-        if not result.ok:
-            failures += 1
-            if result.error:
-                print(f"             ! {result.error}")
-            if not result.bit_exact and result.error is None:
-                print("             ! result differs from the fault-free "
-                      "reference")
-            if args.bundle:
-                bundle = write_sdc_bundle(result, args.bundle)
-                print(f"             ! repro bundle: {bundle}")
+        detail = f" ({detail})" if detail else ""
+        print(f"seed {case.seed:<4}    : {status}{detail} [{case.describe()}]")
+        if result.ok:
+            continue
+        failures += 1
+        if result.error:
+            print(f"             ! {result.error}")
+        elif not result.bit_exact:
+            print("             ! result differs from the fault-free "
+                  "reference")
+        if args.bundle:
+            bundle = write_bundle(result, args.bundle)
+            print(f"             ! repro bundle: {bundle}")
     if failures:
         print(f"verdict      : {failures}/{args.seeds} seed(s) FAILED")
         return 4
-    print(f"verdict      : all {args.seeds} seed(s) clean "
-          "(every flip detected, healed runs bit-exact)")
+    print(f"verdict      : all {args.seeds} seed(s) {target.verdict}")
     return 0
 
 

@@ -18,8 +18,8 @@ drops that assumption:
 * :mod:`~repro.resilience.rankrecovery` — rank-failure tolerance for the
   distributed driver: in-memory buddy checkpoints, elastic
   re-decomposition over the survivors, at most one replayed round;
-* :mod:`~repro.resilience.chaos` — the seeded chaos soak harness
-  (randomized crash/loss/corruption/delay schedules, bit-exact oracle);
+* :mod:`~repro.resilience.chaos` — the one seeded chaos soak loop over
+  three targets (``DISTRIBUTED``, ``SDC``, ``repro.serve.chaos.SERVE``);
 * :mod:`~repro.resilience.sdc` — silent-data-corruption defense:
   per-plane CRC seals, re-execution spot checks through the naive rung,
   and surgical cone-bounded healing (integrity tiers
@@ -37,11 +37,9 @@ See ``docs/robustness.md`` for the full contract.
 
 from .atomic import atomic_write
 from .chaos import (
-    SCHEDULES,
-    ChaosCase,
+    DISTRIBUTED,
     ChaosResult,
-    make_case,
-    run_case,
+    ChaosTarget,
     run_soak,
     write_bundle,
 )
@@ -88,21 +86,15 @@ from .rankrecovery import (
 from .report import RunReport
 from .sdc import (
     INTEGRITY_TIERS,
-    SDC_SCHEDULES,
-    SdcChaosCase,
-    SdcChaosResult,
+    SDC,
     SdcError,
     SdcGuard,
     SdcReport,
     SdcUnhealableError,
     flip_bits,
     inject_flips,
-    make_sdc_case,
     plane_crcs,
     rot_file,
-    run_sdc_case,
-    run_sdc_soak,
-    write_sdc_bundle,
 )
 from .watchdog import (
     GuardedSweep,
@@ -116,19 +108,19 @@ from .watchdog import (
 __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "DEFAULT_CORRUPT_KEEP",
+    "DISTRIBUTED",
     "FAULTS",
     "INTEGRITY_TIERS",
     "REPRO_CORRUPT_KEEP_ENV",
     "REPRO_FAULTS_ENV",
-    "SCHEDULES",
-    "SDC_SCHEDULES",
+    "SDC",
     "SITES",
     "FALLBACK_ORDER",
     "BoundBackend",
     "BuddySnapshot",
     "BuddyStore",
-    "ChaosCase",
     "ChaosResult",
+    "ChaosTarget",
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
@@ -145,8 +137,6 @@ __all__ = [
     "RecoveryReport",
     "ResilienceError",
     "RunReport",
-    "SdcChaosCase",
-    "SdcChaosResult",
     "SdcError",
     "SdcGuard",
     "SdcReport",
@@ -164,15 +154,9 @@ __all__ = [
     "gc_corrupt",
     "grid_is_finite",
     "inject_flips",
-    "make_case",
-    "make_sdc_case",
     "plane_crcs",
     "quarantine",
     "rot_file",
-    "run_case",
-    "run_sdc_case",
-    "run_sdc_soak",
     "run_soak",
     "write_bundle",
-    "write_sdc_bundle",
 ]

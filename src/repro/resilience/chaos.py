@@ -1,52 +1,197 @@
 """Chaos soak harness: randomized seeded fault schedules, bit-exact or bust.
 
-The rank-recovery path (buddy checkpoints + elastic re-decomposition, see
-:mod:`repro.resilience.rankrecovery`) claims that *any* survivable fault
-schedule yields a final field bit-identical to the fault-free run.  A
-handful of hand-written tests cannot earn that claim; a soak can: this
-module derives a random-but-reproducible fault schedule from a seed —
-rank crashes, message loss, payload corruption, delayed acks — runs the
-distributed driver under it, and compares the result bit-for-bit against
-a fault-free naive reference.  Every seed is a complete repro recipe: the
-same seed always produces the same schedule, the same recovery sequence,
-and the same (correct) bits.
-
-Entry points: :func:`make_case` (seed -> schedule), :func:`run_case`
-(one soak iteration), :func:`run_soak` (the multi-seed loop used by
-``repro chaos`` and ``benchmarks/bench_chaos.py``).  A failing case can be
-dumped as a **repro bundle** (fault specs + trace JSON + case metadata)
-via :func:`write_bundle` — the artifact CI uploads so a red soak is
-debuggable offline.
+Hand-written tests cannot earn the claim that a run under *any* survivable
+fault schedule ends bit-identical to the fault-free naive oracle; a soak
+can.  :func:`run_soak` is the one seeded loop ``repro chaos`` drives: a
+:class:`ChaosTarget` derives a reproducible case (run shape + fault
+schedule) from each seed and judges its run against the oracle, so every
+seed is a complete repro recipe.  The targets differ only in what they
+draw and judge: :data:`DISTRIBUTED` (here: rank crashes and a lossy
+transport under ``DistributedJacobi``), :data:`repro.resilience.sdc.SDC`
+(memory flips and checkpoint bitrot) and :data:`repro.serve.chaos.SERVE`
+(the serve daemon under admission, journal and kill faults).  A failing
+case's **repro bundle** (:func:`write_bundle`) is the artifact CI uploads
+so a red soak is debuggable offline.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Any, ClassVar
 
 import numpy as np
 
+from ..obs.trace import TRACE
 from .faultinject import FAULTS, ResilienceError
 
 __all__ = [
-    "SCHEDULES",
-    "ChaosCase",
+    "DISTRIBUTED",
     "ChaosResult",
-    "make_case",
-    "run_case",
+    "ChaosTarget",
+    "DistributedChaosCase",
     "run_soak",
+    "seeded_problem",
     "write_bundle",
 ]
 
-#: every fault family the schedule generator knows how to draw
-SCHEDULES = ("crash", "loss", "corruption", "delay")
-
 
 @dataclass
-class ChaosCase:
+class ChaosResult:
+    """Outcome of one soak iteration, everything needed to judge and debug."""
+
+    case: Any
+    ok: bool
+    bit_exact: bool
+    error: str | None
+    #: the per-seed detail ``repro chaos`` prints, in order: an int value
+    #: prints as "<value> <label>", a str value prints as it is
+    counts: dict = field(default_factory=dict)
+    elapsed_s: float = 0.0
+    #: judgement inputs the detail line leaves out (failed ranks, hash
+    #: mismatches, the traceback of a case that raised, ...)
+    facts: dict = field(default_factory=dict)
+    #: chrome trace of the case when it ran traced, else None
+    trace: dict | None = field(default=None, repr=False)
+
+    def to_dict(self) -> dict:
+        doc = asdict(self)
+        del doc["trace"]
+        return doc
+
+
+class ChaosTarget:
+    """One system a soak can hammer: seeds in, judged results out.
+
+    A target sets the class attributes and implements :meth:`draw` (seed +
+    validated shape -> case) and :meth:`run` (case -> :class:`ChaosResult`
+    judged against the fault-free naive oracle); :meth:`make` validates
+    the schedules and the shape once for every target.
+    """
+
+    name: ClassVar[str]
+    #: every fault family the target's schedule generator can draw
+    schedules: ClassVar[tuple[str, ...]]
+    #: the run shape of a case when the caller leaves it out
+    defaults: ClassVar[dict]
+    #: ``repro chaos`` header: its label, and its text after "N seed(s), "
+    #: (formatted with the shape)
+    title: ClassVar[str]
+    headline: ClassVar[str]
+    #: ``repro chaos`` verdict after "all N seed(s) " when every seed passes
+    verdict: ClassVar[str]
+
+    def make(self, seed: int, schedules=None, **shape):
+        """Derive the case of ``seed``; ``ValueError`` on an unknown
+        schedule or a shape no run could execute (e.g. ``steps=0``, which
+        would judge nothing and pass)."""
+        schedules = self.schedules if schedules is None else tuple(schedules)
+        unknown = set(schedules) - set(self.schedules)
+        if unknown:
+            raise ValueError(
+                f"unknown chaos schedule(s) {', '.join(sorted(unknown))} for "
+                f"target {self.name}; known: {', '.join(self.schedules)}"
+            )
+        shape = {**self.defaults, **shape}
+        for key, value in shape.items():
+            if isinstance(value, int) and value < 1:
+                raise ValueError(f"{key} must be >= 1, got {value}")
+        # every target runs the 7-point kernel: 2R+1 planes per axis
+        if shape["grid"] < 3:
+            raise ValueError(f"grid must be >= 3, got {shape['grid']}")
+        return self.draw(seed, schedules, **shape)
+
+    def draw(self, seed: int, schedules: tuple[str, ...], **shape):
+        raise NotImplementedError
+
+    def run(self, case) -> ChaosResult:
+        raise NotImplementedError
+
+
+def seeded_problem(case):
+    """The 7-point kernel, the seeded f32 field of ``case`` and its
+    fault-free naive reference after ``case.steps`` steps."""
+    from ..core.naive import run_naive
+    from ..stencils.grid import Field3D
+    from ..stencils.seven_point import SevenPointStencil
+
+    kernel = SevenPointStencil()
+    fld = Field3D.random((case.grid,) * 3, dtype=np.float32, seed=case.seed)
+    return kernel, fld, run_naive(kernel, fld, case.steps)
+
+
+def run_soak(target: ChaosTarget, seeds, *, schedules=None,
+             trace: bool = False, **shape):
+    """Make every seed's case, then return an iterator of judged results.
+
+    Cases are made up front, so an invalid shape or schedule raises
+    ``ValueError`` before anything runs; results are then produced one
+    case at a time, in seed order.  A case that raises becomes a red
+    result carrying ``error`` (later seeds still run); ``KeyboardInterrupt``
+    propagates.  ``trace=True`` arms the span tracer around each case only.
+    """
+    cases = [target.make(seed, schedules, **shape) for seed in seeds]
+    return (_run_case(target, case, trace) for case in cases)
+
+
+def _run_case(target: ChaosTarget, case, trace: bool) -> ChaosResult:
+    from ..obs.export import chrome_trace
+
+    if trace:
+        TRACE.arm()
+    t0 = time.perf_counter()
+    try:
+        result = target.run(case)
+    except Exception as exc:
+        result = ChaosResult(
+            case=case, ok=False, bit_exact=False,
+            error=f"{type(exc).__name__}: {exc}",
+            facts={"traceback": traceback.format_exc()},
+        )
+    finally:
+        if trace:
+            TRACE.disarm()
+    result.elapsed_s = time.perf_counter() - t0
+    if trace:
+        result.trace = chrome_trace()
+    return result
+
+
+def write_bundle(result: ChaosResult, directory) -> Path:
+    """Dump a failing seed's repro bundle; returns the bundle directory.
+
+    Contents: ``case.json`` (the full result, including the fault specs
+    that reproduce the failure), ``faults.txt`` (the ``$REPRO_FAULTS``
+    value to re-arm the schedule by hand), and — only when this case ran
+    traced — ``trace.json`` with its spans.
+    """
+    case = result.case
+    bundle = Path(directory) / f"{case.bundle_prefix}{case.seed}"
+    bundle.mkdir(parents=True, exist_ok=True)
+    with open(bundle / "case.json", "w", encoding="utf-8") as fh:
+        json.dump(result.to_dict(), fh, indent=2)
+        fh.write("\n")
+    with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
+        fh.write(",".join(case.specs) + "\n")
+    if result.trace is not None:
+        with open(bundle / "trace.json", "w", encoding="utf-8") as fh:
+            json.dump(result.trace, fh, indent=1)
+            fh.write("\n")
+    return bundle
+
+
+# ----------------------------------------------------------------------
+# the distributed target: rank crashes and a lossy transport
+# ----------------------------------------------------------------------
+
+@dataclass
+class DistributedChaosCase:
     """One seeded soak iteration: the run shape plus its fault schedule."""
+
+    bundle_prefix: ClassVar[str] = "seed-"
 
     seed: int
     ranks: int
@@ -72,182 +217,98 @@ class ChaosCase:
         )
 
 
-@dataclass
-class ChaosResult:
-    """Outcome of one soak iteration, everything needed to judge and debug."""
+class DistributedTarget(ChaosTarget):
+    """``DistributedJacobi`` under rank crashes and a faulty transport."""
 
-    case: ChaosCase
-    ok: bool
-    bit_exact: bool
-    error: str | None
-    recoveries: int
-    replayed_rounds: int
-    failed_ranks: list
-    comm_retries: int
-    comm_dropped: int
-    comm_corrupted: int
-    comm_delayed: int
-    elapsed_s: float
+    name = "distributed"
+    schedules = ("crash", "loss", "corruption", "delay")
+    defaults = {"ranks": 4, "grid": 24, "steps": 6, "dim_t": 2}
+    title = "chaos soak"
+    headline = "{ranks} ranks, {grid}^3 x {steps} steps (dim_T={dim_t})"
+    verdict = "bit-exact"
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["case"] = asdict(self.case)
-        return doc
+    def draw(self, seed, schedules, *, ranks, grid, steps, dim_t):
+        """``crash`` kills one uniformly-chosen rank at a uniformly-chosen
+        round (via the ``rank.crash`` heartbeat site — always a
+        *survivable* single failure, the buddy scheme's design point);
+        ``loss``/``corruption`` draw per-message probabilities for the
+        transport; ``delay`` arms a burst of delayed acks."""
+        from ..distributed.decompose import decompose_z
 
-
-def make_case(
-    seed: int,
-    *,
-    ranks: int = 4,
-    grid: int = 24,
-    steps: int = 6,
-    dim_t: int = 2,
-    schedules: tuple[str, ...] = SCHEDULES,
-) -> ChaosCase:
-    """Derive a deterministic fault schedule from ``seed``.
-
-    ``crash`` kills one uniformly-chosen rank at a uniformly-chosen round
-    (via the ``rank.crash`` heartbeat site — always a *survivable* single
-    failure, the buddy scheme's design point); ``loss``/``corruption``
-    draw per-message probabilities for the transport; ``delay`` arms a
-    burst of delayed acks.  Unknown schedule names raise ``ValueError``.
-    """
-    unknown = set(schedules) - set(SCHEDULES)
-    if unknown:
-        raise ValueError(
-            f"unknown chaos schedule(s) {sorted(unknown)}; "
-            f"known: {', '.join(SCHEDULES)}"
+        # every slab must own a blocked round's halo (R * dim_T planes)
+        decompose_z(grid, ranks, dim_t)
+        rng = np.random.default_rng(seed)
+        rounds = -(-steps // dim_t)
+        specs: list[str] = []
+        loss = corruption = 0.0
+        if "crash" in schedules and ranks >= 2:
+            victim = int(rng.integers(0, ranks))
+            when = int(rng.integers(0, rounds))
+            specs.append(f"rank.crash={victim}" + (f"@{when}" if when else ""))
+        if "loss" in schedules:
+            loss = round(float(rng.uniform(0.02, 0.15)), 3)
+        if "corruption" in schedules:
+            corruption = round(float(rng.uniform(0.02, 0.10)), 3)
+        if "delay" in schedules:
+            times = int(rng.integers(1, 4))
+            after = int(rng.integers(0, 6))
+            specs.append(f"comm.delay:{times}" + (f"@{after}" if after else ""))
+        # mostly soak the overlapped schedule (crashes detected mid-wait,
+        # with handles pending); 1-in-5 cases keep the fused path covered
+        overlap = bool(rng.random() < 0.8)
+        latency_s = round(float(rng.uniform(1e-6, 1e-4)), 9)
+        return DistributedChaosCase(
+            seed=seed, ranks=ranks, grid=grid, steps=steps, dim_t=dim_t,
+            specs=specs, loss=loss, corruption=corruption,
+            overlap=overlap, latency_s=latency_s,
         )
-    rng = np.random.default_rng(seed)
-    rounds = -(-steps // dim_t)
-    specs: list[str] = []
-    loss = corruption = 0.0
-    if "crash" in schedules and ranks >= 2:
-        victim = int(rng.integers(0, ranks))
-        when = int(rng.integers(0, rounds))
-        specs.append(f"rank.crash={victim}" + (f"@{when}" if when else ""))
-    if "loss" in schedules:
-        loss = round(float(rng.uniform(0.02, 0.15)), 3)
-    if "corruption" in schedules:
-        corruption = round(float(rng.uniform(0.02, 0.10)), 3)
-    if "delay" in schedules:
-        times = int(rng.integers(1, 4))
-        after = int(rng.integers(0, 6))
-        specs.append(f"comm.delay:{times}" + (f"@{after}" if after else ""))
-    # mostly soak the overlapped schedule (crashes detected mid-wait, with
-    # handles pending); 1-in-5 cases keep the fused path covered too
-    overlap = bool(rng.random() < 0.8)
-    latency_s = round(float(rng.uniform(1e-6, 1e-4)), 9)
-    return ChaosCase(
-        seed=seed, ranks=ranks, grid=grid, steps=steps, dim_t=dim_t,
-        specs=specs, loss=loss, corruption=corruption,
-        overlap=overlap, latency_s=latency_s,
-    )
 
+    def run(self, case: DistributedChaosCase) -> ChaosResult:
+        """The distributed run under the schedule, compared bit-for-bit
+        against a fault-free serial naive run of the same field."""
+        from ..distributed.comm import CommStats
+        from ..distributed.runner import DistributedJacobi
 
-def run_case(case: ChaosCase, *, trace: bool = False) -> ChaosResult:
-    """One soak iteration: run under the schedule, verify bit-exactness.
-
-    The reference is a fault-free serial naive run of the same field and
-    step count — the strongest possible oracle.  ``trace=True`` arms the
-    span tracer around the faulty run so a failure's recovery timeline can
-    be exported into the repro bundle.
-    """
-    from ..core.naive import run_naive
-    from ..distributed.runner import DistributedJacobi
-    from ..obs.trace import TRACE
-    from ..stencils.grid import Field3D
-    from ..stencils.seven_point import SevenPointStencil
-
-    kernel = SevenPointStencil()
-    shape = (case.grid,) * 3
-    fld = Field3D.random(shape, dtype=np.float32, seed=case.seed)
-    ref = run_naive(kernel, fld, case.steps)
-
-    runner = DistributedJacobi(
-        kernel,
-        case.ranks,
-        dim_t=case.dim_t,
-        loss=case.loss,
-        corruption=case.corruption,
-        comm_seed=case.seed,
-        max_retries=64,  # lossy links must exhaust probabilistically never
-        overlap=case.overlap,
-        latency_s=case.latency_s,
-    )
-    error = None
-    out = comm = None
-    if trace:
-        TRACE.arm()
-    t0 = time.perf_counter()
-    try:
-        with FAULTS.injected(*case.specs):
-            out, comm = runner.run(fld, case.steps)
-    except ResilienceError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    elapsed = time.perf_counter() - t0
-
-    bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
-    total = comm.total_stats() if comm is not None else None
-    rep = runner.recovery
-    return ChaosResult(
-        case=case,
-        ok=error is None and bit_exact,
-        bit_exact=bit_exact,
-        error=error,
-        recoveries=rep.recoveries,
-        replayed_rounds=rep.replayed_rounds,
-        failed_ranks=list(rep.failed_ranks),
-        comm_retries=total.retries if total else 0,
-        comm_dropped=total.dropped if total else 0,
-        comm_corrupted=total.corrupted if total else 0,
-        comm_delayed=total.delayed if total else 0,
-        elapsed_s=elapsed,
-    )
-
-
-def run_soak(
-    seeds,
-    *,
-    ranks: int = 4,
-    grid: int = 24,
-    steps: int = 6,
-    dim_t: int = 2,
-    schedules: tuple[str, ...] = SCHEDULES,
-    trace: bool = False,
-) -> list[ChaosResult]:
-    """Run one :func:`run_case` per seed; never raises on a red case —
-    the caller inspects ``result.ok`` (and bundles the failures)."""
-    return [
-        run_case(
-            make_case(
-                seed, ranks=ranks, grid=grid, steps=steps, dim_t=dim_t,
-                schedules=schedules,
-            ),
-            trace=trace,
+        kernel, fld, ref = seeded_problem(case)
+        runner = DistributedJacobi(
+            kernel,
+            case.ranks,
+            dim_t=case.dim_t,
+            loss=case.loss,
+            corruption=case.corruption,
+            comm_seed=case.seed,
+            max_retries=64,  # lossy links must exhaust probabilistically never
+            overlap=case.overlap,
+            latency_s=case.latency_s,
         )
-        for seed in seeds
-    ]
+        error = None
+        out = comm = None
+        try:
+            with FAULTS.injected(*case.specs):
+                out, comm = runner.run(fld, case.steps)
+        except ResilienceError as exc:
+            error = f"{type(exc).__name__}: {exc}"
+
+        bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
+        total = comm.total_stats() if comm is not None else CommStats()
+        rep = runner.recovery
+        return ChaosResult(
+            case=case,
+            ok=error is None and bit_exact,
+            bit_exact=bit_exact,
+            error=error,
+            counts={
+                "recoveries": rep.recoveries,
+                "retries": total.retries,
+                "dropped": total.dropped,
+                "corrupted": total.corrupted,
+                "delayed": total.delayed,
+            },
+            facts={
+                "replayed_rounds": rep.replayed_rounds,
+                "failed_ranks": list(rep.failed_ranks),
+            },
+        )
 
 
-def write_bundle(result: ChaosResult, directory) -> Path:
-    """Dump a failing seed's repro bundle; returns the bundle directory.
-
-    Contents: ``case.json`` (the full result, including the fault specs
-    that reproduce the failure), ``faults.txt`` (the ``$REPRO_FAULTS``
-    value to re-arm the schedule by hand), and — when the tracer was armed
-    during the run — ``trace.json`` with the recovery spans.
-    """
-    from ..obs.export import write_chrome_trace
-    from ..obs.trace import TRACE
-
-    bundle = Path(directory) / f"seed-{result.case.seed}"
-    bundle.mkdir(parents=True, exist_ok=True)
-    with open(bundle / "case.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
-    with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.case.specs) + "\n")
-    if TRACE.armed or TRACE.events():
-        write_chrome_trace(str(bundle / "trace.json"))
-    return bundle
+DISTRIBUTED = DistributedTarget()

@@ -111,11 +111,14 @@ class CheckpointStore:
                 f"cannot write checkpoint {self.path}: {exc}"
             ) from exc
         if FAULTS.should("disk.bitrot", self.path.name):
-            # the persisted payload rots *after* the fsync: the next load
-            # must refuse the snapshot via its content digest
+            # the persisted payload rots *after* the fsync, inside the grid
+            # bytes the content digest covers (np.savez stores them raw; a
+            # rot in a zip header field np.load never reads would go
+            # unseen): the next load must refuse the snapshot
             from .sdc import rot_file
 
-            rot_file(self.path)
+            start = self.path.read_bytes().find(payload.tobytes())
+            rot_file(self.path, offset=start + payload.nbytes // 2)
 
     def load(
         self,

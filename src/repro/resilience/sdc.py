@@ -45,19 +45,18 @@ Integrity tiers (``JobSpec.integrity`` / ``repro run --verify``):
 
 The ``memory.flip`` fault site injects flips (``site=rank:round`` detail
 grammar, budget = bit count); ``disk.bitrot`` rots a checkpoint payload
-after it is fsynced.  :func:`run_sdc_soak` drives seeded flip/bitrot
-schedules through a guarded run and judges *no silent corruption*: every
-in-window flip detected, every healed run bit-identical to the fault-free
-oracle.
+after it is fsynced.  The :data:`SDC` chaos target (``repro chaos
+--target sdc``) drives seeded flip/bitrot schedules through a guarded run
+and judges *no silent corruption*: every in-window flip detected, every
+healed run bit-identical to the fault-free oracle.
 """
 
 from __future__ import annotations
 
-import json
-import time
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,14 +65,14 @@ from ..core.regions import loaded_extent
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
 from ..stencils.grid import Field3D
+from .chaos import ChaosResult, ChaosTarget, seeded_problem
 from .faultinject import FAULTS, ResilienceError
 
 __all__ = [
     "INTEGRITY_TIERS",
     "MAX_FLIPS_PER_PROBE",
-    "SDC_SCHEDULES",
+    "SDC",
     "SdcChaosCase",
-    "SdcChaosResult",
     "SdcError",
     "SdcGuard",
     "SdcReport",
@@ -82,12 +81,8 @@ __all__ = [
     "flip_bits",
     "grid_is_finite",
     "inject_flips",
-    "make_sdc_case",
     "plane_crcs",
     "rot_file",
-    "run_sdc_case",
-    "run_sdc_soak",
-    "write_sdc_bundle",
 ]
 
 #: the integrity ladder, weakest to strongest
@@ -96,10 +91,6 @@ INTEGRITY_TIERS = ("off", "spot", "seal", "full")
 #: cap on bits flipped per probe point, so ``memory.flip:*`` (unlimited
 #: budget) means "flip at every probe", not an unbounded drain loop
 MAX_FLIPS_PER_PROBE = 64
-
-#: fault families the SDC chaos schedule generator knows how to draw
-SDC_SCHEDULES = ("flip", "bitrot")
-
 
 class SdcError(ResilienceError):
     """Silent data corruption was detected (and could not be ignored)."""
@@ -182,8 +173,9 @@ def inject_flips(
     return fired
 
 
-def rot_file(path, *, xor: int = 0x40) -> bool:
-    """Corrupt one byte in the middle of ``path`` in place (disk bitrot).
+def rot_file(path, *, offset: int | None = None, xor: int = 0x40) -> bool:
+    """Corrupt the byte at ``offset`` of ``path`` in place (disk bitrot);
+    the default offset is the middle of the file.
 
     Deterministic (fixed offset, fixed XOR mask) so a rotted artifact is
     reproducible from the fault spec alone.  Returns False for an empty
@@ -194,7 +186,8 @@ def rot_file(path, *, xor: int = 0x40) -> bool:
         size = p.stat().st_size
         if size == 0:
             return False
-        offset = size // 2
+        if offset is None:
+            offset = size // 2
         with open(p, "r+b") as fh:
             fh.seek(offset)
             byte = fh.read(1)
@@ -576,6 +569,8 @@ class SdcGuard:
             METRICS.inc(counter, amount)
 
 
+
+
 # ----------------------------------------------------------------------
 # seeded chaos: flip/bitrot schedules, no-silent-corruption judgment
 # ----------------------------------------------------------------------
@@ -584,15 +579,16 @@ class SdcGuard:
 class SdcChaosCase:
     """One seeded SDC soak iteration: run shape plus its fault schedule."""
 
+    bundle_prefix: ClassVar[str] = "sdc-seed-"
+
     seed: int
     grid: int
     steps: int
     dim_t: int
     tier: str
+    #: flip probes fire at round boundaries, so every one is in-window:
+    #: the guard's final seal verify covers flips after the last round
     specs: list[str] = field(default_factory=list)
-    #: rounds at which flip probes fire (every one is in-window: the
-    #: guard's final seal verify covers flips after the last round)
-    flip_rounds: list[int] = field(default_factory=list)
     bitrot: bool = False
 
     def describe(self) -> str:
@@ -603,201 +599,134 @@ class SdcChaosCase:
         )
 
 
-@dataclass
-class SdcChaosResult:
-    """Outcome of one SDC soak iteration."""
+class SdcTarget(ChaosTarget):
+    """A guarded 3.5D sweep under memory flips and checkpoint bitrot."""
 
-    case: SdcChaosCase
-    ok: bool
-    bit_exact: bool
-    error: str | None
-    flips_fired: int
-    flip_rounds_fired: int
-    detections: int
-    heals: int
-    replayed_cells: int
-    checks: int
-    #: None when the schedule drew no bitrot; else "did the store refuse
-    #: the rotted snapshot instead of silently restoring it"
-    bitrot_detected: bool | None
-    elapsed_s: float
+    name = "sdc"
+    schedules = ("flip", "bitrot")
+    defaults = {"grid": 20, "steps": 8, "dim_t": 2, "tier": "full"}
+    title = "sdc soak"
+    headline = "tier {tier}, {grid}^3 x {steps} steps (dim_T={dim_t})"
+    verdict = "clean (every flip detected, healed runs bit-exact)"
 
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["case"] = asdict(self.case)
-        return doc
-
-
-def make_sdc_case(
-    seed: int,
-    *,
-    grid: int = 20,
-    steps: int = 8,
-    dim_t: int = 2,
-    tier: str = "full",
-    schedules: tuple[str, ...] = SDC_SCHEDULES,
-) -> SdcChaosCase:
-    """Derive a deterministic flip/bitrot schedule from ``seed``.
-
-    ``flip`` draws 1-2 probe rounds (each with 1-3 bits) over the run's
-    rounds; ``bitrot`` rots the *last* checkpoint written, so the
-    post-run restore attempt must refuse it.
-    """
-    unknown = set(schedules) - set(SDC_SCHEDULES)
-    if unknown:
-        raise ValueError(
-            f"unknown sdc chaos schedule(s) {sorted(unknown)}; "
-            f"known: {', '.join(SDC_SCHEDULES)}"
+    def draw(self, seed, schedules, *, grid, steps, dim_t, tier):
+        """``flip`` draws 1-2 probe rounds (each with 1-3 bits) over the
+        run's rounds; ``bitrot`` rots the *last* checkpoint written, so the
+        post-run restore attempt must refuse it."""
+        if tier not in INTEGRITY_TIERS or tier == "off":
+            raise ValueError(f"sdc chaos needs an active tier, not {tier!r}")
+        rng = np.random.default_rng(seed)
+        rounds = -(-steps // dim_t)
+        specs: list[str] = []
+        if "flip" in schedules:
+            n_probes = int(rng.integers(1, 3))
+            chosen = sorted(
+                int(r)
+                for r in rng.choice(rounds, size=min(n_probes, rounds),
+                                    replace=False)
+            )
+            for rnd in chosen:
+                bits = int(rng.integers(1, 4))
+                specs.append(f"memory.flip=0:{rnd}:{bits}")
+        bitrot = False
+        saves = rounds - 1  # checkpoint_every=1 skips the final round
+        if "bitrot" in schedules and saves >= 1:
+            bitrot = True
+            at = saves - 1
+            specs.append("disk.bitrot" + (f"@{at}" if at else ""))
+        return SdcChaosCase(
+            seed=seed, grid=grid, steps=steps, dim_t=dim_t, tier=tier,
+            specs=specs, bitrot=bitrot,
         )
-    if tier not in INTEGRITY_TIERS or tier == "off":
-        raise ValueError(f"sdc chaos needs an active tier, not {tier!r}")
-    rng = np.random.default_rng(seed)
-    rounds = -(-steps // dim_t)
-    specs: list[str] = []
-    flip_rounds: list[int] = []
-    if "flip" in schedules:
-        n_probes = int(rng.integers(1, 3))
-        chosen = sorted(
-            int(r)
-            for r in rng.choice(rounds, size=min(n_probes, rounds),
-                                replace=False)
-        )
-        for rnd in chosen:
-            bits = int(rng.integers(1, 4))
-            specs.append(f"memory.flip=0:{rnd}:{bits}")
-            flip_rounds.append(rnd)
-    bitrot = False
-    saves = rounds - 1  # checkpoint_every=1 skips the final round
-    if "bitrot" in schedules and saves >= 1:
-        bitrot = True
-        at = saves - 1
-        specs.append("disk.bitrot" + (f"@{at}" if at else ""))
-    return SdcChaosCase(
-        seed=seed, grid=grid, steps=steps, dim_t=dim_t, tier=tier,
-        specs=specs, flip_rounds=flip_rounds, bitrot=bitrot,
-    )
 
+    def run(self, case: SdcChaosCase) -> ChaosResult:
+        """Guarded 3.5D run under the schedule, judged on *no silent
+        corruption*.
 
-def run_sdc_case(case: SdcChaosCase) -> SdcChaosResult:
-    """One soak iteration: guarded 3.5D run under the schedule, judged on
-    *no silent corruption*.
+        ``ok`` requires: the run finishes (healed corruption is fine, that
+        is the point), the final grid is bit-identical to the fault-free
+        naive oracle, every flip probe-round was detected (at tier
+        ``full`` this is a hard requirement; lower tiers report their
+        rate), and a rotted checkpoint is refused at restore instead of
+        silently trusted.
+        """
+        import tempfile
 
-    ``ok`` requires: the run finishes (healed corruption is fine, that is
-    the point), the final grid is bit-identical to the fault-free naive
-    oracle, every flip probe-round was detected (at tier ``full`` this is
-    a hard requirement; lower tiers report their rate), and a rotted
-    checkpoint is refused at restore instead of silently trusted.
-    """
-    import shutil
-    import tempfile
+        from ..core.blocking35d import Blocking35D
+        from .checkpoint import CheckpointError, CheckpointStore
+        from .report import RunReport
+        from .watchdog import GuardedSweep
 
-    from ..core.blocking35d import Blocking35D
-    from ..stencils.seven_point import SevenPointStencil
-    from .checkpoint import CheckpointError, CheckpointStore
-    from .report import RunReport
-    from .watchdog import GuardedSweep
-
-    kernel = SevenPointStencil()
-    fld = Field3D.random((case.grid,) * 3, dtype=np.float32, seed=case.seed)
-    ref = run_naive(kernel, fld, case.steps)
-
-    state_dir = tempfile.mkdtemp(prefix="repro-sdc-chaos-")
-    store = CheckpointStore(Path(state_dir) / "sdc-chaos.npz")
-    error = None
-    out = None
-    report = RunReport()
-    fired_before = len(FAULTS.fired)
-    t0 = time.perf_counter()
-    try:
-        ex = Blocking35D(
-            kernel, dim_t=case.dim_t, tile_y=case.grid, tile_x=case.grid
-        )
-        guard = GuardedSweep(
-            ex,
-            round_steps=case.dim_t,
-            sdc=case.tier,
-            sdc_seed=case.seed,
-            checkpoint=store,
-            checkpoint_every=1,
-            report=report,
-        )
-        try:
-            with FAULTS.injected(*case.specs):
-                out = guard.run(fld, case.steps)
-        except ResilienceError as exc:
-            error = f"{type(exc).__name__}: {exc}"
+        kernel, fld, ref = seeded_problem(case)
+        error = None
+        out = None
+        report = RunReport()
+        fired_before = len(FAULTS.fired)
+        with tempfile.TemporaryDirectory(prefix="repro-sdc-chaos-") as tmp:
+            store = CheckpointStore(Path(tmp) / "sdc-chaos.npz")
+            guard = GuardedSweep(
+                Blocking35D(kernel, dim_t=case.dim_t, tile_y=case.grid,
+                            tile_x=case.grid),
+                round_steps=case.dim_t,
+                sdc=case.tier,
+                sdc_seed=case.seed,
+                checkpoint=store,
+                checkpoint_every=1,
+                report=report,
+            )
+            try:
+                with FAULTS.injected(*case.specs):
+                    out = guard.run(fld, case.steps)
+            except ResilienceError as exc:
+                error = f"{type(exc).__name__}: {exc}"
+            bitrot_detected: bool | None = None
+            if case.bitrot:
+                # the last snapshot written was rotted on disk; restoring
+                # it must fail loudly (digest/quarantine), never silently
+                # succeed
+                try:
+                    bitrot_detected = store.load() is None  # quarantined
+                except CheckpointError:
+                    bitrot_detected = True
         flips = [
             detail
             for site, detail in FAULTS.fired[fired_before:]
             if site == "memory.flip"
         ]
-        bitrot_detected: bool | None = None
+
+        sdc = report.sdc if report.sdc is not None else SdcReport(tier=case.tier)
+        bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
+        flip_rounds_fired = len(set(flips))
+        detected_all = sdc.detections >= flip_rounds_fired
+        counts = {
+            "flip(s)": len(flips),
+            "detected": sdc.detections,
+            "healed": sdc.heals,
+            "cells replayed": sdc.replayed_cells,
+            "checks": sdc.checks,
+        }
         if case.bitrot:
-            # the last snapshot written was rotted on disk; restoring it
-            # must fail loudly (digest/quarantine), never silently succeed
-            try:
-                snap = store.load()
-                bitrot_detected = snap is None  # quarantined, not trusted
-            except CheckpointError:
-                bitrot_detected = True
-    finally:
-        shutil.rmtree(state_dir, ignore_errors=True)
-    elapsed = time.perf_counter() - t0
-
-    sdc = report.sdc if report.sdc is not None else SdcReport(tier=case.tier)
-    bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
-    flip_rounds_fired = len(set(flips))
-    detected_all = sdc.detections >= flip_rounds_fired
-    ok = (
-        error is None
-        and bit_exact
-        and (case.tier != "full" or detected_all)
-        and (bitrot_detected is not False)
-    )
-    return SdcChaosResult(
-        case=case,
-        ok=ok,
-        bit_exact=bit_exact,
-        error=error,
-        flips_fired=len(flips),
-        flip_rounds_fired=flip_rounds_fired,
-        detections=sdc.detections,
-        heals=sdc.heals,
-        replayed_cells=sdc.replayed_cells,
-        checks=sdc.checks,
-        bitrot_detected=bitrot_detected if case.bitrot else None,
-        elapsed_s=elapsed,
-    )
-
-
-def run_sdc_soak(
-    seeds,
-    *,
-    grid: int = 20,
-    steps: int = 8,
-    dim_t: int = 2,
-    tier: str = "full",
-    schedules: tuple[str, ...] = SDC_SCHEDULES,
-) -> list[SdcChaosResult]:
-    """One :func:`run_sdc_case` per seed; callers inspect ``result.ok``."""
-    return [
-        run_sdc_case(
-            make_sdc_case(
-                seed, grid=grid, steps=steps, dim_t=dim_t, tier=tier,
-                schedules=schedules,
+            counts["bitrot"] = (
+                "bitrot refused" if bitrot_detected else "BITROT TRUSTED"
             )
+        return ChaosResult(
+            case=case,
+            ok=(
+                error is None
+                and bit_exact
+                and (case.tier != "full" or detected_all)
+                and (bitrot_detected is not False)
+            ),
+            bit_exact=bit_exact,
+            error=error,
+            counts=counts,
+            facts={
+                "flip_rounds_fired": flip_rounds_fired,
+                #: None when the schedule drew no bitrot; else "did the
+                #: store refuse the rotted snapshot instead of restoring it"
+                "bitrot_detected": bitrot_detected,
+            },
         )
-        for seed in seeds
-    ]
 
 
-def write_sdc_bundle(result: SdcChaosResult, directory) -> Path:
-    """Dump a failing seed's repro bundle (case.json + faults.txt)."""
-    bundle = Path(directory) / f"sdc-seed-{result.case.seed}"
-    bundle.mkdir(parents=True, exist_ok=True)
-    with open(bundle / "case.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
-    with open(bundle / "faults.txt", "w", encoding="utf-8") as fh:
-        fh.write(",".join(result.case.specs) + "\n")
-    return bundle
+SDC = SdcTarget()

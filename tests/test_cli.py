@@ -507,6 +507,24 @@ class TestChaosCommand:
         assert rc == 0
         assert "seed 7" in out
 
+    @pytest.mark.parametrize("argv, reason", [
+        (["--target", "serve", "--jobs", "0"], "jobs must be >= 1"),
+        (["--dim-t", "0"], "dim_t must be >= 1"),
+        (["--target", "sdc", "--dim-t", "0"], "dim_t must be >= 1"),
+        (["--steps", "0", "--ranks", "2", "--grid", "12"],
+         "steps must be >= 1"),
+        (["--grid", "4", "--ranks", "4"], "halo"),
+        # zero steps would run zero checks and report "clean"
+        (["--target", "sdc", "--steps", "0"], "steps must be >= 1"),
+    ])
+    def test_unrunnable_shape_is_usage_error(self, argv, reason, capsys):
+        rc = main(["chaos", "--seeds", "1", *argv])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert reason in captured.err
+        assert "Traceback" not in captured.err
+        assert "verdict" not in captured.out
+
 
 class TestRankRecoveryCLI:
     _base = ["run", "--grid", "24", "--steps", "8", "--tile", "12",

@@ -23,6 +23,8 @@ from repro.resilience import (
     CheckpointStore,
     GuardedSweep,
     RunReport,
+    run_soak,
+    write_bundle,
 )
 from repro.resilience.quarantine import gc_corrupt, quarantine
 from repro.resilience.rankrecovery import (
@@ -33,17 +35,15 @@ from repro.resilience.rankrecovery import (
 from repro.resilience.sdc import (
     INTEGRITY_TIERS,
     MAX_FLIPS_PER_PROBE,
+    SDC,
     SdcError,
     SdcGuard,
     SdcReport,
     SdcUnhealableError,
     flip_bits,
     inject_flips,
-    make_sdc_case,
     plane_crcs,
     rot_file,
-    run_sdc_case,
-    write_sdc_bundle,
 )
 from repro.obs.serving import prometheus_exposition
 from repro.serve import JobSpec, ServeCore
@@ -385,35 +385,45 @@ class TestQuarantineGC:
 
 class TestSdcChaos:
     def test_case_derivation_is_deterministic(self):
-        a = make_sdc_case(7)
-        b = make_sdc_case(7)
+        a = SDC.make(7)
+        b = SDC.make(7)
         assert a == b
         assert a.specs and all(
             s.startswith(("memory.flip", "disk.bitrot")) for s in a.specs
         )
         with pytest.raises(ValueError, match="active tier"):
-            make_sdc_case(0, tier="off")
-        with pytest.raises(ValueError, match="unknown sdc chaos"):
-            make_sdc_case(0, schedules=("gamma-ray",))
+            SDC.make(0, tier="off")
+        with pytest.raises(ValueError, match="unknown chaos schedule"):
+            SDC.make(0, ("gamma-ray",))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_soak_seeds_no_silent_corruption(self, seed):
-        result = run_sdc_case(
-            make_sdc_case(seed, grid=14, steps=6, dim_t=2)
-        )
+        [result] = run_soak(SDC, [seed], grid=14, steps=6, dim_t=2)
         assert result.ok, (
             f"seed {seed}: {result.error or 'silent corruption'} "
-            f"({result.detections}/{result.flip_rounds_fired} detected)"
+            f"({result.counts['detected']}/"
+            f"{result.facts['flip_rounds_fired']} detected)"
         )
         assert result.bit_exact
-        if result.flips_fired:
-            assert result.detections >= result.flip_rounds_fired
+        if result.counts["flip(s)"]:
+            assert result.counts["detected"] >= result.facts["flip_rounds_fired"]
         if result.case.bitrot:
-            assert result.bitrot_detected
+            assert result.facts["bitrot_detected"]
+
+    @pytest.mark.parametrize("grid", [3, 4, 5, 6])
+    def test_every_fired_bitrot_is_refused(self, grid):
+        # tiny checkpoints once put the rotted byte in a zip header field
+        # np.load never reads, so the intact payload loaded ("BITROT
+        # TRUSTED"); the rot must land in the digest-covered grid bytes
+        for result in run_soak(SDC, range(3), grid=grid, steps=6):
+            assert result.case.bitrot
+            assert result.facts["bitrot_detected"], result.case.describe()
+            assert result.ok, result.case.describe()
 
     def test_bundle_written_for_failures(self, tmp_path):
-        result = run_sdc_case(make_sdc_case(1, grid=12, steps=4, dim_t=2))
-        bundle = write_sdc_bundle(result, tmp_path)
+        [result] = run_soak(SDC, [1], grid=12, steps=4, dim_t=2)
+        bundle = write_bundle(result, tmp_path)
+        assert bundle == tmp_path / "sdc-seed-1"
         assert (bundle / "case.json").exists()
         assert (bundle / "faults.txt").read_text().strip() == \
             ",".join(result.case.specs)

@@ -1171,17 +1171,18 @@ class TestRetention:
 
 class TestServeChaos:
     def test_quick_soak_two_seeds(self):
-        from repro.serve.chaos import run_serve_soak
+        from repro.resilience.chaos import run_soak
+        from repro.serve.chaos import SERVE
 
-        results = run_serve_soak(range(2), jobs=8, grid=10, steps=4)
+        results = list(run_soak(SERVE, range(2), jobs=8, grid=10, steps=4))
         for r in results:
             assert r.ok, (
                 f"seed {r.case.seed}: {r.error}, "
-                f"{r.hash_mismatches} mismatches, "
-                f"{r.non_terminal} non-terminal"
+                f"{r.facts['hash_mismatches']} mismatches, "
+                f"{r.facts['non_terminal']} non-terminal"
             )
         # the seed range must actually exercise kill/recovery
-        assert any(r.recovered > 0 for r in results)
+        assert any(r.counts["recovered"] > 0 for r in results)
 
 
 class TestGuardedSweepStop:
