@@ -5,21 +5,22 @@ The journal is the daemon's source of truth across crashes: a job is
 zero-loss drain/restart guarantees are phrased against it — every job with
 an ``accepted`` record and no terminal record is requeued on restart.
 
-Records are newline-delimited JSON, each stamped with a monotonically
-increasing ``seq`` and a CRC-32 of its own canonical payload.  That makes
-torn writes (a crash — or the ``serve.journal`` fault site — mid-append)
-*detectable*: replay verifies every line, quarantines anything that fails
-to parse or checksum into ``<journal>.corrupt`` (appending, so repeated
-crashes accumulate evidence rather than overwrite it), truncates a torn
-tail back to the last good record, and continues.  A corrupt journal can
-cost at most the records that were never durably written; it can never
-poison the replay or kill the daemon.
+Records are newline-delimited JSON, each stamped with a ``seq`` that
+increases in file order and a CRC-32 of its own canonical payload.  That
+makes torn writes (a crash — or the ``serve.journal`` fault site —
+mid-append) *detectable*: replay verifies every line, quarantines anything
+that fails to parse or checksum into ``<journal>.corrupt`` (appending, so
+repeated crashes accumulate evidence rather than overwrite it), truncates
+a torn tail back to the last good record, and continues.  A corrupt
+journal can cost at most the records that were never durably written; it
+can never poison the replay or kill the daemon.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,12 +32,14 @@ from ..resilience.quarantine import gc_corrupt
 __all__ = ["JobJournal", "JournalReplay"]
 
 
+def _canonical(doc: dict) -> bytes:
+    """The canonical JSON of ``doc``: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+
+
 def _crc(doc: dict) -> int:
     """CRC-32 of the canonical JSON of ``doc`` without its ``crc`` key."""
-    body = {k: v for k, v in doc.items() if k != "crc"}
-    return zlib.crc32(
-        json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
-    )
+    return zlib.crc32(_canonical({k: v for k, v in doc.items() if k != "crc"}))
 
 
 @dataclass
@@ -50,13 +53,19 @@ class JournalReplay:
 
 
 class JobJournal:
-    """Append-only JSONL journal with per-record CRC framing."""
+    """Append-only JSONL journal with per-record CRC framing.
+
+    Appends are thread-safe: a record takes its ``seq`` and is written
+    under one lock, so file order is seq order.  The fsync runs outside
+    that lock, so one record's flush never holds up the next write.
+    """
 
     def __init__(self, path: str | os.PathLike, fsync: bool = True):
         self.path = Path(path)
         self.fsync = fsync
         self._seq = 0
         self._fh = None
+        self._lock = threading.Lock()
 
     # -- writing -------------------------------------------------------
     def _open(self):
@@ -65,37 +74,52 @@ class JobJournal:
             self._fh = open(self.path, "ab")
         return self._fh
 
-    def append(self, event: str, *, durable: bool = True, **fields) -> dict:
+    def append(self, event: str, *, durable: bool = True,
+               on_written=None, **fields) -> dict:
         """Append one record; returns the record as written.
 
         ``durable`` records are fsynced — acceptance and terminal events
-        must survive a crash; progress breadcrumbs may opt out.  The
-        ``serve.journal`` fault site simulates a crash mid-append: half the
-        serialized line lands on disk with no newline and no fsync, which
-        is exactly the torn tail replay must quarantine.
+        must survive a crash; progress breadcrumbs may opt out.
+        ``on_written()`` runs once the line is written and flushed, before
+        the fsync: work that may start ahead of durability (the serve
+        daemon dispatches an accepted job there) overlaps the disk flush.
+        The ``serve.journal`` fault site simulates a crash mid-append:
+        half the serialized line lands on disk with no newline and no
+        fsync, which is exactly the torn tail replay must quarantine.
         """
-        self._seq += 1
-        doc = {"seq": self._seq, "ev": event, **fields}
-        doc["crc"] = _crc(doc)
-        line = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
-        fh = self._open()
-        # the tear fault never applies to "accepted": acceptance is the
-        # commit point (fsync-before-reply), and loss before it is modeled
-        # by the serve.accept site — the client sees the rejection either way
-        if event != "accepted" and FAULTS.should("serve.journal", detail=event):
-            fh.write(line[: max(1, len(line) // 2)].encode())
+        with self._lock:
+            self._seq += 1
+            doc = {"seq": self._seq, "ev": event, **fields}
+            # one encode: the CRC covers the canonical body, and the crc
+            # field is appended to that same string (replay recomputes the
+            # canonical body, whatever the key order on disk)
+            body = _canonical(doc)
+            doc["crc"] = zlib.crc32(body)
+            line = b'%s,"crc":%d}\n' % (body[:-1], doc["crc"])
+            fh = self._open()
+            # the tear fault never applies to "accepted": acceptance is the
+            # commit point (fsync-before-reply), and loss before it is
+            # modeled by the serve.accept site — the client sees the
+            # rejection either way
+            if event != "accepted" and FAULTS.should("serve.journal",
+                                                     detail=event):
+                fh.write(line[: max(1, len(line) // 2)])
+                fh.flush()
+                return doc
+            fh.write(line)
             fh.flush()
-            return doc
-        fh.write(line.encode())
-        fh.flush()
+            fd = fh.fileno()
+        if on_written is not None:
+            on_written()
         if durable and self.fsync:
-            os.fsync(fh.fileno())
+            os.fsync(fd)
         return doc
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     # -- replay --------------------------------------------------------
     def replay(self) -> JournalReplay:

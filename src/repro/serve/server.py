@@ -25,7 +25,9 @@ Robustness invariants (each one is load-bearing and tested):
   status 3, degraded-but-correct) — and only sheds whole jobs when the
   queue is physically full.
 * **Crash-safe lifecycle.**  A job is *accepted* exactly when its journal
-  record is durably appended; SIGTERM drains the queue with zero
+  record is durably appended: it is dispatched once the record is
+  written and acknowledged once it is fsynced, so a worker runs it while
+  the disk flush is in flight.  SIGTERM drains the queue with zero
   accepted-job loss, and a SIGKILL mid-job recovers on restart by
   replaying the journal and resuming from the job's checkpoint.
 """
@@ -37,6 +39,7 @@ import queue
 import socket
 import threading
 import time
+import zlib
 from collections import deque
 from pathlib import Path
 
@@ -84,10 +87,15 @@ GREEN, AMBER, RED = "green", "amber", "red"
 #: for a second caller such as ``repro top``
 IDLE_HANDLERS = 4
 
-#: encoded bytes of finished-job records (and their trace logs) kept
-#: answerable, ~34k small-job records; older ids answer ``not-found`` as
+#: bytes of retained finished-job records (and their trace logs) kept
+#: answerable, ~60k small-job records; older ids answer ``not-found`` as
 #: expired, and the journal keeps the full history
 RETAIN_FINISHED_BYTES = 16 << 20
+
+#: what a retained record costs beyond its stored bytes, charged against
+#: RETAIN_FINISHED_BYTES: the bytes object's header, the id string, and
+#: the record's dict and deque slots
+RETAIN_ENTRY_OVERHEAD = 160
 
 
 #: ledger usage field -> the counter it is mirrored into
@@ -126,6 +134,35 @@ def _job_number(jid: str) -> int:
 def _wire(doc) -> bytes:
     """``doc`` as the protocol encodes it (see ``write_message``)."""
     return json.dumps(doc, separators=(",", ":")).encode()
+
+
+#: the preset dictionary retained records deflate against: the wire
+#: record of a representative finished job, so what a record stores is
+#: mostly its id, timestamps, seed and hash (~110 of ~500 bytes)
+_RETAIN_ZDICT = _wire(JobRecord(
+    id="j000000", spec=JobSpec(verify=False), status="done", done_steps=4,
+    backend_used="fused-numpy",
+).to_dict())
+
+
+def _pack(doc: bytes) -> bytes:
+    """A wire record as retention stores it: raw deflate against the
+    preset dictionary, in a 1 KiB window at memLevel 2 (a record is
+    ~0.5 KiB, so a larger state buys nothing)."""
+    c = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -10, 2,
+                         zlib.Z_DEFAULT_STRATEGY, _RETAIN_ZDICT)
+    return c.compress(doc) + c.flush()
+
+
+def _unpack(blob: bytes) -> bytes:
+    """The wire record :func:`_pack` stored, byte for byte."""
+    d = zlib.decompressobj(-10, _RETAIN_ZDICT)
+    return d.decompress(blob) + d.flush()
+
+
+def _charge(blob: bytes) -> int:
+    """What a retained record counts against RETAIN_FINISHED_BYTES."""
+    return len(blob) + RETAIN_ENTRY_OVERHEAD
 
 
 class PlanCache:
@@ -203,17 +240,17 @@ class _JobContext:
     """Mutable runtime state of a live job, which the record does not carry.
 
     Dropped when the job finishes; only its record and trace log are kept.
-    ``cancel`` and ``preempt`` are requests the worker reads at the next
-    round boundary.
+    ``cancel`` (the reason, empty when none) and ``preempt`` are requests
+    the worker reads at the next round boundary.
     """
 
     __slots__ = ("record", "state", "cancel", "preempt", "deadline_at",
-                 "trace", "enqueued_ns", "owns_checkpoint")
+                 "trace", "enqueued_ns", "owns_checkpoint", "finishing")
 
     def __init__(self, record: JobRecord):
         self.record = record
         self.state: Field3D | None = None
-        self.cancel = False
+        self.cancel = ""
         self.preempt = False
         self.deadline_at: float | None = None
         #: per-job span log when the submit carried a trace_id, else None
@@ -227,6 +264,8 @@ class _JobContext:
         #: or it was recovered from the journal (a file from before the
         #: restart, usable or not); only such a job removes its file
         self.owns_checkpoint = False
+        #: set by the one ``_finish`` call that finishes the job
+        self.finishing = False
 
 
 class ServeCore:
@@ -268,11 +307,12 @@ class ServeCore:
         self._lock = threading.RLock()
         #: jobs not yet terminal, by id
         self._live: dict[str, _JobContext] = {}
-        #: the most recent finished jobs as their encoded wire records
-        #: (id -> bytes; ``_finish_order`` holds the ids oldest first),
-        #: RETAIN_FINISHED_BYTES in total with the trace logs of traced
-        #: ones (id -> (log, charged bytes)).  A plain dict and a deque
-        #: cost ~40 bytes less per record than an OrderedDict.
+        #: the most recent finished jobs as their packed wire records
+        #: (id -> bytes, see ``_pack``; ``_finish_order`` holds the ids
+        #: oldest first), RETAIN_FINISHED_BYTES in total (``_charge``)
+        #: with the trace logs of traced ones (id -> (log, charged
+        #: bytes)).  A plain dict and a deque cost ~40 bytes less per
+        #: record than an OrderedDict.
         self._finished: dict[str, bytes] = {}
         self._finish_order: deque[str] = deque()
         self._finished_traces: dict[str, tuple[JobTraceLog, int]] = {}
@@ -366,27 +406,29 @@ class ServeCore:
         })
 
     def _retain(self, record: JobRecord, trace: JobTraceLog | None) -> None:
-        """Keep a finished job answerable as its encoded wire record,
-        dropping the oldest records past ``RETAIN_FINISHED_BYTES``."""
-        doc = _wire(record.to_dict())
+        """Move a finished job from the live index into the window as its
+        packed wire record, dropping the oldest records past
+        ``RETAIN_FINISHED_BYTES``."""
+        blob = _pack(_wire(record.to_dict()))
         # spans a traced job still adds as it unwinds are not charged
         charge = len(_wire(trace.to_dicts())) if trace is not None else 0
         with self._lock:
+            self._live.pop(record.id, None)
             self._forget(record.id)
-            self._finished[record.id] = doc
+            self._finished[record.id] = blob
             self._finish_order.append(record.id)
             if trace is not None:
                 self._finished_traces[record.id] = (trace, charge)
-            self._finished_bytes += len(doc) + charge
+            self._finished_bytes += _charge(blob) + charge
             while (self._finished_bytes > RETAIN_FINISHED_BYTES
                    and len(self._finished) > 1):
                 self._forget(self._finish_order.popleft())
 
     def _forget(self, jid: str) -> None:
         """Drop a retained record's bytes (its id may stay in the order)."""
-        doc = self._finished.pop(jid, None)
-        if doc is not None:
-            self._finished_bytes -= len(doc)
+        blob = self._finished.pop(jid, None)
+        if blob is not None:
+            self._finished_bytes -= _charge(blob)
         dropped = self._finished_traces.pop(jid, None)
         if dropped is not None:
             self._finished_bytes -= dropped[1]
@@ -600,32 +642,71 @@ class ServeCore:
             if deadline_s is not None:
                 ctx.deadline_at = now + deadline_s
             self._live[jid] = ctx
-        # acceptance commit point: reply "accepted" only after this record
-        # is durably on disk
-        self.journal.append(
-            "accepted", id=jid, job=spec.to_dict(), priority=spec.priority,
-            deadline_s=deadline_s,
-        )
-        self.counters["accepted"] += 1
-        self._inc("serve.accepted")
-        ctx.enqueued_ns = time.time_ns()
-        if ctx.trace is not None:
-            ctx.trace.add(
-                "job_admit", admit_t0_ns, ctx.enqueued_ns,
-                tenant=spec.tenant, priority=spec.priority,
-                shed=decision.shed or "",
+        pushed = False
+
+        def dispatch() -> None:
+            # the record is written, not yet durable: the job may run now
+            nonlocal pushed
+            self.counters["accepted"] += 1
+            self._inc("serve.accepted")
+            ctx.enqueued_ns = time.time_ns()
+            if ctx.trace is not None:
+                ctx.trace.add(
+                    "job_admit", admit_t0_ns, ctx.enqueued_ns,
+                    tenant=spec.tenant, priority=spec.priority,
+                    shed=decision.shed or "",
+                )
+            self.queue.push(jid, spec.priority, held=True)
+            pushed = True
+
+        # acceptance commit point: the job is dispatched once its record
+        # is written, and the reply leaves only once it is fsynced
+        try:
+            self.journal.append(
+                "accepted", id=jid, job=spec.to_dict(),
+                priority=spec.priority, deadline_s=deadline_s,
+                on_written=dispatch,
             )
-        self.queue.push(jid, spec.priority, held=True)
+        except OSError as exc:
+            if self._hard_kill:
+                raise  # killed mid-commit: a crash sends no reply
+            return self._not_committed(ctx, pushed, exc)
         self._note_queue_depth()
         self._maybe_preempt(spec.priority)
         return {"ok": True, "id": jid, "status": "queued",
                 "shed": decision.shed}
 
+    def _not_committed(self, ctx: _JobContext, pushed: bool,
+                       exc: OSError) -> dict:
+        """Undo an acceptance whose journal record never became durable.
+
+        A job never pushed gives back its held slot; a pushed one still
+        queued is cancelled there, and one a worker took stops at its next
+        round boundary.
+        """
+        jid = ctx.record.id
+        reason = f"acceptance not durable: journal {type(exc).__name__}: {exc}"
+        if not pushed:
+            self.queue.release()
+            with self._lock:
+                self._live.pop(jid, None)
+            self.counters["dropped"] += 1
+        elif self.queue.remove(lambda item: item == jid):
+            try:
+                self._finish(ctx, "cancelled", reason)
+            except OSError:
+                pass  # finished and counted; only its record is unjournaled
+        else:
+            ctx.cancel = reason
+        return {"ok": False, "error": "journal", "id": jid,
+                "reason": f"{reason}; safe to retry"}
+
     def _find(self, jid: str) -> tuple[_JobContext | None, bytes | None]:
         """A live job's context, else a retained job's wire record."""
         with self._lock:
             ctx = self._live.get(jid)
-            return ctx, None if ctx is not None else self._finished.get(jid)
+            blob = None if ctx is not None else self._finished.get(jid)
+        return ctx, None if blob is None else _unpack(blob)
 
     def status_doc(self, jid: str) -> dict | None:
         """The wire record of a live or retained job, or None."""
@@ -640,9 +721,10 @@ class ServeCore:
             return ctx.record
         return None if doc is None else JobRecord.from_dict(json.loads(doc))
 
-    def job_docs(self) -> list[bytes]:
+    def job_docs(self):
         """Encoded wire records of live and retained finished jobs, in
-        submission order."""
+        submission order; a retained record is unpacked as it is yielded,
+        so one is expanded at a time."""
         with self._lock:
             live = {jid: _wire(ctx.record.to_dict())
                     for jid, ctx in self._live.items()}
@@ -650,7 +732,9 @@ class ServeCore:
             # id order = (length, text), sorted without per-item key tuples
             ids.sort()
             ids.sort(key=len)
-            return [live.get(jid) or self._finished[jid] for jid in ids]
+            stored = [live.get(jid) or self._finished[jid] for jid in ids]
+        for jid, doc in zip(ids, stored):
+            yield doc if jid in live else _unpack(doc)
 
     def jobs(self) -> list[JobRecord]:
         """Live and retained finished jobs, in submission order."""
@@ -681,7 +765,7 @@ class ServeCore:
         if removed:
             self._finish(ctx, "cancelled", "cancelled by client while queued")
             return {"ok": True, "id": jid, "status": "cancelled"}
-        ctx.cancel = True
+        ctx.cancel = "cancelled by client"
         return {"ok": True, "id": jid, "status": record.status,
                 "reason": "cancellation requested; takes effect at the next "
                           "round boundary"}
@@ -889,7 +973,7 @@ class ServeCore:
         if reason == "kill":
             return  # lost with the process; the journal decides
         if reason == "cancel":
-            self._finish(ctx, "cancelled", f"cancelled by client after {progress}")
+            self._finish(ctx, "cancelled", f"{ctx.cancel} after {progress}")
         elif reason == "deadline":
             self.counters["deadline_misses"] += 1
             self._inc("serve.deadline_misses")
@@ -912,15 +996,27 @@ class ServeCore:
 
     def _finish(self, ctx: _JobContext, status: str, reason: str) -> None:
         record = ctx.record
+        key = {
+            "done": "completed", "degraded": "degraded", "failed": "failed",
+            "cancelled": "cancelled", "shed": "shed",
+        }.get(status)
         with self._lock:
-            if record.terminal:
+            if ctx.finishing:
                 return
+            ctx.finishing = True
+            finished_s = self._clock()
+        if key:  # counted before anyone can see the terminal record
+            self.counters[key] += 1
+            self._inc(f"serve.{key}")
+            self.ledger.count(record.spec.tenant, key)
+        with self._lock:
             record.status = status
             record.reason = reason
-            record.finished_s = self._clock()
-            self._live.pop(record.id, None)
-            self._retain(record, ctx.trace)
+            record.finished_s = finished_s
             held, ctx.preempt = ctx.preempt, False
+        # packed outside the core lock; until then the terminal record
+        # stays answerable from the live index
+        self._retain(record, ctx.trace)
         if held:  # asked to yield, it finished first: free its way back
             self.queue.release()
         if ctx.owns_checkpoint:  # a finished job keeps no checkpoint file
@@ -931,14 +1027,6 @@ class ServeCore:
             id=record.id, status=status, reason=reason, sha256=record.sha256,
             backend=record.backend_used, code=record.code,
         )
-        key = {
-            "done": "completed", "degraded": "degraded", "failed": "failed",
-            "cancelled": "cancelled", "shed": "shed",
-        }.get(status)
-        if key:
-            self.counters[key] += 1
-            self._inc(f"serve.{key}")
-            self.ledger.count(record.spec.tenant, key)
         if record.started_s is not None and record.finished_s is not None:
             self._observe_q(
                 "serve.service_s", max(0.0, record.finished_s - record.started_s)

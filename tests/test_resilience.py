@@ -490,6 +490,22 @@ class TestCheckpointSchema:
         with pytest.raises(CheckpointError, match="internally inconsistent"):
             store.load()
 
+    def test_payload_digest_mismatch_raises_and_quarantines(
+        self, tmp_path, small_field
+    ):
+        """A well-formed snapshot (zip CRCs intact) whose payload no
+        longer matches its stamped sha256 is refused and quarantined."""
+        store = CheckpointStore(tmp_path / "snap.npz")
+        store.save(small_field.data, 3, {})
+        with np.load(store.path, allow_pickle=False) as npz:
+            data, step, meta = npz["data"].copy(), npz["step"], npz["meta"]
+        data.flat[data.size // 2] += 1
+        np.savez(store.path, data=data, step=step, meta=meta)
+        with pytest.raises(CheckpointError, match="failed its content digest"):
+            store.load()
+        assert not store.path.exists()
+        assert (tmp_path / "snap.npz.corrupt").exists()
+
     def test_shape_change_raises_clearly(self, tmp_path, small_field):
         store = CheckpointStore(tmp_path / "snap.npz")
         store.save(small_field.data, 3, {})
