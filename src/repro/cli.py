@@ -403,24 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_kernel(name: str, grid: int, precision: str):
-    from repro.lbm import LBMKernel, Lattice
-    from repro.stencils import SevenPointStencil, TwentySevenPointStencil
-
-    dtype = np.float32 if precision == "sp" else np.float64
-    if name == "7pt":
-        return SevenPointStencil(), None, dtype
-    if name == "27pt":
-        return TwentySevenPointStencil(), None, dtype
-    shape = (grid, grid, grid)
-    rng = np.random.default_rng(0)
-    lat = Lattice.from_moments(
-        (1.0 + 0.02 * rng.random(shape)).astype(dtype),
-        (0.01 * (rng.random((3,) + shape) - 0.5)).astype(dtype),
-    )
-    return LBMKernel(lat.flags, omega=1.2), lat, dtype
-
-
 def _arm_obs(args) -> bool:
     """Arm tracer/metrics per the run flags; returns True if either armed."""
     from repro.obs import METRICS, TRACE
@@ -459,9 +441,9 @@ def _emit_obs_outputs(args, validation=None, run_info=None) -> None:
         print(f"trace        : wrote {args.trace} ({n_spans} spans)")
 
 
-def _metrics_validation(args, ref_kernel, field, traffic, elapsed):
+def _metrics_validation(args, spec, ref_kernel, field, traffic, elapsed):
     """The measured-vs-model join for a 3.5d run, or None."""
-    if args.metrics is None or args.scheme != "3.5d":
+    if args.metrics is None or spec.scheme != "3.5d":
         return None
     from repro.obs import METRICS
     from repro.obs.validate import validate_35d
@@ -472,160 +454,68 @@ def _metrics_validation(args, ref_kernel, field, traffic, elapsed):
     written = slots.get("traffic.bytes_written.per_thread")
     if read and written:
         per_thread = [r + w for r, w in zip(read, written)]
-    executor = "parallel35d" if args.threads > 1 else "blocking35d"
+    executor = "parallel35d" if spec.threads > 1 else "blocking35d"
     return validate_35d(
-        ref_kernel, field, args.steps, traffic,
-        dim_t=args.dim_t, tile_y=args.tile, tile_x=args.tile,
+        ref_kernel, field, spec.steps, traffic,
+        dim_t=spec.dim_t, tile_y=spec.tile, tile_x=spec.tile,
         executor=executor, per_thread_bytes=per_thread, elapsed_s=elapsed,
     )
 
 
-class _FnExecutor:
-    """Adapter giving function-style schemes the executor ``run`` shape."""
-
-    dim_t = 1
-
-    def __init__(self, fn, kernel):
-        self.fn = fn
-        self.kernel = kernel
-
-    def run(self, field, steps, traffic=None):
-        return self.fn(self.kernel, field, steps, traffic)
-
-
 def _cmd_run(args) -> int:
     """Exit codes: 0 clean, 2 usage error, 3 degraded-but-correct, 4 failed."""
+    import dataclasses
     import signal
     import threading
     import time
 
-    from repro.core import (
-        Blocking3D,
-        Blocking4D,
-        Blocking25D,
-        Blocking35D,
-        TrafficStats,
-        run_cache_oblivious,
-        run_naive,
+    from repro.core import TrafficStats, run_naive
+    from repro.perf.backends import BackendUnavailableError
+    from repro.resilience import ResilienceError, SweepInterruptedError
+    from repro.resilience.checkpoint import data_digest
+    from repro.runspec import RunSpec, bind, build, make_field, make_kernel
+
+    spec = RunSpec(
+        kernel=args.kernel, scheme=args.scheme, grid=args.grid,
+        steps=args.steps, dim_t=args.dim_t, tile=args.tile,
+        precision=args.precision, seed=args.seed, backend=args.backend,
+        no_fallback=args.no_fallback, threads=args.threads,
+        spmd_deadline_s=args.deadline, ranks=args.ranks,
+        overlap=args.overlap, recover=not args.no_recovery, loss=args.loss,
+        corruption=args.corruption, comm_latency_s=args.comm_latency,
+        comm_bandwidth=args.comm_bandwidth, integrity=args.verify,
+        health=args.health, retries=args.retries, checkpoint=args.checkpoint,
+        checkpoint_every=args.checkpoint_every, resume=args.resume,
     )
-    from repro.distributed import DistributedJacobi
-    from repro.perf.backends import (
-        BackendUnavailableError,
-        default_backend_name,
-        wrap_kernel,
-    )
-    from repro.resilience import (
-        CheckpointStore,
-        FallbackExhaustedError,
-        GuardedSweep,
-        ResilienceError,
-        RunReport,
-        SweepInterruptedError,
-        bind_with_fallback,
-    )
-    from repro.runtime import ParallelBlocking35D
-    from repro.stencils import Field3D
-
-    if args.resume and not args.checkpoint:
-        print("error: --resume requires --checkpoint", file=sys.stderr)
+    reason = spec.validate()
+    if reason is not None:
+        print(f"error: {reason}", file=sys.stderr)
         return 2
-
-    if args.deadline is not None and args.threads <= 1:
-        print("error: --deadline bounds a threaded z-sweep; it requires "
-              "--threads > 1", file=sys.stderr)
+    ref_kernel, field = make_kernel(spec), make_field(spec)
+    try:
+        bound = bind(spec, field, ref_kernel)
+    except (ValueError, BackendUnavailableError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    ref_kernel, lattice, dtype = _make_kernel(args.kernel, args.grid, args.precision)
-    if lattice is not None:
-        field = lattice.f
-    else:
-        field = Field3D.random((args.grid,) * 3, dtype=dtype, seed=args.seed)
-
-    if args.ranks > 1:
-        if args.scheme not in ("3.5d", "naive"):
-            print("error: --ranks requires --scheme 3.5d or naive",
-                  file=sys.stderr)
-            return 2
-        if args.threads > 1:
-            print("error: --ranks and --threads are mutually exclusive",
-                  file=sys.stderr)
-            return 2
-    elif args.loss or args.corruption:
-        print("error: --loss/--corruption require --ranks > 1", file=sys.stderr)
-        return 2
-    elif args.comm_latency or args.comm_bandwidth:
-        print("error: --comm-latency/--comm-bandwidth require --ranks > 1",
-              file=sys.stderr)
-        return 2
-
-    backend_name = args.backend if args.backend is not None else default_backend_name()
-    report = RunReport(requested_backend=backend_name)
-    if args.no_fallback:
-        try:
-            kernel = wrap_kernel(ref_kernel, backend_name)
-        except (ValueError, BackendUnavailableError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ResilienceError as exc:
-            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 4
-        report.used_backend = backend_name
-    else:
-        try:
-            bound = bind_with_fallback(ref_kernel, backend_name, probe_field=field)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except FallbackExhaustedError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 4
-        kernel = bound.kernel
-        report.used_backend = bound.used
-        report.degradations = list(bound.degradations)
+    except ResilienceError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
     tuned = None
     if args.tune == "wallclock":
-        if args.scheme != "3.5d":
+        if spec.scheme != "3.5d":
             print("note: --tune wallclock only applies to --scheme 3.5d; ignored",
                   file=sys.stderr)
         else:
             from repro.core.autotune import autotune_wallclock
 
             tuned = autotune_wallclock(
-                ref_kernel, dtype=dtype, backend=report.used_backend,
+                ref_kernel, dtype=spec.dtype, backend=bound.used,
                 probe_field=field, repeats=2,
             )
-            args.dim_t, args.tile = tuned.best.dim_t, tuned.best.tile
+            spec = dataclasses.replace(spec, dim_t=tuned.best.dim_t,
+                                       tile=tuned.best.tile)
 
-    if args.ranks > 1:
-        ex = DistributedJacobi(
-            kernel, args.ranks, dim_t=args.dim_t, tile_y=args.tile,
-            tile_x=args.tile,
-            scheme="35d" if args.scheme == "3.5d" else "naive",
-            loss=args.loss, corruption=args.corruption, comm_seed=args.seed,
-            recover=not args.no_recovery, overlap=args.overlap,
-            latency_s=args.comm_latency,
-            bandwidth_bytes_s=args.comm_bandwidth,
-        )
-    elif args.scheme == "naive":
-        ex = _FnExecutor(run_naive, kernel)
-    elif args.scheme == "3d":
-        ex = Blocking3D(kernel, args.tile, args.tile, args.tile)
-    elif args.scheme == "2.5d":
-        ex = Blocking25D(kernel, args.tile, args.tile)
-    elif args.scheme == "4d":
-        ex = Blocking4D(kernel, args.dim_t, args.tile, args.tile, args.tile)
-    elif args.scheme == "cache-oblivious":
-        ex = _FnExecutor(run_cache_oblivious, kernel)
-    elif args.threads > 1:
-        ex = ParallelBlocking35D(
-            kernel, args.dim_t, args.tile, args.tile, args.threads,
-            spmd_deadline=args.deadline,
-        )
-    else:
-        ex = Blocking35D(kernel, args.dim_t, args.tile, args.tile)
-
-    checkpoint = CheckpointStore(args.checkpoint) if args.checkpoint else None
     # SIGINT/SIGTERM request a *graceful* stop: the sweep halts at the next
     # round boundary, writes a final checkpoint (when --checkpoint is set),
     # flushes --trace/--metrics exporters, and exits 4
@@ -643,37 +533,20 @@ def _cmd_run(args) -> int:
         except ValueError:  # not the main thread (embedded use)
             pass
 
-    guard = GuardedSweep(
-        ex,
-        health=args.health,
-        max_retries=args.retries,
-        checkpoint=checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        meta={
-            "kernel": args.kernel, "scheme": args.scheme, "grid": args.grid,
-            "precision": args.precision, "seed": args.seed,
-        },
-        report=report,
-        stop=stop,
-        sdc=args.verify,
-        sdc_seed=args.seed,
-        # replays always run through the reference kernel — a different
-        # rung of the bit-exact ladder than the bound backend
-        kernel=ref_kernel,
-    )
-
+    guard = build(spec, field=field, bound=bound, stop=stop)
+    report = guard.report
     traffic = TrafficStats()
     _arm_obs(args)
     try:
         t0 = time.perf_counter()
         try:
-            out = guard.run(field, args.steps, traffic, resume=args.resume)
+            out = guard.run(field, spec.steps, traffic, resume=spec.resume)
         except SweepInterruptedError as exc:
             name = (signal.Signals(got_signal[0]).name if got_signal
                     else "stop request")
             ck = ("final checkpoint written; re-run with --resume to continue"
                   if exc.checkpointed else "no --checkpoint, progress lost")
-            print(f"interrupted  : {name} after {exc.step}/{args.steps} "
+            print(f"interrupted  : {name} after {exc.step}/{spec.steps} "
                   f"steps; {ck}", file=sys.stderr)
             _emit_obs_outputs(args)
             return 4
@@ -686,46 +559,47 @@ def _cmd_run(args) -> int:
             from repro.obs import METRICS
 
             METRICS.merge_traffic(traffic)
-        n_updates = args.grid**3 * args.steps
-        print(f"kernel       : {args.kernel} ({args.precision.upper()})")
-        print(f"scheme       : {args.scheme}" + (
-            f" (distributed, {args.ranks} ranks)" if args.ranks > 1 else ""))
+        n_updates = spec.grid**3 * spec.steps
+        print(f"kernel       : {spec.kernel} ({spec.precision.upper()})")
+        print(f"scheme       : {spec.scheme}" + (
+            f" (distributed, {spec.ranks} ranks)" if spec.ranks > 1 else ""))
         print(f"backend      : {report.used_backend}")
         if tuned is not None:
             origin = ("cache hit, 0 probe runs" if tuned.from_cache
                       else f"measured, {tuned.probe_runs} probe runs")
             print(f"autotuned    : dim_T={tuned.best.dim_t} tile={tuned.best.tile} "
                   f"({origin})")
-        print(f"grid         : {args.grid}^3 x {args.steps} steps")
+        print(f"grid         : {spec.grid}^3 x {spec.steps} steps")
         print(f"wall time    : {elapsed:.3f} s "
               f"({n_updates / elapsed / 1e6:.1f} MU/s on the NumPy substrate)")
         print(f"ext. read    : {traffic.bytes_read / 1e6:.1f} MB")
         print(f"ext. write   : {traffic.bytes_written / 1e6:.1f} MB")
         print(f"bytes/update : {traffic.bytes_per_update():.2f}")
         degraded = report.degraded
-        if args.ranks > 1:
-            _print_comm(args, ex)
+        if spec.ranks > 1:
+            _print_comm(args, guard.executor)
             # a run that survived rank failures is degraded-but-correct
-            degraded = degraded or ex.recovery.degraded
+            degraded = degraded or guard.executor.recovery.degraded
         if not args.no_check:
             # the cross-check always uses the reference (numpy) kernel
-            ref = run_naive(ref_kernel, field, args.steps)
+            ref = run_naive(ref_kernel, field, spec.steps)
             if np.array_equal(out.data, ref.data):
                 print("check        : bit-identical to the naive reference")
             else:
                 print("check        : MISMATCH against the naive reference")
                 return 4
+        print(f"result sha   : {data_digest(out.data)}")
         for line in report.lines():
             print(line)
-        validation = (_metrics_validation(args, ref_kernel, field, traffic,
-                                          elapsed)
-                      if args.ranks == 1 else None)
+        validation = (_metrics_validation(args, spec, ref_kernel, field,
+                                          traffic, elapsed)
+                      if spec.ranks == 1 else None)
         _emit_obs_outputs(args, validation, run_info={
-            "kernel": args.kernel, "scheme": args.scheme,
-            "backend": report.used_backend, "grid": args.grid,
-            "steps": args.steps, "dim_t": args.dim_t, "tile": args.tile,
-            "threads": args.threads, "ranks": args.ranks,
-            "precision": args.precision, "elapsed_s": elapsed,
+            "kernel": spec.kernel, "scheme": spec.scheme,
+            "backend": report.used_backend, "grid": spec.grid,
+            "steps": spec.steps, "dim_t": spec.dim_t, "tile": spec.tile,
+            "threads": spec.threads, "ranks": spec.ranks,
+            "precision": spec.precision, "elapsed_s": elapsed,
         })
         return 3 if degraded else 0
     finally:
@@ -755,15 +629,17 @@ def _print_comm(args, runner) -> None:
 def _cmd_tune_wallclock(args, machine) -> int:
     from repro.core.autotune import TuningCache, autotune_wallclock
     from repro.perf.backends import BackendUnavailableError
+    from repro.runspec import RunSpec, make_field, make_kernel
 
-    kernel, lattice, dtype = _make_kernel(args.kernel, args.probe_grid, args.precision)
+    spec = RunSpec(kernel=args.kernel, grid=args.probe_grid,
+                   precision=args.precision)
     backend = args.backend or "fused-numpy"
     try:
         res = autotune_wallclock(
-            kernel,
+            make_kernel(spec),
             machine,
-            dtype,
-            probe_field=lattice.f if lattice is not None else None,
+            spec.dtype,
+            probe_field=make_field(spec) if spec.kernel == "lbm" else None,
             capacity=args.capacity,
             backend=backend,
             refresh=args.refresh,
@@ -792,6 +668,7 @@ def _cmd_tune_wallclock(args, machine) -> int:
 def _cmd_tune(args) -> int:
     from repro.core import tune
     from repro.machine import CORE_I7, GTX_285
+    from repro.runspec import RunSpec, make_kernel
 
     if args.prune:
         from repro.core.autotune import TuningCache
@@ -809,11 +686,11 @@ def _cmd_tune(args) -> int:
     machine = CORE_I7 if args.machine == "corei7" else GTX_285
     if args.mode == "wallclock":
         return _cmd_tune_wallclock(args, machine)
-    kernel, _, dtype = _make_kernel(args.kernel, 16, args.precision)
+    spec = RunSpec(kernel=args.kernel, grid=16, precision=args.precision)
     result = tune(
-        kernel,
+        make_kernel(spec),
         machine,
-        dtype,
+        spec.dtype,
         capacity=args.capacity,
         derated=machine.is_gpu,
     )

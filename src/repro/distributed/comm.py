@@ -170,7 +170,9 @@ class CommRequest:
 
 
 def _checksum(array: np.ndarray) -> int:
-    return zlib.crc32(np.ascontiguousarray(array).tobytes())
+    """CRC32 of ``array``'s bytes in C order, read through the buffer
+    protocol: a contiguous payload is not copied, a strided view once."""
+    return zlib.crc32(np.ascontiguousarray(array))
 
 
 class SimComm:

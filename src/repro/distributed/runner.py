@@ -90,10 +90,8 @@ from ..resilience.rankrecovery import (
     buddy_of,
 )
 from ..resilience.sdc import (
-    INTEGRITY_TIERS,
     SdcError,
     SdcGuard,
-    SdcReport,
     SplitField,
     plane_crcs,
 )
@@ -206,20 +204,19 @@ class DistributedJacobi:
         The communicator's in-flight cost model (see :class:`SimComm`);
         with the default ``latency_s=0`` transfers are instantaneous and
         the hidden/exposed accounting stays zero.
-    integrity:
-        Silent-data-corruption tier (``off``/``spot``/``seal``/``full``,
-        see :mod:`repro.resilience.sdc`) of :meth:`run`, which drives the
-        rounds through :class:`GuardedSweep`'s loop: any active tier
-        seals the rank buffers' planes after each round, verifies them at
-        the top of the next and re-executes the round from its input
-        (the non-current ping-pong buffers), healing detected planes by
-        cone replay.  ``seal`` and ``full`` additionally run the
-        cross-rank halo handshake: each received ghost plane is
-        checksummed against the sender's *seal-time* CRC, catching
-        compute-side corruption of the boundary planes — distinct from
-        the transport CRC inside :class:`SimComm`, which only covers the
-        wire.  The ``memory.flip`` fault site fires per rank per round
-        (detail ``"rank:round"``) after sealing.
+
+    Integrity is run policy, owned by the :class:`GuardedSweep` that
+    drives the rounds (``GuardedSweep(runner, sdc=tier)``, or
+    :func:`repro.runspec.build`): any active tier seals the rank buffers'
+    planes after each round, verifies them at the top of the next and
+    re-executes the round from its input (the non-current ping-pong
+    buffers), healing detected planes by cone replay.  ``seal`` and
+    ``full`` additionally run the cross-rank halo handshake: each received
+    ghost plane is checksummed against the sender's *seal-time* CRC,
+    catching compute-side corruption of the boundary planes — distinct
+    from the transport CRC inside :class:`SimComm`, which only covers the
+    wire.  The ``memory.flip`` fault site fires per rank per round (detail
+    ``"rank:round"``) after sealing.
     """
 
     def __init__(
@@ -238,19 +235,11 @@ class DistributedJacobi:
         overlap: bool = True,
         latency_s: float = 0.0,
         bandwidth_bytes_s: float | None = None,
-        integrity: str = "off",
-        sdc_seed: int = 0,
-        sdc_max_heals: int = 3,
     ) -> None:
         if scheme not in ("35d", "naive"):
             raise ValueError(f"unknown scheme {scheme!r}")
         if dim_t < 1:
             raise ValueError("dim_t must be >= 1")
-        if integrity not in INTEGRITY_TIERS:
-            raise ValueError(
-                f"unknown integrity tier {integrity!r}; known: "
-                f"{', '.join(INTEGRITY_TIERS)}"
-            )
         self.kernel = kernel
         self.n_ranks = n_ranks
         self.dim_t = dim_t
@@ -267,10 +256,6 @@ class DistributedJacobi:
         self.overlap = overlap
         self.latency_s = latency_s
         self.bandwidth_bytes_s = bandwidth_bytes_s
-        self.integrity = integrity
-        self.sdc_seed = sdc_seed
-        self.sdc_max_heals = sdc_max_heals
-        self.sdc_report = SdcReport(tier=integrity)
         self.recovery = RecoveryReport(initial_ranks=n_ranks,
                                        final_ranks=n_ranks)
         #: the last run's communicator
@@ -288,15 +273,12 @@ class DistributedJacobi:
     ) -> tuple[Field3D, SimComm]:
         """Advance ``field`` by ``steps``; returns (result, communicator).
 
-        The rounds run in :class:`GuardedSweep`'s loop with health off and
-        the ``integrity`` tier.  The communicator carries the per-rank
-        message/byte statistics; :attr:`recovery` carries the rank-failure
-        record of this run and :attr:`sdc_report` its integrity record.
+        The rounds run in :class:`GuardedSweep`'s loop with health and
+        integrity off.  The communicator carries the per-rank message/byte
+        statistics; :attr:`recovery` carries the rank-failure record of
+        this run.
         """
-        out = GuardedSweep(
-            self, health="off", sdc=self.integrity, sdc_seed=self.sdc_seed,
-            sdc_max_heals=self.sdc_max_heals,
-        ).run(field, steps, traffic)
+        out = GuardedSweep(self, health="off").run(field, steps, traffic)
         return out, self.comm
 
     def open_rounds(self, field: Field3D, sdc: SdcGuard | None):
@@ -327,7 +309,6 @@ class DistributedJacobi:
         self.recovery = RecoveryReport(initial_ranks=self.n_ranks,
                                        final_ranks=self.n_ranks)
         self._sdc = sdc
-        self.sdc_report = sdc.report if sdc is not None else SdcReport()
         self._round_index = 0
         self._state = self._view()
         return self._state, self._round, self._close

@@ -221,35 +221,34 @@ def metered_sweep_metrics(
     dim_t: int,
     tile: int,
     threads: int = 1,
-    executor: Any = None,
 ) -> dict[str, Any]:
     """One metered 3.5D sweep; returns the flat block the benches embed.
 
-    Arms the global metrics registry for the duration of a single run of
-    ``executor`` (built from ``kernel`` and the blocking parameters when
-    not supplied) and joins the measured traffic against Eq. 2.  The
-    block carries bytes, measured-vs-predicted κ, and — for threaded
-    runs — the barrier-wait fraction.
+    Arms the global metrics registry for the duration of a single run,
+    built by :func:`repro.runspec.build` (health off) over the
+    already-bound ``kernel``, and joins the measured traffic against
+    Eq. 2.  The block carries bytes, measured-vs-predicted κ, and — for
+    threaded runs — the barrier-wait fraction.
     """
     import time
 
     from ..core.traffic import TrafficStats
+    from ..perf.backends import bound_rung
+    from ..resilience.fallback import BoundBackend
+    from ..runspec import RunSpec, build
     from .metrics import METRICS
 
-    if executor is None:
-        if threads > 1:
-            from ..runtime.parallel35d import ParallelBlocking35D
-
-            executor = ParallelBlocking35D(kernel, dim_t, tile, tile, threads)
-        else:
-            from ..core.blocking35d import Blocking35D
-
-            executor = Blocking35D(kernel, dim_t, tile, tile)
+    rung = bound_rung(kernel)
+    guard = build(
+        RunSpec(grid=min(field3d.shape), steps=steps, dim_t=dim_t, tile=tile,
+                threads=threads, health="off"),
+        field=field3d, bound=BoundBackend(kernel, rung, rung),
+    )
     METRICS.arm()
     try:
         traffic = TrafficStats()
         t0 = time.perf_counter()
-        executor.run(field3d, steps, traffic)
+        guard.run(field3d, steps, traffic)
         elapsed = time.perf_counter() - t0
         METRICS.merge_traffic(traffic)
         v = validate_35d(

@@ -67,9 +67,9 @@ class ChaosTarget:
     """One system a soak can hammer: seeds in, judged results out.
 
     A target sets the class attributes and implements :meth:`draw` (seed +
-    validated shape -> case) and :meth:`run` (case -> :class:`ChaosResult`
-    judged against the fault-free naive oracle); :meth:`make` validates
-    the schedules and the shape once for every target.
+    shape -> case, whose ``run_spec()`` is the RunSpec its run builds) and
+    :meth:`run` (case -> :class:`ChaosResult` judged against the
+    fault-free naive oracle); :meth:`make` validates every target's cases.
     """
 
     name: ClassVar[str]
@@ -87,7 +87,10 @@ class ChaosTarget:
     def make(self, seed: int, schedules=None, **shape):
         """Derive the case of ``seed``; ``ValueError`` on an unknown
         schedule or a shape no run could execute (e.g. ``steps=0``, which
-        would judge nothing and pass)."""
+        would judge nothing and pass), with ``RunSpec.validate``'s reason.
+        Shape keys beyond :attr:`defaults` are further RunSpec fields of
+        the case's ``run``, for targets whose case has one."""
+
         schedules = self.schedules if schedules is None else tuple(schedules)
         unknown = set(schedules) - set(self.schedules)
         if unknown:
@@ -96,13 +99,23 @@ class ChaosTarget:
                 f"target {self.name}; known: {', '.join(self.schedules)}"
             )
         shape = {**self.defaults, **shape}
+        run = {key: shape.pop(key) for key in list(shape)
+               if key not in self.defaults}
         for key, value in shape.items():
             if isinstance(value, int) and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
-        # every target runs the 7-point kernel: 2R+1 planes per axis
-        if shape["grid"] < 3:
-            raise ValueError(f"grid must be >= 3, got {shape['grid']}")
-        return self.draw(seed, schedules, **shape)
+        case = self.draw(seed, schedules, **shape)
+        if run:
+            if not hasattr(case, "run"):
+                raise ValueError(f"target {self.name} takes no run fields")
+            case.run = run
+        try:
+            reason = case.run_spec().validate()
+        except TypeError as exc:  # a key that names no RunSpec field
+            reason = str(exc)
+        if reason is not None:
+            raise ValueError(reason)
+        return case
 
     def draw(self, seed: int, schedules: tuple[str, ...], **shape):
         raise NotImplementedError
@@ -111,16 +124,14 @@ class ChaosTarget:
         raise NotImplementedError
 
 
-def seeded_problem(case):
-    """The 7-point kernel, the seeded f32 field of ``case`` and its
-    fault-free naive reference after ``case.steps`` steps."""
+def seeded_problem(spec):
+    """The seeded initial field of the run ``spec`` and its fault-free
+    naive reference after ``spec.steps`` steps."""
     from ..core.naive import run_naive
-    from ..stencils.grid import Field3D
-    from ..stencils.seven_point import SevenPointStencil
+    from ..runspec import make_field, make_kernel
 
-    kernel = SevenPointStencil()
-    fld = Field3D.random((case.grid,) * 3, dtype=np.float32, seed=case.seed)
-    return kernel, fld, run_naive(kernel, fld, case.steps)
+    fld = make_field(spec)
+    return fld, run_naive(make_kernel(spec), fld, spec.steps)
 
 
 def run_soak(target: ChaosTarget, seeds, *, schedules=None,
@@ -205,6 +216,22 @@ class DistributedChaosCase:
     #: so crashes land mid-``wait`` and soak the pending-handle purge path
     overlap: bool = True
     latency_s: float = 0.0
+    #: further RunSpec fields of the run (see ChaosTarget.make)
+    run: dict = field(default_factory=dict)
+
+    def run_spec(self):
+        """The run: the reference rung, health off, transport retries that
+        a lossy link never exhausts; one rank carries no transport."""
+        from ..runspec import RunSpec
+
+        comm = (dict(loss=self.loss, corruption=self.corruption,
+                     comm_latency_s=self.latency_s) if self.ranks > 1 else {})
+        return RunSpec(**{
+            "grid": self.grid, "steps": self.steps, "dim_t": self.dim_t,
+            "tile": self.grid, "ranks": self.ranks, "seed": self.seed,
+            "overlap": self.overlap, "backend": "numpy", "health": "off",
+            "comm_retries": 64, **comm, **self.run,
+        })
 
     def describe(self) -> str:
         faults = ", ".join(self.specs) if self.specs else "no injected faults"
@@ -233,10 +260,6 @@ class DistributedTarget(ChaosTarget):
         *survivable* single failure, the buddy scheme's design point);
         ``loss``/``corruption`` draw per-message probabilities for the
         transport; ``delay`` arms a burst of delayed acks."""
-        from ..distributed.decompose import decompose_z
-
-        # every slab must own a blocked round's halo (R * dim_T planes)
-        decompose_z(grid, ranks, dim_t)
         rng = np.random.default_rng(seed)
         rounds = -(-steps // dim_t)
         specs: list[str] = []
@@ -267,31 +290,25 @@ class DistributedTarget(ChaosTarget):
         """The distributed run under the schedule, compared bit-for-bit
         against a fault-free serial naive run of the same field."""
         from ..distributed.comm import CommStats
-        from ..distributed.runner import DistributedJacobi
+        from ..runspec import build
+        from .rankrecovery import RecoveryReport
 
-        kernel, fld, ref = seeded_problem(case)
-        runner = DistributedJacobi(
-            kernel,
-            case.ranks,
-            dim_t=case.dim_t,
-            loss=case.loss,
-            corruption=case.corruption,
-            comm_seed=case.seed,
-            max_retries=64,  # lossy links must exhaust probabilistically never
-            overlap=case.overlap,
-            latency_s=case.latency_s,
-        )
+        spec = case.run_spec()
+        fld, ref = seeded_problem(spec)
+        guard = build(spec, field=fld)
         error = None
-        out = comm = None
+        out = None
         try:
             with FAULTS.injected(*case.specs):
-                out, comm = runner.run(fld, case.steps)
+                out = guard.run(fld, spec.steps)
         except ResilienceError as exc:
             error = f"{type(exc).__name__}: {exc}"
 
         bit_exact = out is not None and bool(np.array_equal(out.data, ref.data))
+        # a one-rank case runs serially: no transport, no rank to lose
+        comm = getattr(guard.executor, "comm", None) if error is None else None
         total = comm.total_stats() if comm is not None else CommStats()
-        rep = runner.recovery
+        rep = getattr(guard.executor, "recovery", RecoveryReport())
         return ChaosResult(
             case=case,
             ok=error is None and bit_exact,

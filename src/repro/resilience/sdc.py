@@ -590,6 +590,19 @@ class SdcChaosCase:
     #: the guard's final seal verify covers flips after the last round
     specs: list[str] = field(default_factory=list)
     bitrot: bool = False
+    #: further RunSpec fields of the run (see ChaosTarget.make)
+    run: dict = field(default_factory=dict)
+
+    def run_spec(self):
+        """The run: a whole-plane 3.5D sweep on the reference rung at the
+        case's tier, checkpointing every round."""
+        from ..runspec import RunSpec
+
+        return RunSpec(**{
+            "grid": self.grid, "steps": self.steps, "dim_t": self.dim_t,
+            "tile": self.grid, "seed": self.seed, "integrity": self.tier,
+            "backend": "numpy", "checkpoint_every": 1, **self.run,
+        })
 
     def describe(self) -> str:
         faults = ", ".join(self.specs) if self.specs else "no injected faults"
@@ -613,7 +626,7 @@ class SdcTarget(ChaosTarget):
         """``flip`` draws 1-2 probe rounds (each with 1-3 bits) over the
         run's rounds; ``bitrot`` rots the *last* checkpoint written, so the
         post-run restore attempt must refuse it."""
-        if tier not in INTEGRITY_TIERS or tier == "off":
+        if tier == "off":
             raise ValueError(f"sdc chaos needs an active tier, not {tier!r}")
         rng = np.random.default_rng(seed)
         rounds = -(-steps // dim_t)
@@ -650,33 +663,24 @@ class SdcTarget(ChaosTarget):
         rate), and a rotted checkpoint is refused at restore instead of
         silently trusted.
         """
+        import dataclasses
         import tempfile
 
-        from ..core.blocking35d import Blocking35D
-        from .checkpoint import CheckpointError, CheckpointStore
-        from .report import RunReport
-        from .watchdog import GuardedSweep
+        from ..runspec import build
+        from .checkpoint import CheckpointError
 
-        kernel, fld, ref = seeded_problem(case)
+        spec = case.run_spec()
+        fld, ref = seeded_problem(spec)
         error = None
         out = None
-        report = RunReport()
         fired_before = len(FAULTS.fired)
         with tempfile.TemporaryDirectory(prefix="repro-sdc-chaos-") as tmp:
-            store = CheckpointStore(Path(tmp) / "sdc-chaos.npz")
-            guard = GuardedSweep(
-                Blocking35D(kernel, dim_t=case.dim_t, tile_y=case.grid,
-                            tile_x=case.grid),
-                round_steps=case.dim_t,
-                sdc=case.tier,
-                sdc_seed=case.seed,
-                checkpoint=store,
-                checkpoint_every=1,
-                report=report,
-            )
+            guard = build(dataclasses.replace(
+                spec, checkpoint=str(Path(tmp) / "sdc-chaos.npz")), field=fld)
+            store, report = guard.checkpoint, guard.report
             try:
                 with FAULTS.injected(*case.specs):
-                    out = guard.run(fld, case.steps)
+                    out = guard.run(fld, spec.steps)
             except ResilienceError as exc:
                 error = f"{type(exc).__name__}: {exc}"
             bitrot_detected: bool | None = None

@@ -221,6 +221,8 @@ class GuardedSweep:
             return state.copy() if close is None else close(state)
 
         sdc = self.sdc
+        if sdc is not None:
+            sdc.invalidate()  # seals of a previous run describe its grid
         # the trusted base: the verified input of the current round, held
         # by reference.  The SDC replays and a repair rollback read it.
         good, good_done = state, done

@@ -58,6 +58,14 @@ class ServeChaosCase:
     kill_after: int = 0
     deadline_s: float | None = None
 
+    def job(self, **serve) -> JobSpec:
+        """A job of the mix; ``serve`` fills its seed and serve fields."""
+        return JobSpec(kernel="7pt", grid=self.grid, steps=self.steps,
+                       dim_t=self.dim_t, tile=8, verify=False, **serve)
+
+    def run_spec(self):
+        return self.job().run_spec()
+
     def describe(self) -> str:
         faults = ", ".join(self.specs) if self.specs else "no injected faults"
         kill = f"; kill after {self.kill_after} submits" if self.kill_after else ""
@@ -114,11 +122,6 @@ class ServeTarget(ChaosTarget):
     def draw(self, seed, schedules, *, jobs, grid, steps, dim_t, workers,
              queue_cap):
         """Derive a deterministic serve fault schedule from ``seed``."""
-        # a shape the daemon refuses would refuse every job and judge
-        # nothing: reject it here instead
-        reason = JobSpec(grid=grid, steps=steps, dim_t=dim_t).validate()
-        if reason:
-            raise ValueError(f"serve chaos jobs would be refused: {reason}")
         rng = np.random.default_rng(seed)
         specs: list[str] = []
         kill_after = 0
@@ -141,11 +144,17 @@ class ServeTarget(ChaosTarget):
             deadline_s = 30.0
         if "kill" in schedules:
             kill_after = int(rng.integers(2, max(3, jobs - 1)))
-        return ServeChaosCase(
+        case = ServeChaosCase(
             seed=seed, jobs=jobs, grid=grid, steps=steps, dim_t=dim_t,
             workers=workers, queue_cap=queue_cap, specs=specs,
             kill_after=kill_after, deadline_s=deadline_s,
         )
+        # a shape the daemon refuses would refuse every job and judge
+        # nothing: reject it here instead
+        reason = case.job().validate()
+        if reason:
+            raise ValueError(f"serve chaos jobs would be refused: {reason}")
+        return case
 
     def run(self, case: ServeChaosCase) -> ChaosResult:
         """Drive a job mix through a core under the schedule.
@@ -169,17 +178,12 @@ class ServeTarget(ChaosTarget):
             with FAULTS.injected(*case.specs):
                 core = _new_core(case, state_dir)
                 for i in range(case.jobs):
-                    spec = JobSpec(
-                        kernel="7pt",
-                        grid=case.grid,
-                        steps=case.steps,
-                        dim_t=case.dim_t,
-                        tile=8,
+                    # unverified: judged against refs below
+                    spec = case.job(
                         seed=int(rng.integers(0, 3)),
                         priority=int(rng.integers(0, 3)),
                         tenant=f"t{int(rng.integers(0, 2))}",
                         deadline_s=case.deadline_s,
-                        verify=False,  # judged against refs below
                     )
                     reply = core.submit(spec.to_dict())
                     if not reply.get("ok"):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from ..perf.backends import get_backend
+from ..runspec import RunSpec
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -45,6 +45,10 @@ STATUS_CODES = {
     "cancelled": 4,
 }
 
+#: the largest job the daemon serves
+MAX_GRID = 512
+MAX_STEPS = 100_000
+
 #: statuses a job can never leave
 TERMINAL_STATUSES = frozenset(
     s for s, code in STATUS_CODES.items() if code is not None
@@ -55,6 +59,9 @@ TERMINAL_STATUSES = frozenset(
 class JobSpec:
     """What a tenant asks the daemon to compute.
 
+    The wire type: its run fields convert to a :class:`RunSpec` in one
+    place (:meth:`run_spec`), and only ``tenant``, ``priority``,
+    ``deadline_s``, ``verify`` and ``trace_id`` are the daemon's own.
     Deterministic by construction: the initial grid is derived from
     ``(grid, precision, seed)`` exactly as ``repro run`` derives it, so a
     completed job's result hash is reproducible offline — the property the
@@ -91,34 +98,40 @@ class JobSpec:
     trace_id: str = ""
 
     def validate(self) -> str | None:
-        """A usage-error reason string, or None when the spec is runnable."""
-        if self.kernel not in ("7pt", "27pt"):
-            return f"unknown kernel {self.kernel!r} (serve runs 7pt/27pt)"
-        if not 4 <= int(self.grid) <= 512:
-            return f"grid {self.grid} outside the served range [4, 512]"
-        if not 1 <= int(self.steps) <= 100_000:
-            return f"steps {self.steps} outside the served range [1, 100000]"
-        if int(self.dim_t) < 1 or int(self.tile) < 1:
-            return "dim_t and tile must be >= 1"
-        if self.precision not in ("sp", "dp"):
-            return f"unknown precision {self.precision!r}"
+        """A usage-error reason string, or None when the spec is runnable:
+        the run rules of :meth:`RunSpec.validate`, then the serve ones."""
+        try:
+            reason = self.run_spec().validate()
+        except (TypeError, ValueError) as exc:
+            reason = f"malformed job: {exc}"
+        if reason is not None:
+            return reason
+        if self.grid > MAX_GRID:
+            return f"grid {self.grid} above the served maximum {MAX_GRID}"
+        if self.steps > MAX_STEPS:
+            return f"steps {self.steps} above the served maximum {MAX_STEPS}"
         if self.priority < 0:
             return "priority must be >= 0"
-        if self.integrity not in ("off", "spot", "seal", "full"):
-            return (
-                f"unknown integrity tier {self.integrity!r} "
-                "(off/spot/seal/full)"
-            )
         if self.deadline_s is not None and self.deadline_s <= 0:
             return "deadline_s must be positive"
         if not self.tenant:
             return "tenant must be non-empty"
-        if self.backend is not None:
-            try:
-                get_backend(self.backend)
-            except ValueError as exc:
-                return str(exc)
         return None
+
+    def run_spec(self, **policy) -> RunSpec:
+        """The job as a :class:`RunSpec`: serial 3.5D, health off, at the
+        ``full`` integrity tier when ``verify`` is set; ``policy``
+        overrides further fields."""
+        integrity = self.integrity
+        if self.verify and integrity == "off":
+            integrity = "full"
+        return RunSpec(**{
+            "kernel": self.kernel, "grid": self.grid, "steps": self.steps,
+            "dim_t": self.dim_t, "tile": self.tile,
+            "precision": self.precision, "seed": self.seed,
+            "backend": self.backend, "integrity": integrity, "health": "off",
+            **policy,
+        })
 
     def signature(self) -> tuple:
         """The plan-cache key: everything that shapes the bound executor."""

@@ -45,7 +45,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.blocking35d import Blocking35D
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS, MetricsRegistry
 from ..obs.serving import JobTraceLog, UsageLedger, prometheus_exposition
@@ -55,13 +54,11 @@ from ..resilience.checkpoint import (
     CheckpointStore,
     data_digest,
 )
-from ..resilience.fallback import bind_with_fallback
 from ..resilience.faultinject import FAULTS, ResilienceError
 from ..resilience.sdc import SdcError
 from ..resilience.watchdog import GuardedSweep, SweepInterruptedError
+from ..runspec import bind, build, make_field, make_kernel
 from ..stencils.grid import Field3D
-from ..stencils.seven_point import SevenPointStencil
-from ..stencils.twentyseven_point import TwentySevenPointStencil
 from .admission import AdmissionController, BoundedPriorityQueue
 from .journal import JobJournal
 from .protocol import (
@@ -108,21 +105,6 @@ _METERED = {
 #: the integrity counters a job adds to the daemon registry
 _SDC_COUNTERS = ("sdc.checks", "sdc.detected", "sdc.healed",
                  "sdc.replayed_cells")
-
-
-def make_kernel(spec: JobSpec):
-    """The reference kernel for a job spec (serve runs the pure stencils)."""
-    if spec.kernel == "27pt":
-        return TwentySevenPointStencil()
-    return SevenPointStencil()
-
-
-def make_field(spec: JobSpec) -> Field3D:
-    """The deterministic initial grid of a job: (grid, precision, seed)."""
-    dtype = np.float32 if spec.precision == "sp" else np.float64
-    return Field3D.random(
-        (spec.grid,) * 3, dtype=dtype, seed=spec.seed
-    )
 
 
 def _job_number(jid: str) -> int:
@@ -177,27 +159,24 @@ class PlanCache:
     """
 
     def __init__(self) -> None:
-        self._plans: dict[tuple, tuple] = {}
+        self._plans: dict[tuple, object] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
     def get(self, spec: JobSpec, probe_field: Field3D):
-        """(bound kernel, backend used, degradation strings) for ``spec``."""
+        """The :class:`~repro.resilience.fallback.BoundBackend` of ``spec``."""
         key = spec.signature()
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
+            bound = self._plans.get(key)
+            if bound is not None:
                 self.hits += 1
-                return plan
-        bound = bind_with_fallback(
-            make_kernel(spec), spec.backend, probe_field=probe_field
-        )
-        plan = (bound.kernel, bound.used, [str(d) for d in bound.degradations])
+                return bound
+        bound = bind(spec.run_spec(), probe_field)
         with self._lock:
-            self._plans[key] = plan
+            self._plans[key] = bound
             self.misses += 1
-        return plan
+        return bound
 
     def stats(self) -> dict:
         with self._lock:
@@ -211,10 +190,10 @@ class PlanCache:
 
 
 class _WarmExecutor:
-    """A worker's executor from its last job, reused while the signature
-    repeats and replaced when it changes.
+    """A worker's executor from its last job, handed back to ``build``
+    while the signature repeats and replaced when it changes.
 
-    A reused :class:`Blocking35D` keeps its tile contexts, rings, run
+    A reused ``Blocking35D`` keeps its tile contexts, rings, run
     buffers and interned fused plans, so a job whose signature matches the
     worker's previous job builds no plan.  The executor is owned by the
     worker thread that built it and never runs on another: fused plans
@@ -226,14 +205,7 @@ class _WarmExecutor:
 
     def __init__(self) -> None:
         self.key: tuple | None = None
-        self.executor: Blocking35D | None = None
-
-    def get(self, spec: JobSpec, kernel) -> Blocking35D:
-        key = spec.signature()
-        if self.executor is None or key != self.key:
-            self.key = key
-            self.executor = Blocking35D(kernel, spec.dim_t, spec.tile, spec.tile)
-        return self.executor
+        self.executor = None
 
 
 class _JobContext:
@@ -673,7 +645,10 @@ class ServeCore:
             return self._not_committed(ctx, pushed, exc)
         self._note_queue_depth()
         self._maybe_preempt(spec.priority)
-        return {"ok": True, "id": jid, "status": "queued",
+        # dispatched at the write, the job may be running or done by now
+        with self._lock:
+            status = record.status
+        return {"ok": True, "id": jid, "status": status,
                 "shed": decision.shed}
 
     def _not_committed(self, ctx: _JobContext, pushed: bool,
@@ -899,10 +874,8 @@ class ServeCore:
         if FAULTS.should("serve.deadline", detail=spec.tenant):
             ctx.deadline_at = self._clock() - 1.0  # storm: already expired
         degraded_reasons: list[str] = []
-        # result verification is the full integrity tier
-        integrity = spec.integrity
-        if spec.verify and integrity == "off":
-            integrity = "full"
+        run = spec.run_spec(checkpoint_every=self.checkpoint_every_rounds)
+        integrity = run.integrity
         if integrity != "off" and self.overload_level() != GREEN:
             # degrade before shedding: under amber the job runs unverified
             # and completes degraded-but-correct
@@ -912,13 +885,20 @@ class ServeCore:
             )
             self.counters["sdc_shed"] += 1
             self._inc("serve.sdc_shed")
-            integrity = "off"
+            run.integrity = integrity = "off"
         try:
             field = ctx.state if ctx.state is not None else make_field(spec)
-            kernel, used, plan_degradations = self.plans.get(spec, field)
-            record.backend_used = used
-            degraded_reasons = plan_degradations + degraded_reasons
-            sweep = _JobSweep(self, ctx, warm.get(spec, kernel), integrity)
+            bound = self.plans.get(spec, field)
+            record.backend_used = bound.used
+            degraded_reasons = [str(d) for d in bound.degradations] + \
+                degraded_reasons
+            key = spec.signature()
+            sweep = build(
+                run, field=field, bound=bound,
+                executor=warm.executor if warm.key == key else None,
+                sweep=_JobSweep, core=self, ctx=ctx, meta={"id": record.id},
+            )
+            warm.key, warm.executor = key, sweep.executor
         except (ValueError, ResilienceError) as exc:
             self._finish(
                 ctx, "failed", f"cannot bind job: {type(exc).__name__}: {exc}"
@@ -1045,23 +1025,17 @@ class _JobSweep(GuardedSweep):
     its stop reasons and its checkpoint file: the sweep is its own
     ``stop`` and ``checkpoint``.  A stop records its :attr:`reason`,
     ``kill``, ``cancel``, ``deadline`` or ``preempt``; only a preempt
-    checkpoints.  Health is off and rounds are not retried; integrity
-    replays run through the reference kernel, a different rung than the
-    bound backend.
+    checkpoints.  The rest of the run policy comes from the job's
+    :class:`~repro.runspec.RunSpec` through :func:`~repro.runspec.build`:
+    health off, no retries, the job's integrity tier.
     """
 
-    def __init__(self, core: ServeCore, ctx: _JobContext, executor,
-                 integrity: str) -> None:
-        spec = ctx.record.spec
+    def __init__(self, executor, *, core: ServeCore, ctx: _JobContext,
+                 **guard) -> None:
+        super().__init__(executor, **guard)
         self.core, self.ctx = core, ctx
         self.reason: str | None = None
-        super().__init__(
-            executor, round_steps=spec.dim_t, health="off", checkpoint=self,
-            checkpoint_every=core.checkpoint_every_rounds,
-            meta={"id": ctx.record.id}, stop=self, sdc=integrity,
-            sdc_seed=spec.seed,
-            kernel=make_kernel(spec) if integrity != "off" else None,
-        )
+        self.stop = self.checkpoint = self
 
     def is_set(self) -> bool:
         core, ctx = self.core, self.ctx

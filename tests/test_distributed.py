@@ -14,6 +14,7 @@ from repro.distributed import (
     decompose_z,
     transfer_time,
 )
+from repro.resilience import GuardedSweep
 from repro.stencils import (
     Field3D,
     SevenPointStencil,
@@ -631,9 +632,9 @@ def test_one_instance_matches_naive_across_fields_and_shapes(case):
     dj = DistributedJacobi(
         wrap_kernel(kernel, case["backend"]), case["n_ranks"],
         dim_t=case["dim_t"], tile_y=case["tile_y"], tile_x=case["tile_x"],
-        overlap=case["overlap"], integrity=case["integrity"],
-        latency_s=1e-6 if case["overlap"] else 0.0,
+        overlap=case["overlap"], latency_s=1e-6 if case["overlap"] else 0.0,
     )
+    guard = GuardedSweep(dj, health="off", sdc=case["integrity"])
     if case["kind"] in ("7pt", "27pt"):
         # a different shape (still decomposable, tiles still fit)
         other = ((shape[0] + 1, shape[1] + 1, shape[2]), dtype)
@@ -645,10 +646,10 @@ def test_one_instance_matches_naive_across_fields_and_shapes(case):
         field = Field3D.random(shp, ncomp=ncomp, dtype=dt, seed=seed + i)
         ref = run_naive(kernel if shp == shape else _case_kernel(
             case["kind"], shp), field, case["steps"])
-        out, comm = dj.run(field, case["steps"])
+        out = guard.run(field, case["steps"])
         assert out.data.dtype == ref.data.dtype
         assert np.array_equal(out.data, ref.data), (i, shp, dt)
-        assert comm.pending() == 0
+        assert dj.comm.pending() == 0
 
 
 class TestWarmRankBuffers:
@@ -756,11 +757,11 @@ class TestWarmRankBuffers:
         monkeypatch.setattr(BuddyStore, "checkpoint", checkpoint)
         k = SevenPointStencil()
         f = Field3D.random((16, 12, 12), seed=4)
-        dj = DistributedJacobi(k, 4, dim_t=2, integrity="seal", sdc_seed=3,
-                               overlap=overlap)
+        dj = DistributedJacobi(k, 4, dim_t=2, overlap=overlap)
+        guard = GuardedSweep(dj, health="off", sdc="seal", sdc_seed=3)
         with FAULTS.injected("memory.flip=1:2:2"):  # rank 1, after round 2
-            out, _ = dj.run(f, 10)
-        assert dj.sdc_report.heals == 1
+            out = guard.run(f, 10)
+        assert guard.report.sdc.heals == 1
         assert np.array_equal(out.data, run_naive(k, f, 10).data)
         # the owners' snapshots are views of the ping-pong buffers
         bufs = [b for rs in dj._ranks.values() for b in rs.bufs]
@@ -809,7 +810,8 @@ def _cone_case(kind, rung, layout, k, g, layout_i):
     )
 
 
-def _cone_run(kind, rung, layout, n_ranks, dim_t, steps, overlap, **kw):
+def _cone_run(kind, rung, layout, n_ranks, dim_t, steps, overlap,
+              integrity="off"):
     from repro.perf.backends import wrap_kernel
 
     h = dim_t  # every kernel here has radius 1
@@ -817,10 +819,11 @@ def _cone_run(kind, rung, layout, n_ranks, dim_t, steps, overlap, **kw):
     kernel = _case_kernel(kind, shape)
     tile = _CONE_LAYOUTS[layout](dim_t)
     dj = DistributedJacobi(wrap_kernel(kernel, rung), n_ranks, dim_t=dim_t,
-                           tile_y=tile, tile_x=tile, overlap=overlap, **kw)
+                           tile_y=tile, tile_x=tile, overlap=overlap)
     field = Field3D.random(shape, dtype=np.float32, seed=n_ranks + dim_t)
-    out, _ = dj.run(field, steps)
-    return dj, out, run_naive(kernel, field, steps)
+    guard = GuardedSweep(dj, health="off", sdc=integrity)
+    out = guard.run(field, steps)
+    return guard, out, run_naive(kernel, field, steps)
 
 
 @pytest.mark.parametrize(
@@ -837,12 +840,12 @@ def test_cone_trimmed_rounds_match_naive(monkeypatch, tmp_path, kind, rung,
 
     monkeypatch.setenv(CODEGEN_MODE_ENV, "python")
     monkeypatch.setenv(CODEGEN_CACHE_ENV, str(tmp_path / "cg"))
-    dj, out, ref = _cone_run(kind, rung, layout, n_ranks, dim_t, steps,
-                             overlap)
+    guard, out, ref = _cone_run(kind, rung, layout, n_ranks, dim_t, steps,
+                                overlap)
     assert np.array_equal(out.data, ref.data)
     # the layout really ran the path it names (full rounds only: a
     # partial round has its own tile plan)
-    executors = [reg.executor for rs in dj._ranks.values()
+    executors = [reg.executor for rs in guard.executor._ranks.values()
                  for (_, h), reg in rs.regions.items() if h == dim_t]
     runners = {type(r) for ex in executors for r in ex.sweep_runners}
     if rung == "codegen":
@@ -873,11 +876,12 @@ def test_cone_trimmed_ring_flip_is_healed_bit_exact():
     detected = 0
     for skip in range(0, 40, 8):
         with FAULTS.injected(f"memory.flip=ring:1@{skip}"):
-            dj, out, ref = _cone_run("7pt", "fused-numpy", "single", 3, 2, 5,
-                                     True, integrity="full")
+            guard, out, ref = _cone_run("7pt", "fused-numpy", "single", 3, 2,
+                                        5, True, integrity="full")
         assert np.array_equal(out.data, ref.data)
-        assert dj.sdc_report.heals == dj.sdc_report.detections
-        detected += dj.sdc_report.detections
+        sdc = guard.report.sdc
+        assert sdc.heals == sdc.detections
+        detected += sdc.detections
     assert detected >= 1
 
 

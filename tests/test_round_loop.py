@@ -81,10 +81,12 @@ def _run(entry: str, spec: JobSpec, core: ServeCore, specs=()):
             if record.status == "failed":
                 raise ResilienceError(record.reason)
             return record.sha256, record.status == "degraded"
-        dj = DistributedJacobi(kernel, int(entry[-1]), dim_t=DIM_T,
-                               integrity=spec.integrity, sdc_seed=spec.seed)
-        out, _ = dj.run(field, STEPS)
-        return data_digest(out.data), dj.sdc_report.degraded
+        guard = GuardedSweep(DistributedJacobi(kernel, int(entry[-1]),
+                                               dim_t=DIM_T),
+                             health="off", sdc=spec.integrity,
+                             sdc_seed=spec.seed)
+        out = guard.run(field, STEPS)
+        return data_digest(out.data), guard.report.degraded
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)
@@ -143,12 +145,13 @@ def test_distributed_full_tier_heals_a_compute_side_flip(n_ranks, dtype):
 
     kernel = SevenPointStencil()
     field = Field3D.random((24, 24, 24), dtype=dtype, seed=1)
-    dj = DistributedJacobi(kernel, n_ranks, dim_t=2, integrity="full")
+    guard = GuardedSweep(DistributedJacobi(kernel, n_ranks, dim_t=2),
+                         health="off", sdc="full")
     with FAULTS.injected("memory.flip=ring:1"):
-        out, _ = dj.run(field, 8)
+        out = guard.run(field, 8)
     assert np.array_equal(out.data, run_naive(kernel, field, 8).data)
-    assert dj.sdc_report.detections >= 1
-    assert dj.sdc_report.heals >= 1
+    assert guard.report.sdc.detections >= 1
+    assert guard.report.sdc.heals >= 1
 
 
 @pytest.mark.parametrize("tier", ["spot", "full"])

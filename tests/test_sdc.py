@@ -434,14 +434,12 @@ class TestDistributedIntegrity:
     def test_flip_healed_bit_exact(self, seven_point, overlap):
         field = Field3D.random((16, 16, 16), dtype=np.float64, seed=1)
         oracle = run_naive(seven_point, field, 8)
-        dj = DistributedJacobi(
-            seven_point, 4, dim_t=2, integrity="seal", sdc_seed=3,
-            overlap=overlap,
-        )
+        dj = DistributedJacobi(seven_point, 4, dim_t=2, overlap=overlap)
+        guard = GuardedSweep(dj, health="off", sdc="seal", sdc_seed=3)
         with FAULTS.injected("memory.flip=1:1:2"):
-            out, _ = dj.run(Field3D(field.data.copy()), 8)
-        assert dj.sdc_report.detections >= 1
-        assert dj.sdc_report.heals >= 1
+            out = guard.run(Field3D(field.data.copy()), 8)
+        assert guard.report.sdc.detections >= 1
+        assert guard.report.sdc.heals >= 1
         assert_fields_equal(out, oracle)
 
     @pytest.mark.parametrize("overlap", [False, True])
@@ -454,34 +452,36 @@ class TestDistributedIntegrity:
         # seals, so refusal is the contract here)
         monkeypatch.setattr(SdcGuard, "verify_seals",
                             lambda self, state, *args: state)
-        dj = DistributedJacobi(
-            seven_point, 4, dim_t=2, integrity="seal", sdc_seed=0,
-            overlap=overlap,
+        guard = GuardedSweep(
+            DistributedJacobi(seven_point, 4, dim_t=2, overlap=overlap),
+            health="off", sdc="seal", sdc_seed=0,
         )
         field = Field3D.random((16, 16, 16), dtype=np.float64, seed=2)
         with FAULTS.injected("memory.flip=1:0:64"):
             with pytest.raises(SdcError):
-                dj.run(field, 8)
+                guard.run(field, 8)
 
     def test_unhealable_when_budget_exhausted(self, seven_point):
-        dj = DistributedJacobi(
-            seven_point, 4, dim_t=2, integrity="seal", sdc_max_heals=0,
+        guard = GuardedSweep(
+            DistributedJacobi(seven_point, 4, dim_t=2),
+            health="off", sdc="seal", sdc_max_heals=0,
         )
         field = Field3D.random((16, 16, 16), dtype=np.float64, seed=3)
         with FAULTS.injected("memory.flip=2:1:1"):
             with pytest.raises(SdcUnhealableError):
-                dj.run(field, 8)
+                guard.run(field, 8)
 
     def test_flip_and_crash_coexist(self, seven_point):
         # rank recovery (crash) and SDC healing (flip) are independent
         # defenses; a run suffering both must still end bit-exact
         field = Field3D.random((16, 16, 16), dtype=np.float64, seed=4)
         oracle = run_naive(seven_point, field, 8)
-        dj = DistributedJacobi(
-            seven_point, 4, dim_t=2, integrity="seal", sdc_seed=5,
+        guard = GuardedSweep(
+            DistributedJacobi(seven_point, 4, dim_t=2),
+            health="off", sdc="seal", sdc_seed=5,
         )
         with FAULTS.injected("rank.crash=3@1", "memory.flip=0:2:1"):
-            out, _ = dj.run(Field3D(field.data.copy()), 8)
+            out = guard.run(Field3D(field.data.copy()), 8)
         assert_fields_equal(out, oracle)
 
 

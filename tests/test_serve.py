@@ -603,6 +603,8 @@ class TestAcceptanceCommit:
             srv.stop()
         assert reply["ok"]
         assert events == ["fsync-start", "job-done", "fsync-end", "reply"]
+        # the reply reads the record after the fsync: the job already ran
+        assert reply["status"] == "done"
         assert core.status(reply["id"]).sha256 == reference_sha(spec)
         assert core.drain()
         evs = [r["ev"] for r in JobJournal(tmp_path / "s" / "journal.jsonl")
@@ -893,7 +895,7 @@ def recorded_executors(monkeypatch):
     """Serve's executors, each with the thread that built it, the thread
     of every run, and the fused plans (per-tile plans or batched round
     runners) built during each run."""
-    import repro.serve.server as server
+    import repro.core
     from repro.core import Blocking35D
     from repro.perf.fused import _BatchedRunner, _NumpyFusedRunner
 
@@ -933,7 +935,8 @@ def recorded_executors(monkeypatch):
 
     monkeypatch.setattr(_NumpyFusedRunner, "_build_plan", counting_build_plan)
     monkeypatch.setattr(_BatchedRunner, "__init__", counting_build_batched)
-    monkeypatch.setattr(server, "Blocking35D", Recorded)
+    # the executor serve's build() constructs
+    monkeypatch.setattr(repro.core, "Blocking35D", Recorded)
     return executors
 
 
