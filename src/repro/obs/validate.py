@@ -224,8 +224,8 @@ def metered_sweep_metrics(
 ) -> dict[str, Any]:
     """One metered 3.5D sweep; returns the flat block the benches embed.
 
-    Arms the global metrics registry for the duration of a single run,
-    built by :func:`repro.runspec.build` (health off) over the
+    Arms the global metrics registry for the duration of a single run of
+    the 3.5D executor :func:`repro.runspec.make_executor` builds over the
     already-bound ``kernel``, and joins the measured traffic against
     Eq. 2.  The block carries bytes, measured-vs-predicted κ, and — for
     threaded runs — the barrier-wait fraction.
@@ -233,22 +233,16 @@ def metered_sweep_metrics(
     import time
 
     from ..core.traffic import TrafficStats
-    from ..perf.backends import bound_rung
-    from ..resilience.fallback import BoundBackend
-    from ..runspec import RunSpec, build
+    from ..runspec import RunSpec, make_executor
     from .metrics import METRICS
 
-    rung = bound_rung(kernel)
-    guard = build(
-        RunSpec(grid=min(field3d.shape), steps=steps, dim_t=dim_t, tile=tile,
-                threads=threads, health="off"),
-        field=field3d, bound=BoundBackend(kernel, rung, rung),
-    )
+    executor = make_executor(
+        RunSpec(dim_t=dim_t, tile=tile, threads=threads), kernel)
     METRICS.arm()
     try:
         traffic = TrafficStats()
         t0 = time.perf_counter()
-        guard.run(field3d, steps, traffic)
+        executor.run(field3d, steps, traffic)
         elapsed = time.perf_counter() - t0
         METRICS.merge_traffic(traffic)
         v = validate_35d(

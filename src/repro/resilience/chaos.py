@@ -67,7 +67,7 @@ class ChaosTarget:
     """One system a soak can hammer: seeds in, judged results out.
 
     A target sets the class attributes and implements :meth:`draw` (seed +
-    shape -> case, whose ``run_spec()`` is the RunSpec its run builds) and
+    shape -> case, whose ``spec()`` is the spec its run is built from) and
     :meth:`run` (case -> :class:`ChaosResult` judged against the
     fault-free naive oracle); :meth:`make` validates every target's cases.
     """
@@ -87,10 +87,8 @@ class ChaosTarget:
     def make(self, seed: int, schedules=None, **shape):
         """Derive the case of ``seed``; ``ValueError`` on an unknown
         schedule or a shape no run could execute (e.g. ``steps=0``, which
-        would judge nothing and pass), with ``RunSpec.validate``'s reason.
-        Shape keys beyond :attr:`defaults` are further RunSpec fields of
-        the case's ``run``, for targets whose case has one."""
-
+        would judge nothing and pass), with the reason the case's
+        ``spec().validate()`` gives."""
         schedules = self.schedules if schedules is None else tuple(schedules)
         unknown = set(schedules) - set(self.schedules)
         if unknown:
@@ -99,20 +97,11 @@ class ChaosTarget:
                 f"target {self.name}; known: {', '.join(self.schedules)}"
             )
         shape = {**self.defaults, **shape}
-        run = {key: shape.pop(key) for key in list(shape)
-               if key not in self.defaults}
         for key, value in shape.items():
             if isinstance(value, int) and value < 1:
                 raise ValueError(f"{key} must be >= 1, got {value}")
         case = self.draw(seed, schedules, **shape)
-        if run:
-            if not hasattr(case, "run"):
-                raise ValueError(f"target {self.name} takes no run fields")
-            case.run = run
-        try:
-            reason = case.run_spec().validate()
-        except TypeError as exc:  # a key that names no RunSpec field
-            reason = str(exc)
+        reason = case.spec().validate()
         if reason is not None:
             raise ValueError(reason)
         return case
@@ -216,22 +205,18 @@ class DistributedChaosCase:
     #: so crashes land mid-``wait`` and soak the pending-handle purge path
     overlap: bool = True
     latency_s: float = 0.0
-    #: further RunSpec fields of the run (see ChaosTarget.make)
-    run: dict = field(default_factory=dict)
 
-    def run_spec(self):
+    def spec(self):
         """The run: the reference rung, health off, transport retries that
         a lossy link never exhausts; one rank carries no transport."""
         from ..runspec import RunSpec
 
         comm = (dict(loss=self.loss, corruption=self.corruption,
                      comm_latency_s=self.latency_s) if self.ranks > 1 else {})
-        return RunSpec(**{
-            "grid": self.grid, "steps": self.steps, "dim_t": self.dim_t,
-            "tile": self.grid, "ranks": self.ranks, "seed": self.seed,
-            "overlap": self.overlap, "backend": "numpy", "health": "off",
-            "comm_retries": 64, **comm, **self.run,
-        })
+        return RunSpec(grid=self.grid, steps=self.steps, dim_t=self.dim_t,
+                       tile=self.grid, ranks=self.ranks, seed=self.seed,
+                       overlap=self.overlap, backend="numpy", health="off",
+                       comm_retries=64, **comm)
 
     def describe(self) -> str:
         faults = ", ".join(self.specs) if self.specs else "no injected faults"
@@ -293,7 +278,7 @@ class DistributedTarget(ChaosTarget):
         from ..runspec import build
         from .rankrecovery import RecoveryReport
 
-        spec = case.run_spec()
+        spec = case.spec()
         fld, ref = seeded_problem(spec)
         guard = build(spec, field=fld)
         error = None

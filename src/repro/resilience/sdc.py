@@ -590,19 +590,15 @@ class SdcChaosCase:
     #: the guard's final seal verify covers flips after the last round
     specs: list[str] = field(default_factory=list)
     bitrot: bool = False
-    #: further RunSpec fields of the run (see ChaosTarget.make)
-    run: dict = field(default_factory=dict)
 
-    def run_spec(self):
+    def spec(self):
         """The run: a whole-plane 3.5D sweep on the reference rung at the
         case's tier, checkpointing every round."""
         from ..runspec import RunSpec
 
-        return RunSpec(**{
-            "grid": self.grid, "steps": self.steps, "dim_t": self.dim_t,
-            "tile": self.grid, "seed": self.seed, "integrity": self.tier,
-            "backend": "numpy", "checkpoint_every": 1, **self.run,
-        })
+        return RunSpec(grid=self.grid, steps=self.steps, dim_t=self.dim_t,
+                       tile=self.grid, seed=self.seed, integrity=self.tier,
+                       backend="numpy", checkpoint_every=1)
 
     def describe(self) -> str:
         faults = ", ".join(self.specs) if self.specs else "no injected faults"
@@ -669,7 +665,7 @@ class SdcTarget(ChaosTarget):
         from ..runspec import build
         from .checkpoint import CheckpointError
 
-        spec = case.run_spec()
+        spec = case.spec()
         fld, ref = seeded_problem(spec)
         error = None
         out = None

@@ -21,8 +21,8 @@ from .resilience.sdc import INTEGRITY_TIERS
 from .resilience.watchdog import GuardedSweep
 from .stencils.grid import Field3D
 
-__all__ = ["KERNELS", "SCHEMES", "RunSpec", "bind", "build", "make_field",
-           "make_kernel"]
+__all__ = ["KERNELS", "SCHEMES", "RunSpec", "bind", "build",
+           "make_executor", "make_field", "make_kernel"]
 
 #: kernels a spec can name; each has radius 1
 KERNELS = ("7pt", "27pt", "lbm")
@@ -73,6 +73,11 @@ class RunSpec:
     def dtype(self):
         return _dtype(self)
 
+    @property
+    def shape(self) -> tuple:
+        """The grid's array shape: (components, nz, ny, nx)."""
+        return (19 if self.kernel == "lbm" else 1,) + (self.grid,) * 3
+
     def validate(self) -> str | None:
         """Why no entry point can run this spec, or None when it is runnable."""
         for name, known in _CHOICES:
@@ -83,6 +88,10 @@ class RunSpec:
             value = getattr(self, name)
             if value < least:
                 return f"{name} must be >= {least}, got {value}"
+        if (self.scheme == "3.5d" and self.tile < self.grid
+                and self.tile - 2 * self.dim_t < 1):
+            return (f"tile {self.tile} cannot host 2*R*dim_T = "
+                    f"{2 * self.dim_t} ghost cells")
         if self.backend is not None:
             try:
                 get_backend(self.backend)
@@ -116,27 +125,17 @@ class RunSpec:
         return None
 
 
-def _lattice(spec):
-    """The LBM initial state: a fixed draw (rng 0), whatever the seed."""
-    from .lbm import Lattice
-
-    shape, rng = (spec.grid,) * 3, np.random.default_rng(0)
-    return Lattice.from_moments(
-        (1.0 + 0.02 * rng.random(shape)).astype(_dtype(spec)),
-        (0.01 * (rng.random((3,) + shape) - 0.5)).astype(_dtype(spec)),
-    )
-
-
 def _dtype(spec):
     return np.float32 if spec.precision == "sp" else np.float64
 
 
 def make_kernel(spec):
-    """The reference kernel of ``spec`` (a RunSpec or a JobSpec)."""
+    """The reference kernel of ``spec`` (a RunSpec or a JobSpec); LBM
+    runs an all-fluid lattice."""
     if spec.kernel == "lbm":
         from .lbm import LBMKernel
 
-        return LBMKernel(_lattice(spec).flags, omega=1.2)
+        return LBMKernel(np.zeros((spec.grid,) * 3, np.uint8), omega=1.2)
     from .stencils import SevenPointStencil, TwentySevenPointStencil
 
     return (TwentySevenPointStencil() if spec.kernel == "27pt"
@@ -144,10 +143,17 @@ def make_kernel(spec):
 
 
 def make_field(spec):
-    """The deterministic initial grid of ``spec``: (grid, precision, seed)."""
-    if spec.kernel == "lbm":
-        return _lattice(spec).f
-    return Field3D.random((spec.grid,) * 3, dtype=_dtype(spec), seed=spec.seed)
+    """The deterministic initial grid of ``spec``: (kernel, grid,
+    precision, seed); LBM starts at the equilibrium of seeded moments."""
+    shape, dtype = (spec.grid,) * 3, _dtype(spec)
+    if spec.kernel != "lbm":
+        return Field3D.random(shape, dtype=dtype, seed=spec.seed)
+    from .lbm import equilibrium
+
+    rng = np.random.default_rng(spec.seed)
+    rho = (1.0 + 0.02 * rng.random(shape)).astype(dtype)
+    u = (0.01 * (rng.random((3,) + shape) - 0.5)).astype(dtype)
+    return Field3D(np.ascontiguousarray(equilibrium(rho, u)))
 
 
 def bind(spec: RunSpec, field, kernel=None):
@@ -177,8 +183,8 @@ class _FnExecutor:
         return self.fn(self.kernel, field, steps, traffic)
 
 
-def _executor(spec: RunSpec, kernel):
-    """The executor of ``spec`` over the bound ``kernel``."""
+def make_executor(spec: RunSpec, kernel):
+    """The unguarded executor of ``spec`` over the bound ``kernel``."""
     t = spec.tile
     if spec.ranks > 1:
         from .distributed.runner import DistributedJacobi
@@ -212,7 +218,7 @@ def _executor(spec: RunSpec, kernel):
 
 
 def build(spec: RunSpec, *, field=None, bound=None, executor=None,
-          sweep=GuardedSweep, **hooks):
+          sweep=GuardedSweep, validated=False, **hooks):
     """The guarded run of ``spec``: a ``sweep`` (:class:`GuardedSweep` or a
     subclass) over the spec's executor on its bound backend.
 
@@ -220,9 +226,10 @@ def build(spec: RunSpec, *, field=None, bound=None, executor=None,
     ``bound`` (a ``BoundBackend``) and ``executor`` reuse a bind or a warm
     executor; ``hooks`` are further sweep arguments (``stop``, ``meta``,
     a subclass's own).  ``ValueError`` carries the spec's
-    :meth:`~RunSpec.validate` reason; bind failures raise as in :func:`bind`.
+    :meth:`~RunSpec.validate` reason, unless the caller ``validated`` the
+    spec already; bind failures raise as in :func:`bind`.
     """
-    reason = spec.validate()
+    reason = None if validated else spec.validate()
     if reason is not None:
         raise ValueError(reason)
     ref = None
@@ -233,7 +240,7 @@ def build(spec: RunSpec, *, field=None, bound=None, executor=None,
     if ref is None and spec.integrity != "off":
         ref = make_kernel(spec)
     if executor is None:
-        executor = _executor(spec, bound.kernel)
+        executor = make_executor(spec, bound.kernel)
     if "meta" not in hooks:  # the run identity a resume checks
         hooks["meta"] = {k: getattr(spec, k) for k in
                          ("kernel", "scheme", "grid", "precision", "seed")}

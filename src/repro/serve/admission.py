@@ -180,6 +180,8 @@ class AdmissionDecision:
     #: queue item (a job id) displaced to make room (terminal status ``shed``)
     shed: object | None = None
     details: dict = field(default_factory=dict)
+    #: the validated :class:`~repro.runspec.RunSpec` of an admitted job
+    run: object | None = None
 
 
 class AdmissionController:
@@ -216,7 +218,8 @@ class AdmissionController:
             return AdmissionDecision(
                 ok=False, reason="draining: the daemon is shutting down"
             )
-        bad = spec.validate()
+        run = spec.run_spec()
+        bad = spec.validate(run)
         if bad is not None:
             return AdmissionDecision(ok=False, reason=f"invalid job: {bad}")
         if tenant_inflight >= self.tenant_quota:
@@ -246,7 +249,7 @@ class AdmissionController:
                 return AdmissionDecision(
                     ok=True,
                     reason="accepted by displacing lower-priority work",
-                    shed=victim,
+                    shed=victim, run=run,
                 )
             return AdmissionDecision(
                 ok=False,
@@ -255,4 +258,4 @@ class AdmissionController:
                     f"has lower priority than {spec.priority}"
                 ),
             )
-        return AdmissionDecision(ok=True)
+        return AdmissionDecision(ok=True, run=run)

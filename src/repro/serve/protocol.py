@@ -16,7 +16,10 @@ verification), 4 failed (deadline exceeded, cancelled, execution error).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from ..runspec import RunSpec
 
@@ -45,8 +48,11 @@ STATUS_CODES = {
     "cancelled": 4,
 }
 
-#: the largest job the daemon serves
+#: the largest job the daemon serves; the byte bound is one copy of the
+#: grid (components x cells x item size): a grid-512 dp stencil, or a
+#: grid-241 sp LBM lattice of 19 components
 MAX_GRID = 512
+MAX_FIELD_BYTES = 8 * 512**3
 MAX_STEPS = 100_000
 
 #: statuses a job can never leave
@@ -63,7 +69,8 @@ class JobSpec:
     place (:meth:`run_spec`), and only ``tenant``, ``priority``,
     ``deadline_s``, ``verify`` and ``trace_id`` are the daemon's own.
     Deterministic by construction: the initial grid is derived from
-    ``(grid, precision, seed)`` exactly as ``repro run`` derives it, so a
+    ``(kernel, grid, precision, seed)`` exactly as ``repro run`` derives
+    it (:func:`repro.runspec.make_field`), so a
     completed job's result hash is reproducible offline — the property the
     chaos soak and the drain/zero-loss acceptance tests check.
     """
@@ -97,17 +104,23 @@ class JobSpec:
     #: (``from_dict`` filters unknown keys in both directions).
     trace_id: str = ""
 
-    def validate(self) -> str | None:
+    def validate(self, run: RunSpec | None = None) -> str | None:
         """A usage-error reason string, or None when the spec is runnable:
-        the run rules of :meth:`RunSpec.validate`, then the serve ones."""
+        the run rules of :meth:`RunSpec.validate` on ``run`` (default
+        :meth:`run_spec`), then the serve ones."""
+        run = run if run is not None else self.run_spec()
         try:
-            reason = self.run_spec().validate()
+            reason = run.validate()
         except (TypeError, ValueError) as exc:
             reason = f"malformed job: {exc}"
         if reason is not None:
             return reason
         if self.grid > MAX_GRID:
             return f"grid {self.grid} above the served maximum {MAX_GRID}"
+        nbytes = math.prod(run.shape) * np.dtype(run.dtype).itemsize
+        if nbytes > MAX_FIELD_BYTES:
+            return (f"a {self.kernel} grid of {self.grid} holds {nbytes} "
+                    f"bytes, above the served maximum {MAX_FIELD_BYTES}")
         if self.steps > MAX_STEPS:
             return f"steps {self.steps} above the served maximum {MAX_STEPS}"
         if self.priority < 0:

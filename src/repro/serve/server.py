@@ -34,6 +34,7 @@ Robustness invariants (each one is load-bearing and tested):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import queue
 import socket
@@ -57,7 +58,7 @@ from ..resilience.checkpoint import (
 from ..resilience.faultinject import FAULTS, ResilienceError
 from ..resilience.sdc import SdcError
 from ..resilience.watchdog import GuardedSweep, SweepInterruptedError
-from ..runspec import bind, build, make_field, make_kernel
+from ..runspec import RunSpec, bind, build, make_field, make_kernel
 from ..stencils.grid import Field3D
 from .admission import AdmissionController, BoundedPriorityQueue
 from .journal import JobJournal
@@ -154,7 +155,7 @@ class PlanCache:
     chain runs a first-tile bit-exactness probe per candidate), so bound
     kernels are shared by every worker across jobs with the same
     signature.  Executors built on them are kept per worker instead (see
-    :class:`_WarmExecutor`).  ``hits``/``misses`` feed the bench's
+    :meth:`ServeCore._worker_loop`).  ``hits``/``misses`` feed the bench's
     warm-plan reuse rate.
     """
 
@@ -164,15 +165,16 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
 
-    def get(self, spec: JobSpec, probe_field: Field3D):
-        """The :class:`~repro.resilience.fallback.BoundBackend` of ``spec``."""
+    def get(self, spec: JobSpec, probe_field: Field3D, run=None):
+        """The :class:`~repro.resilience.fallback.BoundBackend` of ``spec``,
+        whose :class:`~repro.runspec.RunSpec` is ``run`` when given."""
         key = spec.signature()
         with self._lock:
             bound = self._plans.get(key)
             if bound is not None:
                 self.hits += 1
                 return bound
-        bound = bind(spec.run_spec(), probe_field)
+        bound = bind(run if run is not None else spec.run_spec(), probe_field)
         with self._lock:
             self._plans[key] = bound
             self.misses += 1
@@ -189,38 +191,21 @@ class PlanCache:
             }
 
 
-class _WarmExecutor:
-    """A worker's executor from its last job, handed back to ``build``
-    while the signature repeats and replaced when it changes.
-
-    A reused ``Blocking35D`` keeps its tile contexts, rings, run
-    buffers and interned fused plans, so a job whose signature matches the
-    worker's previous job builds no plan.  The executor is owned by the
-    worker thread that built it and never runs on another: fused plans
-    bake in the building thread's ``ScratchArena`` buffers, so two workers
-    replaying one executor's plans would race on the same scratch arrays.
-    """
-
-    __slots__ = ("key", "executor")
-
-    def __init__(self) -> None:
-        self.key: tuple | None = None
-        self.executor = None
-
-
 class _JobContext:
     """Mutable runtime state of a live job, which the record does not carry.
 
     Dropped when the job finishes; only its record and trace log are kept.
+    ``run`` is the job's validated :class:`~repro.runspec.RunSpec`.
     ``cancel`` (the reason, empty when none) and ``preempt`` are requests
     the worker reads at the next round boundary.
     """
 
-    __slots__ = ("record", "state", "cancel", "preempt", "deadline_at",
-                 "trace", "enqueued_ns", "owns_checkpoint", "finishing")
+    __slots__ = ("record", "run", "state", "cancel", "preempt",
+                 "deadline_at", "trace", "enqueued_ns", "owns_checkpoint",
+                 "finishing")
 
-    def __init__(self, record: JobRecord):
-        self.record = record
+    def __init__(self, record: JobRecord, run: RunSpec):
+        self.record, self.run = record, run
         self.state: Field3D | None = None
         self.cancel = ""
         self.preempt = False
@@ -289,8 +274,9 @@ class ServeCore:
         self._finish_order: deque[str] = deque()
         self._finished_traces: dict[str, tuple[JobTraceLog, int]] = {}
         self._finished_bytes = 0
-        #: each worker's warm executor (read for stats only)
-        self._warm: list[_WarmExecutor] = []
+        #: each worker's warm executor, {signature: executor} (read here
+        #: for stats only)
+        self._warm: list[dict] = []
         self._threads: list[threading.Thread] = []
         self._idgen = 0
         self._busy = 0
@@ -479,7 +465,10 @@ class ServeCore:
             if record.terminal:
                 self._retain(record, None)
                 continue
-            ctx = _JobContext(record)
+            # admitted under the same rules before the restart
+            run = record.spec.run_spec(
+                checkpoint_every=self.checkpoint_every_rounds)
+            ctx = _JobContext(record, run)
             ctx.owns_checkpoint = True
             with self._lock:
                 self._live[jid] = ctx
@@ -492,11 +481,8 @@ class ServeCore:
                 ctx.deadline_at = now + record.spec.deadline_s
             store = self._checkpoint_store(jid)
             try:
-                snap = store.load(
-                    expected_shape=(1,) + (record.spec.grid,) * 3,
-                    expected_dtype=np.float32
-                    if record.spec.precision == "sp" else np.float64,
-                )
+                snap = store.load(expected_shape=run.shape,
+                                  expected_dtype=run.dtype)
             except CheckpointError:
                 snap = None
             if snap is not None and 0 < snap.step <= record.spec.steps:
@@ -609,7 +595,8 @@ class ServeCore:
             self._idgen += 1
             jid = f"j{self._idgen:06d}"
             record.id = jid
-            ctx = _JobContext(record)
+            decision.run.checkpoint_every = self.checkpoint_every_rounds
+            ctx = _JobContext(record, decision.run)
             deadline_s = spec.deadline_s or self.default_deadline_s
             if deadline_s is not None:
                 ctx.deadline_at = now + deadline_s
@@ -645,10 +632,10 @@ class ServeCore:
             return self._not_committed(ctx, pushed, exc)
         self._note_queue_depth()
         self._maybe_preempt(spec.priority)
-        # dispatched at the write, the job may be running or done by now
-        with self._lock:
-            status = record.status
-        return {"ok": True, "id": jid, "status": status,
+        # dispatched at the write, the job may be running or done by now.
+        # One attribute read needs no core lock; waiting on a lock a
+        # worker holds would hand that worker the GIL with the reply unsent
+        return {"ok": True, "id": jid, "status": record.status,
                 "shed": decision.shed}
 
     def _not_committed(self, ctx: _JobContext, pushed: bool,
@@ -757,9 +744,7 @@ class ServeCore:
                 "live_jobs": len(self._live),
                 "retained_jobs": len(self._finished),
                 "retained_bytes": self._finished_bytes,
-                "warm_executors": sum(
-                    w.executor is not None for w in self._warm
-                ),
+                "warm_executors": sum(map(bool, self._warm)),
                 "overload": self.overload_level(),
                 "draining": self._draining,
                 "counters": dict(self.counters),
@@ -821,7 +806,12 @@ class ServeCore:
     # worker side
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
-        warm = _WarmExecutor()
+        # the executor of this worker's last job, handed back to build
+        # while the signature repeats: a reused Blocking35D keeps its tile
+        # contexts, rings, run buffers and interned fused plans.  It never
+        # runs on another worker: fused plans bake in the building
+        # thread's ScratchArena buffers, which two workers would race on
+        warm: dict = {}
         with self._lock:
             self._warm.append(warm)
         while not self._stopping:
@@ -848,7 +838,7 @@ class ServeCore:
     def _checkpoint_store(self, jid: str) -> CheckpointStore:
         return CheckpointStore(self.state_dir / "checkpoints" / f"{jid}.npz")
 
-    def _run_job(self, ctx: _JobContext, warm: _WarmExecutor) -> None:
+    def _run_job(self, ctx: _JobContext, warm: dict) -> None:
         record = ctx.record
         spec = record.spec
         resumed = ctx.state is not None
@@ -874,7 +864,7 @@ class ServeCore:
         if FAULTS.should("serve.deadline", detail=spec.tenant):
             ctx.deadline_at = self._clock() - 1.0  # storm: already expired
         degraded_reasons: list[str] = []
-        run = spec.run_spec(checkpoint_every=self.checkpoint_every_rounds)
+        run = ctx.run
         integrity = run.integrity
         if integrity != "off" and self.overload_level() != GREEN:
             # degrade before shedding: under amber the job runs unverified
@@ -885,20 +875,23 @@ class ServeCore:
             )
             self.counters["sdc_shed"] += 1
             self._inc("serve.sdc_shed")
-            run.integrity = integrity = "off"
+            integrity = "off"
+            run = dataclasses.replace(run, integrity=integrity)
         try:
             field = ctx.state if ctx.state is not None else make_field(spec)
-            bound = self.plans.get(spec, field)
+            bound = self.plans.get(spec, field, run)
             record.backend_used = bound.used
             degraded_reasons = [str(d) for d in bound.degradations] + \
                 degraded_reasons
             key = spec.signature()
             sweep = build(
-                run, field=field, bound=bound,
-                executor=warm.executor if warm.key == key else None,
-                sweep=_JobSweep, core=self, ctx=ctx, meta={"id": record.id},
+                run, field=field, bound=bound, executor=warm.get(key),
+                sweep=_JobSweep, validated=True, core=self, ctx=ctx,
+                meta={"id": record.id},
             )
-            warm.key, warm.executor = key, sweep.executor
+            if key not in warm:
+                warm.clear()
+                warm[key] = sweep.executor
         except (ValueError, ResilienceError) as exc:
             self._finish(
                 ctx, "failed", f"cannot bind job: {type(exc).__name__}: {exc}"

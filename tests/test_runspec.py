@@ -40,6 +40,7 @@ INVALID = [
     ("unknown-tier", {"integrity": "platinum"}),
     ("grid-below-3", {"grid": 2}),
     ("steps-below-1", {"steps": 0}),
+    ("tile-below-ghosts", {"tile": 4, "dim_t": 2}),
 ]
 
 #: RunSpec field -> ``repro run`` flag
@@ -103,14 +104,26 @@ class TestInvalidSpecMatrix:
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {_reason(fields)}\n"
 
-    def test_chaos_make_raises_the_reason(self, fields):
-        # shape keys beyond a target's defaults are fields of its run
-        with pytest.raises(ValueError) as err:
-            SDC.make(0, **fields)
-        assert str(err.value) == _reason(fields)
-        with pytest.raises(ValueError) as err:
-            DISTRIBUTED.make(0, **{"ranks": 1, **fields})
-        assert str(err.value) == _reason(fields)
+
+#: (target, RunSpec field -> its shape key): the fields a chaos target's
+#: shape carries; the rest its case fixes
+CHAOS_SHAPES = [
+    (DISTRIBUTED, {"grid": "grid", "steps": "steps"}),
+    (SDC, {"grid": "grid", "steps": "steps", "integrity": "tier"}),
+]
+CHAOS_INVALID = [
+    pytest.param(target, {keys[k]: v for k, v in fields.items()}, fields,
+                 id=f"{target.name}-{case}")
+    for target, keys in CHAOS_SHAPES
+    for case, fields in INVALID if set(fields) <= set(keys)
+]
+
+
+@pytest.mark.parametrize("target,shape,fields", CHAOS_INVALID)
+def test_chaos_make_raises_the_reason(target, shape, fields):
+    with pytest.raises(ValueError) as err:
+        target.make(0, **shape)
+    assert str(err.value) == _reason(fields)
 
 
 #: the cases a job can carry: a JobSpec has no threads, ranks, SPMD

@@ -505,6 +505,64 @@ class TestServeCore:
         assert core2.drain()
 
 
+class TestLbmJobs:
+    """Serve runs every kernel a RunSpec names; admission bounds a job by
+    the bytes of its grid, not the grid edge alone."""
+
+    def test_admission_bounds_the_grid_bytes(self):
+        from repro.serve.protocol import MAX_GRID
+
+        # the largest one-component jobs stay served
+        assert JobSpec(grid=MAX_GRID, precision="dp").validate() is None
+        # an LBM cell carries 19 components
+        assert JobSpec(kernel="lbm", grid=241).validate() is None
+        for grid, precision in ((242, "sp"), (192, "dp"), (MAX_GRID, "sp")):
+            reason = JobSpec(kernel="lbm", grid=grid,
+                             precision=precision).validate()
+            assert reason and "above the served maximum" in reason
+
+    def test_an_oversized_lbm_job_is_refused_and_never_journaled(
+        self, tmp_path
+    ):
+        core = ServeCore(tmp_path / "s", workers=1, fsync=False)
+        core.start()
+        reply = core.submit(JobSpec(kernel="lbm", grid=512).to_dict())
+        assert not reply["ok"] and "invalid job" in reply["reason"]
+        assert core.counters["accepted"] == 0
+        assert core.drain()
+        records = JobJournal(tmp_path / "s" / "journal.jsonl").replay().records
+        assert not [r for r in records if r.get("ev") == "accepted"]
+
+    def test_lbm_jobs_match_the_oracle_and_survive_a_restart(self, tmp_path):
+        state = tmp_path / "s"
+        core = ServeCore(state, workers=1, checkpoint_every_rounds=1,
+                         fsync=False)
+        core.start()
+        verified = JobSpec(kernel="lbm", grid=8, steps=4, tile=6, seed=3)
+        jid = core.submit(verified.to_dict())["id"]
+        wait_terminal(core)
+        assert core.status(jid).status == "done"
+        assert core.status(jid).sha256 == reference_sha(verified)
+        # a different seed draws a different lattice
+        assert reference_sha(verified) != reference_sha(
+            JobSpec(kernel="lbm", grid=8, steps=4, tile=6, seed=4))
+
+        long = JobSpec(kernel="lbm", grid=8, steps=200, tile=6, seed=5,
+                       verify=False)
+        with FAULTS.injected(HOLD):  # still running at the kill
+            jid = core.submit(long.to_dict())["id"]
+            wait_for(lambda: core.status(jid).done_steps >= 4)
+            core.kill()
+
+        core2 = ServeCore(state, workers=1, fsync=False)
+        core2.start()
+        wait_terminal(core2, timeout=60.0)
+        rec = core2.status(jid)
+        assert rec.status == "done" and rec.resumes == 1  # from its snapshot
+        assert rec.sha256 == reference_sha(long)
+        assert core2.drain()
+
+
 class TestWireProtocol:
     @pytest.fixture()
     def server(self, tmp_path):
