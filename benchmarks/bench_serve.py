@@ -51,6 +51,7 @@ import time
 import numpy as np
 
 from repro.perf import format_table
+from repro.resilience import FAULTS
 from repro.serve import JobServer, JobSpec, ServeClient, ServeCore
 from repro.serve.protocol import read_message, write_message
 
@@ -265,6 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.duration is None:
         args.duration = 5.0 if args.quick else 30.0
+    FAULTS.load_env()  # this script is its process's entry point
 
     res = run_load(args)
 

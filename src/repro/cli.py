@@ -42,6 +42,8 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runspec import KERNELS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="3.5D blocking for stencil computations (Nguyen et al., SC'10)",
@@ -49,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a kernel with a blocking scheme")
-    run.add_argument("--kernel", choices=["7pt", "27pt", "lbm"], default="7pt")
+    run.add_argument("--kernel", choices=KERNELS, default="7pt")
     run.add_argument(
         "--scheme",
         choices=["naive", "3d", "2.5d", "4d", "3.5d", "cache-oblivious"],
@@ -174,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     tune = sub.add_parser("tune", help="Section VI parameter selection")
-    tune.add_argument("--kernel", choices=["7pt", "27pt", "lbm"], default="7pt")
+    tune.add_argument("--kernel", choices=KERNELS, default="7pt")
     tune.add_argument("--machine", choices=["corei7", "gtx285"], default="corei7")
     tune.add_argument("--precision", choices=["sp", "dp"], default="sp")
     tune.add_argument("--capacity", type=int, default=None, help="override bytes")
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one job to a running serve daemon"
     )
     submit.add_argument("--socket", default="repro-serve.sock", metavar="PATH")
-    submit.add_argument("--kernel", choices=["7pt", "27pt"], default="7pt")
+    submit.add_argument("--kernel", choices=KERNELS, default="7pt")
     submit.add_argument("--grid", type=int, default=16)
     submit.add_argument("--steps", type=int, default=4)
     submit.add_argument("--dim-t", type=int, default=2)
@@ -1230,7 +1232,8 @@ def _cmd_info() -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # honor $REPRO_FAULTS (documented by `repro faults`): chaos smokes arm
-    # fault sites from the environment without touching the command line
+    # fault sites from the environment without touching the command line.
+    # This is the one place a CLI process arms it.
     from repro.resilience import FAULTS
 
     FAULTS.load_env()

@@ -98,9 +98,6 @@ class TileContext:
     #: bytes per grid point, cached here so the per-step traffic accounting
     #: does not re-derive it from the source field on every schedule step.
     esize: int = 0
-    #: fused-sweep runners bound to this tile (see repro.perf.fused), cached
-    #: so the prebound per-iteration plans survive across rounds and runs.
-    fused: list | None = None
 
     @property
     def ey(self) -> tuple[int, int]:
@@ -155,8 +152,8 @@ class Blocking35D:
         self._run_buffers: dict = {}
         self._kappas: dict = {}
         #: whole-round runners bound by sweep-runner backends (codegen and
-        #: fused-numpy volume rounds), kept here so they live and die with
-        #: the executor they bind.
+        #: fused-numpy batched and volume rounds), kept here so they live
+        #: and die with the executor they bind.
         self.sweep_runners: list = []
         # Intermediate ring planes have dead seam positions (either refreshed
         # by the strip fill right after the compute, or outside every later
@@ -179,10 +176,10 @@ class Blocking35D:
         """Persistent source/destination buffers for ``run``.
 
         Reusing the same two arrays across ``run`` calls keeps every cached
-        view — tile contexts, shell planes and especially the fused-sweep
-        instruction plans, which prebind views of the exact buffers — valid
-        from one run to the next, so the steady state allocates nothing and
-        rebinds nothing.  ``run`` returns a *copy* of the final buffer, so
+        view — tile contexts, shell planes and especially the sweep
+        runners' instruction tuples, which prebind views of the exact
+        buffers — valid from one run to the next, so the steady state
+        allocates nothing and rebinds nothing.  ``run`` returns a *copy* of the final buffer, so
         results stay independent of later runs.
         """
         key = (field.shape, field.ncomp, field.dtype)
@@ -259,9 +256,10 @@ class Blocking35D:
             traffic.notes.setdefault("round_t", []).append(round_t)
         # A sweep runner replaces the entire tile loop with one call per
         # round: codegen backends (repro.perf.codegen) run the blocked
-        # round as one generated kernel, and fused-numpy runs rounds that
-        # Eq. 2 says blocking cannot pay for as whole-volume sweeps
-        # (repro.perf.fused, see ``kappa``).
+        # round as one generated kernel, and fused-numpy runs it as one
+        # batched round over every tile, or as whole-volume sweeps when
+        # Eq. 2 says blocking cannot pay (repro.perf.fused, see ``kappa``).
+        # Rounds a backend declines run the stepwise path below.
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
         if sweep_runner is not None:
             runner = sweep_runner(self, src, dst, round_t, z_core=z_core)
@@ -490,29 +488,15 @@ class Blocking35D:
         round_t: int,
         traffic: TrafficStats | None,
     ) -> None:
-        # Fused-sweep backends (repro.perf.fused) supply a per-tile runner
-        # that executes the whole tile-round — every z-iteration's round_t
-        # updates plus the load/store seam planes — in one call, instead of
-        # one Python-level kernel invocation per schedule step.  Traced runs
-        # replay per z-iteration so each one gets its span.
-        tile_runner = getattr(self.kernel, "tile_runner", None)
-        if tile_runner is not None:
-            runner = tile_runner(self, src, dst, ctx, schedule, round_t)
-            if runner is not None:
-                if TRACE.armed:
-                    for k in runner.iteration_keys:
-                        with TRACE.span("z_iter", k=k, fused=True):
-                            runner.run_iteration(k, traffic=traffic)
-                else:
-                    runner.run_tile(traffic)
-                return
+        """The stepwise path: one tile's round, one schedule step at a
+        time (rounds no sweep runner takes; see ``sweep_round``)."""
         regions = self.instance_regions(ctx, src.shape, round_t)
         if TRACE.armed:
             # the flat step order equals the per-iteration grouping (steps
             # are generated k-outer/t-inner), so spanning by iteration does
             # not reorder execution
             for k, iter_steps in schedule.iterations().items():
-                with TRACE.span("z_iter", k=k, fused=False):
+                with TRACE.span("z_iter", k=k):
                     for step in iter_steps:
                         self.execute_step(src, dst, ctx, step, regions, traffic)
         else:

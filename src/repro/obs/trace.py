@@ -8,10 +8,10 @@ further and branch on ``TRACE.armed`` explicitly so the disarmed path is
 a plain loop with zero tracer calls:
 
     if TRACE.armed:
-        with TRACE.span("z_iter", k=k):
-            runner.run_iteration(k)
+        with TRACE.span(runner.span, tiles=len(tiles)):
+            runner.run(token, traffic)
     else:
-        runner.run_iteration(k)
+        runner.run(token, traffic)
 
 When armed, each completed span is appended to a fixed-capacity ring
 buffer owned by the recording thread — no locks on the hot path; the
@@ -24,7 +24,7 @@ Span taxonomy (see docs/observability.md):
 ``round``        one blocked round of ``round_t`` time steps
 ``tile``         one XY tile within a round
 ``z_iter``       one z-iteration (LOAD/COMPUTE/STORE group) of a tile
-``batched_round``  one multi-tile round over one halo-expanded plane
+``batched_round``  one round of every tile over one halo-expanded plane
                    (fused-numpy; no tile/z_iter spans inside)
 ``volume_round``   one round as whole-volume sweeps (fused-numpy, when
                    Eq. 2 says blocking cannot pay)

@@ -19,8 +19,9 @@ A *backend* is a strategy for executing a :class:`~repro.stencils.base.PlaneKern
     uses ``np.add/np.multiply(..., out=...)`` with the same operand pairing,
     so results stay bit-identical while the steady state allocates nothing.
 ``fused-numpy``
-    The 3.5D executors' fused sweeps: prebound ufunc instruction plans per
-    tile, batched and volume rounds (:mod:`repro.perf.fused`).  The default.
+    The 3.5D executors' fused sweeps: each round one prebound ufunc
+    instruction tuple, batched over every tile or as whole-volume sweeps
+    (:mod:`repro.perf.fused`); other rounds run stepwise.  The default.
 ``codegen``
     The one compiled path: each 3.5D round's whole loop nest generated as
     source, ``@njit``-compiled and disk-cached (:mod:`repro.perf.codegen`).
@@ -179,8 +180,8 @@ def default_backend_name() -> str:
     """The backend used when none is named: ``$REPRO_BACKEND`` or
     ``fused-numpy``.
 
-    ``fused-numpy`` binds for every kernel (kernels it cannot lower run its
-    in-place plan) and is bit-identical to ``numpy``, so the default never
+    ``fused-numpy`` binds for every kernel (kernels it cannot lower run
+    stepwise on its in-place plane kernels) and is bit-identical to ``numpy``, so the default never
     degrades.  The compiled rung stays opt-in.
     """
     return os.environ.get(REPRO_BACKEND_ENV, "fused-numpy")
@@ -240,9 +241,9 @@ register_backend(
 register_backend(
     Backend(
         name="fused-numpy",
-        description="fused z-iteration sweeps via prebound ufunc instruction "
-        "plans (per-time-instance loop and Python dispatch hoisted out of "
-        "the 3.5D hot path)",
+        description="fused whole-round sweeps via prebound ufunc instruction "
+        "tuples (batched over every tile, or whole-volume; Python dispatch "
+        "hoisted out of the 3.5D hot path)",
         wrap=_wrap_fused_numpy,
     )
 )
@@ -251,7 +252,7 @@ register_backend(
         name="codegen",
         description="whole-sweep generated kernels, disk-cached per machine "
         "fingerprint + plan hash, prange over tiles (7pt/27pt/generic/varco; "
-        "other kernels use the fused numpy plan)",
+        "other kernels use the fused numpy rounds)",
         wrap=_wrap_codegen,
         probe=_codegen_probe,
     )

@@ -38,7 +38,7 @@ Layout of the layer:
     The backend adapter.  Extends :class:`~repro.perf.fused.FusedSweepKernel`
     with a ``sweep_runner`` hook the executors probe; kernels or layouts the
     generator does not support fall through to the inherited fused-numpy
-    instruction plan, and environments without numba either refuse to bind
+    rounds (batched, volume or stepwise), and environments without numba either refuse to bind
     (default) or run the generated source interpreted
     (``REPRO_CODEGEN_MODE=python`` — bit-identical, slow, used for tests).
 """
@@ -607,7 +607,7 @@ class CodegenSweepKernel(FusedSweepKernel):
     under the parallel executor).  Kernels or layouts the generator cannot
     lower — multi-component fields, non-contiguous buffers, mixed-precision
     variable coefficients, custom kernels — fall through to the inherited
-    fused-numpy instruction plan, so ``--backend codegen`` stays universal.
+    fused-numpy rounds, so ``--backend codegen`` stays universal.
     """
 
     engine = "codegen"
@@ -668,7 +668,7 @@ class _CodegenSweepRunner:
         try:
             module = CodegenCache().module_for(kind, parallel)
         except OSError:
-            return None  # unwritable cache: the fused tile path still works
+            return None  # unwritable cache: the fused-numpy rounds still work
         fn = module.sweep_py if mode == "python" else module.sweep_jit
         if fn is None:
             return None

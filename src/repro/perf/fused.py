@@ -1,4 +1,4 @@
-"""Fused z-iteration sweep kernels (the 3.5D hot-path layer).
+"""Fused whole-round sweeps (the 3.5D hot-path layer).
 
 The blocking executors express one z-iteration of the paper's Figure 3(a)
 as ``dim_T + 1`` separate schedule steps, each a Python-level kernel call.
@@ -10,43 +10,39 @@ much as the arithmetic itself.  AN5D and the wavefront-diamond line of work
 (PAPERS.md) both fuse the whole temporal chain into one compiled sweep; this
 module provides that layering on top of the backend registry.
 
-The ``fused-numpy`` engine (``FusedSweepKernel``) runs a *prebound
-instruction plan*: at tile-bind time every schedule step of every
-z-iteration is lowered to a short list of ``(ufunc, a, b, out)``
-instructions whose operands are pre-sliced views of the ring buffers, shell
-planes and source/destination grids.  Executing one z-iteration is then a
-single ``run_iteration`` call that replays ~5 steps' worth of prebound
-ufuncs, and the serial executor replays a whole tile-round in one
-``run_tile`` call — the per-time-instance loop is fused and all per-step
-interpreter work (slicing, validation, dict lookups) is hoisted out of the
-sweep entirely.  The compiled form of the same round is
+The ``fused-numpy`` engine (``FusedSweepKernel``) runs a whole round as one
+*prebound instruction tuple*: at bind time every schedule step of the round
+is lowered to a short list of ``(ufunc, a, b, out)`` instructions whose
+operands are pre-sliced views of the scratch planes and the source and
+destination grids, so a round is one replay of that tuple with no per-step
+interpreter work.  Its :meth:`FusedSweepKernel.sweep_runner` hook picks one
+of two layouts per round:
+
+* a *batched round* (:class:`_BatchedRunner`): every tile of the round at
+  once over one halo-expanded plane, a single whole-plane tile included;
+* a *volume round* (:class:`_VolumeRunner`): ``round_t`` plain sweeps of
+  the same flat lowerings over the whole volume, when Eq. 2 says blocking
+  cannot pay (``kappa > round_t``).
+
+Every other round runs the executors' *stepwise* path, one in-place plane
+kernel call per schedule step: the threaded executor's row spans, kernels
+and buffers without a flat lowering (LBM and other multi-component
+fields) and rounds under an armed ``memory.flip`` fault (its ring site is
+a stepwise load).  The compiled form of the same round is
 :mod:`repro.perf.codegen`, which extends ``FusedSweepKernel``.
 
-On the serial executor the
-:meth:`FusedSweepKernel.sweep_runner` hook replaces the tile loop of a
-multi-tile round.  When Eq. 2 says blocking cannot pay (``kappa >
-round_t``) it runs a *volume round*: ``round_t`` plain sweeps of the same
-flat lowerings over the whole volume (:class:`_VolumeRunner`).  Otherwise
-it runs a *batched round*: every tile at once over one halo-expanded plane
-(:class:`_BatchedRunner`).
-
-The engine preserves the executors' contracts exactly: identical operand
+Every layout preserves the executors' contracts exactly: identical operand
 pairing and reduction order (bit-exact against the naive reference),
-identical boundary-strip refresh semantics, identical traffic accounting,
-and row-span restriction so :class:`~repro.runtime.parallel35d.ParallelBlocking35D`
-workers can invoke the fused kernel on their span while keeping the paper's
-one-barrier-per-z property.
+identical boundary semantics and identical traffic accounting.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
 from ..core.buffer import ring_slots
 from ..core.regions import compute_range, cone_ranges
-from ..core.schedule import Schedule, StepKind
+from ..core.schedule import StepKind
 from ..resilience.faultinject import FAULTS
 from ..stencils.generic import GenericStencil
 from ..stencils.seven_point import SevenPointStencil
@@ -70,22 +66,19 @@ def _zero(a, b=None, out=None):
     a.fill(0)
 
 
-def _invoke(a, b=None, out=None):
-    a()
-
-
 #: elements per operand chunk of a volume round: a chunk's temporaries stay
 #: cache-sized while each ufunc call still covers thousands of lanes
 VOLUME_CHUNK = 16384
 
 
 class FusedSweepKernel(InplaceKernel):
-    """Backend adapter adding a fused z-iteration sweep to any kernel.
+    """Backend adapter adding fused whole-round sweeps to any kernel.
 
     Outside the 3.5D executors this behaves exactly like
     :class:`InplaceKernel` (so ``--backend fused-numpy`` works with every
-    executor); inside them, :meth:`tile_runner` supplies a per-tile runner
-    that executes whole z-iterations in one call.
+    executor); inside them, :meth:`sweep_runner` supplies a runner that
+    executes a whole round in one call, and the rounds it declines run
+    stepwise through the in-place plane kernel.
     """
 
     engine = "numpy"
@@ -100,56 +93,25 @@ class FusedSweepKernel(InplaceKernel):
         return self if inner is self.inner else type(self)(inner)
 
     # ------------------------------------------------------------------
-    def tile_runner(self, executor, src, dst, ctx, schedule: Schedule, round_t: int):
-        """The (cached) fused runner for one tile context and buffer pair.
-
-        Runners are cached on the tile context and matched by *identity* of
-        the source/destination arrays and schedule (the double-buffer swap
-        between rounds alternates between two runners).  Returns ``None``
-        while a ``memory.flip`` fault is armed: its ring site sits in the
-        executor's stepwise LOAD path, which then runs this round with
-        identical bits.  Otherwise the numpy engine always fuses (it has a
-        universal fallback).
-        """
-        FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
-        if FAULTS.armed("memory.flip"):
-            return None
-        cache = ctx.fused
-        if cache is None:
-            cache = ctx.fused = []
-        for runner in cache:
-            if (
-                runner.src_data is src.data
-                and runner.dst_data is dst.data
-                and runner.schedule is schedule
-                and runner.round_t == round_t
-            ):
-                return runner
-        runner = _NumpyFusedRunner(self, executor, src, dst, ctx, schedule, round_t)
-        cache.append(runner)
-        # ping/pong plus one spare pair; older (stale-buffer) runners are
-        # dropped so repeated run() calls cannot accumulate state
-        del cache[:-4]
-        return runner
-
-    # ------------------------------------------------------------------
     def sweep_runner(self, executor, src, dst, round_t, parallel=False,
                      z_core=None):
-        """The (cached) whole-round runner of a multi-tile round.
+        """The (cached) whole-round runner of one round, or ``None``.
 
         A 3.5D round cuts bandwidth by ``dim_T / kappa`` (Eq. 2), so when
         the round's tile plan has ``kappa > round_t`` blocking only adds
         ghost loads and recomputation, and the round runs as ``round_t``
-        whole-volume sweeps instead (:class:`_VolumeRunner`).  When
-        blocking pays and the plan has several tiles, the round runs every
-        tile at once over one halo-expanded plane (:class:`_BatchedRunner`).
-        ``None`` keeps the per-tile path: for the threaded executor, while
-        a ``memory.flip`` fault is armed (its ring site is in the stepwise
-        path), for kernels and layouts without a flat lowering, and for
-        single-tile rounds (the full-plane plan is already the batched
-        layout's limit case).  Runners live in ``executor.sweep_runners``,
-        matched by ping/pong buffer identity and Z core like codegen's.
+        whole-volume sweeps instead (:class:`_VolumeRunner`).  Otherwise
+        the round runs every tile at once over one halo-expanded plane
+        (:class:`_BatchedRunner`); a whole-plane tile is that layout's
+        limit case, whose expanded plane is the grid plane.  ``None``
+        sends the round to the executor's stepwise path: for the threaded
+        executor (its workers own row spans), while a ``memory.flip``
+        fault is armed (its ring site is a stepwise load), and for kernels
+        and buffers without a flat lowering.  Runners live in
+        ``executor.sweep_runners``, matched by ping/pong buffer identity
+        and Z core like codegen's.
         """
+        FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
         if parallel or FAULTS.armed("memory.flip"):
             return None
         cache = executor.sweep_runners
@@ -161,20 +123,18 @@ class FusedSweepKernel(InplaceKernel):
                 and runner.round_t == round_t
                 and runner.z_core == z_core
             ):
-                break
+                return runner
+        impl = _flat_impl(self.inner, src.data, dst.data)
+        if impl is None:
+            return None
+        if (impl in _VOLUME_IMPLS
+                and executor.kappa(src.ny, src.nx, round_t) > round_t):
+            cls = _VolumeRunner
         else:
-            if _flat_impl(self.inner, src.data, dst.data) not in _VOLUME_IMPLS:
-                return None
-            if executor.kappa(src.ny, src.nx, round_t) > round_t:
-                cls = _VolumeRunner
-            elif len(executor._plan_tiles(src.ny, src.nx, round_t)) > 1:
-                cls = _BatchedRunner
-            else:
-                return None
-            runner = cls(self, executor, src, dst, round_t, z_core)
-            cache.append(runner)
-            del cache[:-4]  # ping/pong plus one spare pair
-        FAULTS.fire("backend.compute", detail=f"fused-{self.engine}")
+            cls = _BatchedRunner
+        runner = cls(self, executor, src, dst, round_t, z_core)
+        cache.append(runner)
+        del cache[:-4]  # ping/pong plus one spare pair
         return runner
 
 
@@ -184,9 +144,9 @@ _VOLUME_IMPLS = ("7pt", "27pt", "generic")
 
 def _flat_impl(inner, src_data, dst_data) -> str | None:
     """The numpy engine's lowering for ``inner`` on this buffer pair: one
-    of ``7pt``/``27pt``/``generic``/``varco``, or ``None`` (the prebound
-    fallback) for other kernels, multi-component fields and
-    non-contiguous buffers."""
+    of ``7pt``/``27pt``/``generic``/``varco``, or ``None`` (the stepwise
+    path) for other kernels, multi-component fields and non-contiguous
+    buffers."""
     if src_data.shape[0] != 1 or not (
         src_data.flags.c_contiguous and dst_data.flags.c_contiguous
     ):
@@ -201,7 +161,7 @@ def _flat_impl(inner, src_data, dst_data) -> str | None:
 
 def _compiled_kind(inner, src_data, dst_data) -> str | None:
     """The codegen kernel family for ``inner`` on this buffer pair, or
-    ``None`` when only the numpy plan applies."""
+    ``None`` when only the numpy rounds apply."""
     impl = _flat_impl(inner, src_data, dst_data)
     if impl == "varco" and inner.alpha.dtype != src_data.dtype:
         # mixed-precision coefficient fields follow NumPy promotion in the
@@ -211,25 +171,25 @@ def _compiled_kind(inner, src_data, dst_data) -> str | None:
 
 
 # ======================================================================
-# stencil lowerings, shared by tile plans and volume rounds.  Each mirrors
+# stencil lowerings, shared by batched and volume rounds.  Each mirrors
 # the kernel's compute_plane operand pairing and reduction order exactly,
 # so results stay bit-identical.  ``window(dz, dy, dx)`` is the source
-# operand shifted by that offset; it has the target's shape.
+# operand shifted by that offset; it has the target's shape.  Every form
+# is flat and in place: the target doubles as the accumulator.
 # ======================================================================
 
 
-def _emit_7pt(ops, inner, dtype, out, acc, tmp, window) -> None:
-    """``acc`` accumulates the neighbor sum; it may be ``out`` itself."""
+def _emit_7pt(ops, inner, dtype, out, tmp, window) -> None:
     alpha, beta = dtype(inner.alpha), dtype(inner.beta)
     ops += [
-        (np.add, window(-1, 0, 0), window(1, 0, 0), acc),
+        (np.add, window(-1, 0, 0), window(1, 0, 0), out),
         (np.add, window(0, -1, 0), window(0, 1, 0), tmp),
-        (np.add, acc, tmp, acc),
+        (np.add, out, tmp, out),
         (np.add, window(0, 0, -1), window(0, 0, 1), tmp),
-        (np.add, acc, tmp, acc),
+        (np.add, out, tmp, out),
         (np.multiply, window(0, 0, 0), alpha, tmp),
-        (np.multiply, acc, beta, acc),
-        (np.add, tmp, acc, out),
+        (np.multiply, out, beta, out),
+        (np.add, tmp, out, out),
     ]
 
 
@@ -255,436 +215,31 @@ def _emit_generic(ops, inner, dtype, out, tmp, window) -> None:
 
 
 def _emit_taps(ops, impl, inner, dtype, out, tmp, window) -> None:
-    """The flat, in-place form of one of the :data:`_VOLUME_IMPLS`."""
+    """The lowering of one of the :data:`_VOLUME_IMPLS`."""
     if impl == "7pt":
-        _emit_7pt(ops, inner, dtype, out, out, tmp, window)
+        _emit_7pt(ops, inner, dtype, out, tmp, window)
     elif impl == "27pt":
         _emit_27pt(ops, inner, dtype, out, tmp, window)
     else:
         _emit_generic(ops, inner, dtype, out, tmp, window)
 
 
-# ======================================================================
-# per-tile prebound instruction plans
-# ======================================================================
-
-
-class _NumpyFusedRunner:
-    """Executes z-iterations by replaying prebound ufunc instructions.
-
-    A *plan* (one per row span, built lazily on the thread that will run it
-    so scratch comes from that thread's arena pool) is one flat tuple of
-    ``(fn, a, b, out)`` instructions covering every z-iteration in order,
-    the ``[start, end)`` offsets of each iteration key within it, and the
-    per-key and whole-tile traffic records.  ``run_tile`` replays the whole
-    tuple with one aggregate traffic charge (the serial executor's
-    untraced path); ``run_iteration`` replays one key's slice (row spans
-    and traced runs).  All slicing, region arithmetic, shell lookups and
-    liveness reasoning happened once, at bind time.
-
-    Plans are interned while they are emitted.  A ring plane lives in slot
-    ``z % slots``, so the instructions of a ring-target compute step repeat
-    with that period in z: each distinct step is lowered once and its
-    instruction block reused.  Every view of a ring or shell plane is made
-    once, keyed by plane and bounds.  Both memos belong to the tile (its
-    rings and shell planes), so the ping and pong runners of a tile share
-    them.  Views of the source and destination grids are made fresh: each
-    is used by one z only, and a tile-lifetime memo would pin grids that a
-    stale runner no longer uses.
-    """
-
-    def __init__(self, kernel, executor, src, dst, ctx, schedule, round_t):
-        self.kernel = kernel
-        self.inner = kernel.inner
-        self.src_data = src.data
-        self.dst_data = dst.data
-        self.schedule = schedule
-        self.round_t = round_t
-        self.radius = r = kernel.radius
-        self.nz, self.ny, self.nx = src.shape
-        (self.ey0, self.ey1), (self.ex0, self.ex1) = ctx.ey, ctx.ex
-        self.eny = self.ey1 - self.ey0
-        self.enx = self.ex1 - self.ex0
-        self.esize = ctx.esize
-        self.ops_per_update = kernel.ops_per_update
-        self.shell = ctx.shell_planes
-        self.rings = [ctx.rings.ring(t).data for t in range(round_t)]
-        self.slots = ctx.rings.slots
-        self.regions = executor.instance_regions(ctx, src.shape, round_t)
-        iters = schedule.iterations()
-        self.iteration_keys = sorted(iters)
-        self._steps = {
-            k: tuple((s.kind, s.t, s.z) for s in steps) for k, steps in iters.items()
-        }
-        # boundary-strip geometry (mirrors Blocking35D._fill_xy_strips)
-        self.sy_lo = r - self.ey0 if self.ey0 < r else 0
-        self.sy_hi = (self.ny - r) - self.ey0 if self.ey1 > self.ny - r else self.eny
-        self.sx_lo = r - self.ex0 if self.ex0 < r else 0
-        self.sx_hi = self.ex1 - (self.nx - r) if self.ex1 > self.nx - r else 0
-        self.full_plane = (
-            self.ey0 == 0
-            and self.ey1 == self.ny
-            and self.ex0 == 0
-            and self.ex1 == self.nx
-        )
-        self.arena = kernel.arena
-        self._plans: dict = {}
-        # Non-contractive kernels can amplify throwaway seam lanes past the
-        # FP range round over round (see SevenPointStencil); suppress the
-        # spurious warnings then.  np.errstate is not re-enterable, so a
-        # fresh context is created per iteration when needed.
-        self._suppress_fp = not getattr(self.inner, "_seam_contractive", False)
-        self._impl = _flat_impl(self.inner, self.src_data, self.dst_data)
-        if self._impl is not None:
-            self._src2 = self.src_data[0]
-            self._dst2 = self.dst_data[0]
-            self._dstflat = self.dst_data[0].reshape(self.nz, self.ny * self.nx)
-        # these lowerings depend on z only through the planes they touch,
-        # so compute steps with equal plane keys emit equal instructions
-        self._z_free = self._impl in _VOLUME_IMPLS
-        self._views, self._blocks = self._tile_memo(ctx)
-
-    def _tile_memo(self, ctx) -> tuple[dict, dict]:
-        """The view and block memos, shared with the tile's other runners."""
-        for other in ctx.fused or ():
-            if (
-                isinstance(other, _NumpyFusedRunner)
-                and other.kernel is self.kernel
-                and other._impl == self._impl
-                and other.src_data.shape == self.src_data.shape
-            ):
-                return other._views, other._blocks
-        return {}, {}
-
-    # ------------------------------------------------------------------
-    def run_iteration(self, k: int, rows=None, traffic=None) -> None:
-        ops, spans, stats, _ = self._plan(rows)
-        span = spans.get(k)
-        if span is not None:
-            self._replay(ops[span[0] : span[1]])
-        if traffic is not None:
-            rec = stats.get(k)
-            if rec is not None:
-                self._charge(traffic, rec)
-
-    def run_tile(self, traffic=None) -> None:
-        ops, _, _, total = self._plan(None)
-        self._replay(ops)
-        if traffic is not None:
-            self._charge(traffic, total)
-
-    def _plan(self, rows):
-        plan = self._plans.get(rows)
-        if plan is None:
-            plan = self._plans[rows] = self._build_plan(rows)
-        return plan
-
-    def _charge(self, traffic, rec) -> None:
-        """Record one aggregate ``(rb, rp, wb, wp, pts)`` traffic charge."""
-        rb, rp, wb, wp, pts = rec
-        if rb or rp:
-            traffic.read(rb, planes=rp)
-        if wb or wp:
-            traffic.write(wb, planes=wp)
-        if pts:
-            traffic.update(pts, self.ops_per_update)
-
-    # -- plane geometry -------------------------------------------------
-    def _rows_local(self, rows) -> tuple[int, int]:
-        if rows is None:
-            return 0, self.eny
-        return (
-            max(0, rows[0] - self.ey0),
-            min(self.eny, rows[1] - self.ey0),
-        )
-
-    def _replay(self, ops) -> None:
-        if self._suppress_fp:
-            with np.errstate(all="ignore"):
-                for fn, a, b, out in ops:
-                    fn(a, b, out)
-        else:
-            for fn, a, b, out in ops:
-                fn(a, b, out)
-
-    # ------------------------------------------------------------------
-    # interned operands
-    # ------------------------------------------------------------------
-    # A plane key names a ``(ncomp, eny, enx)`` plane: ``(t, slot)`` is a
-    # ring plane, ``("s", z)`` a shell plane and ``("d", z)`` the tile
-    # extent of destination plane ``z``.
-    def _pkey(self, t: int, z: int) -> tuple:
-        """Key of plane ``z`` as read by instance ``t+1`` (shell planes are
-        shared by every instance)."""
-        return ("s", z) if z in self.shell else (t, z % self.slots)
-
-    def _plane(self, pk) -> np.ndarray:
-        kind, i = pk
-        if kind == "s":
-            return self.shell[i]
-        if kind == "d":
-            return self.dst_data[:, i, self.ey0 : self.ey1, self.ex0 : self.ex1]
-        v = self._views.get(pk)
-        if v is None:
-            v = self._views[pk] = self.rings[kind][i]
-        return v
-
-    def _view(self, pk, form: int, y0: int, y1: int, x0=0, x1=0) -> np.ndarray:
-        """A view of plane ``pk``, made once per tile unless it is a grid view.
-
-        ``form`` 1 is the window ``[y0, y1)`` of the flattened first
-        component, 2 is ``plane[0, y0:y1, x0:x1]`` and 3 is
-        ``plane[:, y0:y1, x0:x1]``.
-        """
-        key = (pk, form, y0, y1, x0, x1)
-        v = self._views.get(key)
-        if v is None:
-            if form == 1:
-                v = self._flat(pk)[y0:y1]
-            elif form == 2:
-                v = self._plane(pk)[0, y0:y1, x0:x1]
-            else:
-                v = self._plane(pk)[:, y0:y1, x0:x1]
-            if pk[0] != "d":
-                self._views[key] = v
-        return v
-
-    def _flat(self, pk) -> np.ndarray:
-        if pk[0] == "d":
-            return self._dstflat[pk[1]]
-        key = (pk, "flat")
-        v = self._views.get(key)
-        if v is None:
-            v = self._views[key] = self._plane(pk)[0].reshape(-1)
-        return v
-
-    # ------------------------------------------------------------------
-    # plan construction
-    # ------------------------------------------------------------------
-    def _build_plan(self, rows):
-        """(instructions, key offsets, per-key stats, whole-tile stats)."""
-        ops: list = []
-        spans: dict[int, tuple[int, int]] = {}
-        stats: dict[int, tuple] = {}
-        total = [0, 0, 0, 0, 0]
-        for k in self.iteration_keys:
-            start = len(ops)
-            rb = rp = wb = wp = pts = 0
-            for kind, t, z in self._steps[k]:
-                if kind is StepKind.LOAD:
-                    got = self._emit_load(ops, z, rows)
-                    if got:
-                        rb += got
-                        rp += 1 if rows is None else 0
-                elif kind is StepKind.STORE:
-                    got = self._emit_store(ops, t, z, rows)
-                    if got:
-                        wb += got * self.esize
-                        wp += 1
-                        pts += got
-                else:
-                    pts += self._emit_compute(ops, t, z, rows)
-            if len(ops) > start:
-                spans[k] = (start, len(ops))
-            if rb or wb or pts:
-                stats[k] = rec = (rb, rp, wb, wp, pts)
-                total = [a + b for a, b in zip(total, rec)]
-        return tuple(ops), spans, stats, tuple(total)
-
-    def _emit_load(self, ops, z, rows) -> int:
-        if z in self.shell:
-            return 0  # resident since _load_shell_planes
-        ly0, ly1 = self._rows_local(rows)
-        if ly0 >= ly1:
-            return 0
-        dst = self._view(self._pkey(0, z), 3, ly0, ly1, 0, self.enx)
-        gy0, gy1 = self.ey0 + ly0, self.ey0 + ly1
-        src = self.src_data[:, z, gy0:gy1, self.ex0 : self.ex1]
-        ops.append((_copy, dst, src, None))
-        return (ly1 - ly0) * self.enx * self.esize
-
-    def _clip_region(self, t, rows):
-        (gy0, gy1), (gx0, gx1) = self.regions[t]
-        if rows is not None:
-            gy0, gy1 = max(gy0, rows[0]), min(gy1, rows[1])
-        return gy0, gy1, gx0, gx1
-
-    def _source_keys(self, t, z) -> tuple:
-        r = self.radius
-        return tuple(self._pkey(t - 1, z + dz) for dz in range(-r, r + 1))
-
-    def _emit_compute(self, ops, t, z, rows) -> int:
-        """Ring-target stencil step plus its boundary-strip refresh."""
-        gy0, gy1, gx0, gx1 = self._clip_region(t, rows)
-        okey = (t, z % self.slots)
-        srcks = self._source_keys(t, z)
-        key = block = None
-        if self._z_free:
-            # scratch comes from the building thread's arena pool
-            key = (threading.get_ident(), okey, srcks, rows)
-            block = self._blocks.get(key)
-        if block is None:
-            block = []
-            if gy0 < gy1:
-                a0, a1 = gy0 - self.ey0, gy1 - self.ey0
-                x0, x1 = gx0 - self.ex0, gx1 - self.ex0
-                self._emit_stencil(
-                    block, okey, srcks, a0, a1, x0, x1, z, flat=True, seam=True
-                )
-            self._emit_strips(block, okey, srcks[self.radius], rows)
-            if key is not None:
-                block = self._blocks[key] = tuple(block)
-        ops += block
-        return (gy1 - gy0) * (gx1 - gx0) if gy0 < gy1 else 0
-
-    def _emit_store(self, ops, t, z, rows) -> int:
-        gy0, gy1, gx0, gx1 = self._clip_region(t, rows)
-        if gy0 >= gy1:
-            return 0
-        a0, a1 = gy0 - self.ey0, gy1 - self.ey0
-        x0, x1 = gx0 - self.ex0, gx1 - self.ex0
-        srcks = self._source_keys(t, z)
-        if self.full_plane and self._impl is not None:
-            # direct flat store: compute into the destination plane's own
-            # rows, then restore the constant x-boundary columns the flat
-            # seam lanes clobbered (the y-boundary rows are never written).
-            self._emit_stencil(ops, ("d", z), srcks, a0, a1, x0, x1, z, flat=True)
-            r = self.radius
-            if r:
-                ops.append((
-                    _copy,
-                    self._dst2[z, a0:a1, :r],
-                    self._src2[z, a0:a1, :r],
-                    None,
-                ))
-                ops.append((
-                    _copy,
-                    self._dst2[z, a0:a1, self.nx - r :],
-                    self._src2[z, a0:a1, self.nx - r :],
-                    None,
-                ))
-        else:
-            self._emit_stencil(ops, ("d", z), srcks, a0, a1, x0, x1, z, flat=False)
-        return (gy1 - gy0) * (gx1 - gx0)
-
-    def _emit_strips(self, ops, okey, pkey, rows) -> None:
-        ly0, ly1 = self._rows_local(rows)
-        if ly0 >= ly1:
-            return
-        view, enx = self._view, self.enx
-        boxes = []
-        if self.sy_lo:
-            hi = min(self.sy_lo, ly1)
-            if hi > ly0:
-                boxes.append((ly0, hi, 0, enx))
-        if self.sy_hi < self.eny:
-            lo = max(self.sy_hi, ly0)
-            if ly1 > lo:
-                boxes.append((lo, ly1, 0, enx))
-        if self.sx_lo:
-            boxes.append((ly0, ly1, 0, self.sx_lo))
-        if self.sx_hi:
-            boxes.append((ly0, ly1, enx - self.sx_hi, enx))
-        for box in boxes:
-            ops.append((_copy, view(okey, 3, *box), view(pkey, 3, *box), None))
-
-    # ------------------------------------------------------------------
-    # stencil lowering (each mirrors the kernel's compute_plane(_inplace)
-    # operand pairing exactly, so results stay bit-identical).  ``tk`` is
-    # the target plane key: a ring plane, or ``("d", z)`` for a store.
-    # ------------------------------------------------------------------
-    def _emit_stencil(self, ops, tk, srcks, a0, a1, x0, x1, z, *, flat,
-                      seam=False):
-        """One stencil step into target ``tk``.  ``flat`` targets (ring
-        planes, whole-plane stores) take the seam-tolerant flat spans; the
-        others (strided store views) get exact 2-D regions.  ``seam`` is the
-        fallback's seam-writable promise."""
-        impl = self._impl
-        if impl == "varco":  # no flat seam path: writes the exact region
-            self._lower_varco(ops, tk, srcks, a0, a1, x0, x1, z)
-            return
-        if impl is None:
-            self._emit_fallback(ops, tk, srcks, a0, a1, x0, x1, z, seam=seam)
-            return
-        out, window = self._tap_windows(tk, srcks, a0, a1, x0, x1, flat,
-                                        whole_rows=impl == "7pt")
-        dtype = self.src_data.dtype
-        tmp = self.arena.get("fused.tmp", out.shape, dtype)
-        if impl == "7pt" and not flat:  # the neighbor sum needs a buffer
-            acc = self.arena.get("fused.acc", out.shape, dtype)
-            _emit_7pt(ops, self.inner, dtype.type, out, acc, tmp, window)
-        else:
-            _emit_taps(ops, impl, self.inner, dtype.type, out, tmp, window)
-
-    def _emit_fallback(self, ops, tk, srcks, a0, a1, x0, x1, z, *, seam):
-        """Any kernel: one prebound in-place call per step (t-loop fused)."""
-        kernel, arena = self.inner, self.arena
-        gy0, gx0 = self.ey0, self.ex0
-        out3 = self._plane(tk)
-        srcs = [self._plane(k) for k in srcks]
-
-        def step(out3=out3, srcs=srcs, yr=(a0, a1), xr=(x0, x1), z=z, seam=seam):
-            kernel.compute_plane_inplace(
-                out3, srcs, yr, xr, z, gy0, gx0, arena=arena, seam_writable=seam
-            )
-
-        ops.append((_invoke, step, None, None))
-
-    def _tap_windows(self, tk, srcks, a0, a1, x0, x1, flat, whole_rows=False):
-        """The target and a ``window(dz, dy, dx)`` accessor of the source
-        windows: spans ``[a0*nx+x0, (a1-1)*nx+x1)`` of the flattened planes
-        (seam lanes computed and discarded; whole rows ``[a0*nx, a1*nx)``
-        with ``whole_rows``) when ``flat``, else exact 2-D regions."""
-        r = self.radius
-        if flat:
-            nx = self.enx
-            s0, e0 = a0 * nx + x0, (a1 - 1) * nx + x1
-            if whole_rows:
-                s0, e0 = a0 * nx, a1 * nx
-
-            def window(dz, dy, dx):
-                off = dy * nx + dx
-                return self._view(srcks[dz + r], 1, s0 + off, e0 + off)
-
-            return self._view(tk, 1, s0, e0), window
-
-        def window(dz, dy, dx):
-            return self._view(
-                srcks[dz + r], 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx
-            )
-
-        return self._view(tk, 2, a0, a1, x0, x1), window
-
-    # -- variable coefficients ------------------------------------------
-    def _lower_varco(self, ops, tk, srcks, a0, a1, x0, x1, z):
-        inner = self.inner
-        gy0, gy1 = self.ey0 + a0, self.ey0 + a1
-        gx0, gx1 = self.ex0 + x0, self.ex0 + x1
-        a_view = inner.alpha[z, gy0:gy1, gx0:gx1]
-        b_view = inner.beta[z, gy0:gy1, gx0:gx1]
-        kb, km, ka = srcks
-
-        def w(k, dy=0, dx=0):
-            return self._view(k, 2, a0 + dy, a1 + dy, x0 + dx, x1 + dx)
-
-        shape = (a1 - a0, x1 - x0)
-        dtype = self.src_data.dtype
-        # the coefficient products and their sum are formed in the promoted
-        # dtype, as the reference's ``a * mid + b * acc`` forms them
-        ct = np.result_type(a_view, dtype)
-        acc = self.arena.get("fusedv.acc", shape, dtype)
-        tmp = self.arena.get("fusedv.tmp", shape, ct)
-        prod = acc if ct == dtype else self.arena.get("fusedv.prod", shape, ct)
-        ops += [
-            (np.add, w(kb), w(ka), acc),
-            (np.add, acc, w(km, -1), acc),
-            (np.add, acc, w(km, 1), acc),
-            (np.add, acc, w(km, 0, -1), acc),
-            (np.add, acc, w(km, 0, 1), acc),
-            (np.multiply, a_view, w(km), tmp),
-            (np.multiply, b_view, acc, prod),
-            (np.add, tmp, prod, w(tk)),
-        ]
+def _emit_varco(ops, out, tmp, prod, window, alpha, beta) -> None:
+    """The variable-coefficient lowering: ``alpha`` and ``beta`` are the
+    target's coefficient windows.  The products and their sum are formed
+    in the promoted dtype, as the reference's ``a * mid + b * acc`` forms
+    them: ``tmp`` and ``prod`` have that dtype (``prod`` may be ``out``
+    when it is the field dtype)."""
+    ops += [
+        (np.add, window(-1, 0, 0), window(1, 0, 0), out),
+        (np.add, out, window(0, -1, 0), out),
+        (np.add, out, window(0, 1, 0), out),
+        (np.add, out, window(0, 0, -1), out),
+        (np.add, out, window(0, 0, 1), out),
+        (np.multiply, alpha, window(0, 0, 0), tmp),
+        (np.multiply, beta, out, prod),
+        (np.add, tmp, prod, out),
+    ]
 
 
 # ======================================================================
@@ -747,8 +302,7 @@ class _VolumeRunner(_RoundRunner):
     from the first to the last interior point, cut into ``VOLUME_CHUNK``
     element chunks so temporaries stay cache-sized.  The y/x boundary lanes
     inside that span come out as throwaway values; the step then restores
-    them from ``src`` (the boundary is constant in time), the trick the
-    full-plane flat store uses.  Steps ping-pong from ``src`` through
+    them from ``src`` (the boundary is constant in time).  Steps ping-pong from ``src`` through
     private scratch volumes into ``dst``, so ``src`` is never written and
     ``dst`` is written only on its interior planes.  With a Z core, step
     ``t`` covers only the planes of its dependence cone
@@ -868,27 +422,44 @@ class _BatchedScratch:
     """The expanded-plane rings, Z-shell planes, store plane and temporary
     of one round layout, shared by an executor's ping and pong runners (an
     executor runs one round at a time).  ``token`` names the run whose
-    constant Z-shell ``shell`` holds."""
+    constant Z-shell ``shell`` holds.  A variable-coefficient round also
+    keeps ``coef = (alphas, betas, tmp, prod)``: rings of ``nslots``
+    expanded alpha and beta planes, and the product temporaries in the
+    coefficients' promoted dtype.  When that is the field dtype, ``tmp``
+    is the field's own and ``prod`` is ``None`` (the target serves)."""
 
-    __slots__ = ("key", "rings", "shell", "out", "tmp", "token")
+    __slots__ = ("key", "rings", "shell", "out", "tmp", "coef", "token")
 
-    def __init__(self, key, round_t, slots, shell_zs, hw, span, dtype) -> None:
+    def __init__(self, key, round_t, slots, shell_zs, hw, span, dtype,
+                 varco=None) -> None:
         self.key = key
         self.rings = np.zeros((round_t, slots, hw), dtype)
         self.shell = {z: _page_zeros(hw, dtype) for z in shell_zs}
         self.out = _page_zeros(hw, dtype)
         self.tmp = _page_zeros(span, dtype)
+        self.coef = None
+        if varco is not None:
+            inner, nslots = varco
+            ct = np.result_type(inner.alpha, dtype)
+            mixed = ct != dtype
+            self.coef = (
+                np.zeros((nslots, hw), inner.alpha.dtype),
+                np.zeros((nslots, hw), inner.beta.dtype),
+                _page_zeros(span, ct) if mixed else self.tmp,
+                _page_zeros(span, ct) if mixed else None,
+            )
         self.token = None
 
 
 class _BatchedRunner(_RoundRunner):
-    """Every XY tile of a multi-tile round over one halo-expanded plane.
+    """Every XY tile of a round over one halo-expanded plane.
 
     ``plan_tiles_2d`` tiles are the cross product of Y and X axis tiles, so
     their loaded extents, laid side by side without padding, form one
     ``(sum of Y extents) x (sum of X extents)`` plane: kappa times the
-    grid plane.  Every ring slot holds one such plane.  Per z-plane the
-    round, in schedule order,
+    grid plane (the grid plane itself for one whole-plane tile).  Every
+    ring slot holds one such plane.  Per z-plane the round, in schedule
+    order,
 
     * gathers the ``nty x ntx`` tile extents of ``src`` into the ring,
     * runs each instance's flat lowering once over the whole plane,
@@ -901,10 +472,18 @@ class _BatchedRunner(_RoundRunner):
     are exactly the ghost lanes the trapezoid throws away
     (``compute_range`` shrinks by R per instance), so they never reach a
     core and no seam strips are needed.  A round thus dispatches about as
-    many ufuncs as the full-plane plan, each covering every tile at once.
-    ``src`` is never written; ``dst`` only on tile cores.  The Z-shell is
-    gathered once per run (shell token) and traffic is charged exactly as
-    the per-tile plans charge it, shell-plane reads included.
+    many ufuncs as a whole-plane tile's round, each covering every tile at
+    once.  ``src`` is never written; ``dst`` only on tile cores.  The
+    Z-shell is gathered once per run (shell token) and traffic is charged
+    exactly as the stepwise per-tile path charges it, shell-plane reads
+    included.
+
+    Variable coefficients are gathered into expanded planes like ``src``:
+    plane ``z``'s pair is gathered at its first compute of the round into
+    ring slot ``z % nslots`` and serves the later instances from there.
+    ``nslots = lag * (round_t - 1) + 1`` covers a plane's whole life, so
+    each pair is gathered once per round and the round holds ``nslots``
+    pairs, not the volume.
     """
 
     span = "batched_round"
@@ -918,6 +497,8 @@ class _BatchedRunner(_RoundRunner):
         dtype = src.data.dtype
         self._suppress_fp = not getattr(inner, "_seam_contractive", False)
         self.ops_per_update = kernel.ops_per_update
+        impl = _flat_impl(inner, src.data, dst.data)
+        schedule = executor._get_schedule(nz, round_t, z_core)
         tiles = executor._plan_tiles(ny, nx, round_t)
         ys = list(dict.fromkeys(t.y for t in tiles))
         xs = list(dict.fromkeys(t.x for t in tiles))
@@ -935,8 +516,11 @@ class _BatchedRunner(_RoundRunner):
                 self._scratch = sc = other._scratch
                 break
         else:
+            varco = None
+            if impl == "varco":
+                varco = (inner, schedule.lag * (round_t - 1) + 1)
             self._scratch = sc = _BatchedScratch(
-                key, round_t, slots, shell_zs, h * w, e - s, dtype
+                key, round_t, slots, shell_zs, h * w, e - s, dtype, varco
             )
 
         # plane keys: ("s", z) a Z-shell plane, (t, slot) a ring plane
@@ -970,24 +554,25 @@ class _BatchedRunner(_RoundRunner):
             return [p2[span(ty, yoff[a], core), span(tx, xoff[b], core)]
                     for a, ty in enumerate(ys) for b, tx in enumerate(xs)]
 
-        src3, dst3 = src.data[0], dst.data[0]
+        dst3 = dst.data[0]
         pairs = [(ty, tx) for ty in ys for tx in xs]
 
-        def gather(ops, pk, z):
-            for view, (ty, tx) in zip(blocks(planes[pk], False), pairs):
+        def gather(ops, plane, vol, z):
+            """Copy each tile's extent of plane ``z`` of ``vol`` into
+            expanded plane ``plane``."""
+            for view, (ty, tx) in zip(blocks(plane, False), pairs):
                 ops.append((_copy, view,
-                            src3[z, slice(*ty.extent), slice(*tx.extent)],
+                            vol[z, slice(*ty.extent), slice(*tx.extent)],
                             None))
 
         edges = {pk: boundary(p) for pk, p in planes.items()}
         cores = blocks(sc.out, True)
         windows: dict = {}
-        impl = _flat_impl(inner, src.data, dst.data)
 
         def pkey(t, z):  # plane z as instance t + 1 reads it
             return ("s", z) if z in sc.shell else (t, z % slots)
 
-        def stencil(ops, out, t, z):
+        def window_of(t, z):
             def window(dz, dy, dx):
                 pk = pkey(t - 1, z + dz)
                 v = windows.get((pk, dy, dx))
@@ -996,19 +581,37 @@ class _BatchedRunner(_RoundRunner):
                     v = windows[pk, dy, dx] = planes[pk][s + off : e + off]
                 return v
 
-            _emit_taps(ops, impl, inner, dtype.type, out, sc.tmp, window)
+            return window
 
+        if impl == "varco":
+            alphas, betas, ctmp, cprod = sc.coef
+            held: dict[int, int] = {}  # coefficient slot -> plane it holds
+
+            def stencil(ops, out, t, z):
+                i = z % len(alphas)
+                if held.get(i) != z:
+                    gather(ops, alphas[i], inner.alpha, z)
+                    gather(ops, betas[i], inner.beta, z)
+                    held[i] = z
+                _emit_varco(ops, out, ctmp, out if cprod is None else cprod,
+                            window_of(t, z), alphas[i][s:e], betas[i][s:e])
+        else:
+            def stencil(ops, out, t, z):
+                _emit_taps(ops, impl, inner, dtype.type, out, sc.tmp,
+                           window_of(t, z))
+
+        src3 = src.data[0]
         self._shell_ops: list = []
         for z in shell_zs:
-            gather(self._shell_ops, ("s", z), z)
+            gather(self._shell_ops, planes["s", z], src3, z)
         ops: list = []
         loads = stores = 0
         computes = [0] * (round_t + 1)  # planes computed per instance
-        for step in executor._get_schedule(nz, round_t, z_core).steps:
+        for step in schedule.steps:
             kind, t, z = step.kind, step.t, step.z
             if kind is StepKind.LOAD:
                 if z not in sc.shell:
-                    gather(ops, pkey(0, z), z)
+                    gather(ops, planes[pkey(0, z)], src3, z)
                     loads += 1
                 continue
             computes[t] += 1
@@ -1025,7 +628,7 @@ class _BatchedRunner(_RoundRunner):
                                 dst3[z, slice(*ty.core), slice(*tx.core)],
                                 view, None))
         self._ops = tuple(ops)
-        # the per-tile plans' charge, summed over tiles: shell and load
+        # the stepwise path's charge, summed over tiles: shell and load
         # reads of each extent, one update per instance-region point, the
         # core written once per stored plane
         esize = src.element_size()

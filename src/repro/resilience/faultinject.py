@@ -264,6 +264,7 @@ class FaultInjector:
             raise InjectedFault(site, detail)
 
 
-#: the process-wide injector; ``$REPRO_FAULTS`` is armed at import time
+#: the process-wide injector.  Importing arms nothing: a process's entry
+#: point (``repro.cli.main``) arms ``$REPRO_FAULTS`` once, so each env
+#: spec fires with exactly its own budget.
 FAULTS = FaultInjector()
-FAULTS.load_env()

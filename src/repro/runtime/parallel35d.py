@@ -89,8 +89,8 @@ class ParallelBlocking35D:
         pool = self._pool or WorkerPool(self.n_threads)
         try:
             # Persistent ping/pong buffers (see Blocking35D._ping_pong): keeps
-            # fused-sweep instruction plans bound across runs; the result is
-            # copied out below, so returned fields stay independent.
+            # tile contexts and sweep runners bound across runs; the result
+            # is copied out below, so returned fields stay independent.
             src, dst = self.inner._ping_pong(field)
             np.copyto(src.data, field.data)
             copy_shell(src, dst, self.kernel.radius)
@@ -145,7 +145,8 @@ class ParallelBlocking35D:
         # Whole-sweep codegen backends (repro.perf.codegen) execute the
         # entire round in one generated call whose tile loop is a numba
         # ``prange`` — the compiled threads replace the WorkerPool here, and
-        # the aggregate traffic lands on thread 0's counters.
+        # the aggregate traffic lands on thread 0's counters.  Every other
+        # backend runs each tile stepwise, each worker on its row span.
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
         if sweep_runner is not None:
             runner = sweep_runner(inner, src, dst, round_t, parallel=True)
@@ -158,7 +159,6 @@ class ParallelBlocking35D:
                     runner.run(shell_token, thread_stats[0])
                 return
         iterations = schedule.iterations()
-        tile_runner = getattr(self.kernel, "tile_runner", None)
         armed = TRACE.armed
         for tile in tiles:
             tile_span = TRACE.span(
@@ -171,32 +171,6 @@ class ParallelBlocking35D:
                 ctx = inner._tile_context(src, tile, round_t)
                 inner._load_shell_planes(src, ctx, traffic, shell_token)
                 rows = partition_span(ctx.ey[0], ctx.ey[1], self.n_threads)
-                if tile_runner is not None:
-                    # Fused sweep: every worker executes the whole z-iteration
-                    # on its row span in one call (repro.perf.fused); run_spmd
-                    # still supplies the paper's single barrier per z-iteration.
-                    runner = tile_runner(inner, src, dst, ctx, schedule, round_t)
-                    if runner is not None:
-                        for k in runner.iteration_keys:
-
-                            def run_fused(tid: int, k=k) -> None:
-                                row = rows[tid]
-                                if row[0] >= row[1]:
-                                    return
-                                runner.run_iteration(
-                                    k, rows=row, traffic=thread_stats[tid]
-                                )
-
-                            if armed:
-                                with TRACE.span("z_iter", k=k, fused=True):
-                                    pool.run_spmd(
-                                        run_fused, deadline=self.spmd_deadline
-                                    )
-                            else:
-                                pool.run_spmd(
-                                    run_fused, deadline=self.spmd_deadline
-                                )
-                        continue
                 regions = inner.instance_regions(ctx, src.shape, round_t)
                 for k in sorted(iterations):
                     steps_k = iterations[k]
@@ -213,7 +187,7 @@ class ParallelBlocking35D:
 
                     # run_spmd joins all workers: the per-iteration barrier
                     if armed:
-                        with TRACE.span("z_iter", k=k, fused=False):
+                        with TRACE.span("z_iter", k=k):
                             pool.run_spmd(
                                 run_iteration, deadline=self.spmd_deadline
                             )

@@ -807,10 +807,11 @@ class ServeCore:
     # ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         # the executor of this worker's last job, handed back to build
-        # while the signature repeats: a reused Blocking35D keeps its tile
-        # contexts, rings, run buffers and interned fused plans.  It never
-        # runs on another worker: fused plans bake in the building
-        # thread's ScratchArena buffers, which two workers would race on
+        # while the signature repeats: a reused Blocking35D keeps its run
+        # buffers, round runners and tile contexts.  It never runs on
+        # another worker: the runners' scratch planes live on the
+        # executor and the stepwise path's on its kernel's ScratchArena,
+        # and two workers running one executor would race on both
         warm: dict = {}
         with self._lock:
             self._warm.append(warm)

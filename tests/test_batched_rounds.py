@@ -1,11 +1,13 @@
-"""Batched rounds: every XY tile of a multi-tile round over one
-halo-expanded plane, behind fused-numpy's ``sweep_runner`` hook.
+"""Batched rounds: every XY tile of a round over one halo-expanded plane,
+behind fused-numpy's ``sweep_runner`` hook.
 
 The contract is the executors' usual one: bit-identical to the naive
 reference, ``src`` never written, and traffic charged exactly as the
-per-tile blocked path (the ``numpy`` rung) charges it.  Single-tile rounds,
-rounds blocking cannot pay for (volume rounds), the threaded executor and
-kernels without a flat lowering keep their own paths.
+per-tile blocked path (the ``numpy`` rung) charges it.  A whole-plane tile
+is the layout's limit case, and variable coefficients are gathered into
+expanded planes like ``src``.  Rounds blocking cannot pay for (volume
+rounds), the threaded executor and kernels without a flat lowering keep
+their own paths.
 """
 
 import hashlib
@@ -18,9 +20,14 @@ from hypothesis import strategies as st
 from repro.core import Blocking35D, TrafficStats, run_naive
 from repro.obs.trace import TRACE
 from repro.perf.backends import wrap_kernel
-from repro.perf.fused import _BatchedRunner, _edge_bands
+from repro.perf.fused import _BatchedRunner, _copy, _edge_bands
 from repro.resilience.faultinject import FAULTS, FaultSpec
-from repro.stencils import Field3D, SevenPointStencil, TwentySevenPointStencil
+from repro.stencils import (
+    Field3D,
+    SevenPointStencil,
+    TwentySevenPointStencil,
+    VariableCoefficientStencil,
+)
 from repro.stencils.generic import GenericStencil, box_stencil, star_stencil
 from repro.stencils.grid import copy_shell
 
@@ -126,23 +133,18 @@ class TestDispatch:
     """The sweep-serial round: 128^3 7pt f32, dim_T 4, tile 64."""
 
     def _ops(self, ex, field, tile):
-        kernel = ex.kernel
-        src, dst = field, field.like()
-        if tile < 128:
-            return len(kernel.sweep_runner(ex, src, dst, 4)._ops)
-        # the full-plane round: one per-tile plan
-        schedule = ex._get_schedule(128, 4)
-        (whole,) = ex._plan_tiles(128, 128, 4)
-        ctx = ex._tile_context(src, whole, 4)
-        runner = kernel.tile_runner(ex, src, dst, ctx, schedule, 4)
-        return len(runner._plan(None)[0])
+        runner = ex.kernel.sweep_runner(ex, field, field.like(), 4)
+        assert type(runner) is _BatchedRunner
+        assert len(ex._plan_tiles(128, 128, 4)) == (1 if tile == 128 else 9)
+        return len(runner._ops)
 
     def test_round_dispatches_like_the_full_plane_plan(self):
         field = Field3D.random((128, 128, 128), dtype=np.float32, seed=1)
         kernel = wrap_kernel(SevenPointStencil(), "fused-numpy")
         batched = self._ops(Blocking35D(kernel, 4, 64, 64), field, 64)
         full = self._ops(Blocking35D(kernel, 4, 128, 128), field, 128)
-        # 41,958 over nine per-tile plans before rounds were batched
+        # the full plane is one tile; 41,958 instructions over nine
+        # per-tile plans before rounds were batched
         assert batched <= 1.5 * full
         assert batched <= 41958 / 4
 
@@ -240,3 +242,120 @@ class TestBatchedRoundContract:
         assert _sha(ex.run(field, 3)) == _sha(
             run_naive(SevenPointStencil(), field, 3))
         assert _batched(ex)
+
+
+class TestSingleTileRounds:
+    """A whole-plane tile (tile >= plane) is the batched layout's limit
+    case: its expanded plane is the grid plane."""
+
+    @pytest.mark.parametrize("kernel", [SevenPointStencil(),
+                                        TwentySevenPointStencil(),
+                                        star_stencil(2)],
+                             ids=["7pt", "27pt", "generic-r2"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("extra", [0, 5])  # tile == plane, tile > plane
+    def test_match_naive_and_per_tile_traffic(self, kernel, dtype, extra):
+        ny, nx = 14, 13
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 3, ny + extra,
+                         ny + extra)
+        assert len(ex._plan_tiles(ny, nx, 3)) == 1
+        field = Field3D.random((11, ny, nx), dtype=dtype, seed=extra)
+        out = ex.run(field, 7)  # rounds of 3, 3 and a partial 1
+        assert _sha(out) == _sha(run_naive(kernel, field, 7))
+        assert {type(r) for r in ex.sweep_runners} == {_BatchedRunner}
+        assert not ex._contexts
+        assert sorted(r.round_t for r in ex.sweep_runners) == [1, 3, 3]
+
+        src, dst, traffic = _round(ex, field, 3)
+        assert src.data.tobytes() == field.data.tobytes()
+        oracle = Blocking35D(wrap_kernel(kernel, "numpy"), 3, ny + extra,
+                             ny + extra)
+        _, ref, ref_traffic = _round(oracle, field, 3)
+        assert dst.data.tobytes() == ref.data.tobytes()
+        assert _traffic(traffic) == _traffic(ref_traffic)
+
+    def test_traced_round_is_one_batched_round(self):
+        field = Field3D.random((10, 24, 24), dtype=np.float32, seed=4)
+        ex = Blocking35D(wrap_kernel(SevenPointStencil(), "fused-numpy"), 2,
+                         24, 24)
+        TRACE.arm()
+        try:
+            out = ex.run(field, 4)
+        finally:
+            TRACE.disarm()
+        spans = TRACE.events()
+        TRACE.reset()
+        assert _sha(out) == _sha(run_naive(SevenPointStencil(), field, 4))
+        names = [s.name for s in spans]
+        assert names.count("batched_round") == names.count("round") == 2
+        assert "tile" not in names and "z_iter" not in names
+
+
+def _varco(shape, dtype):
+    rng = np.random.default_rng(11)
+    return VariableCoefficientStencil(
+        alpha=(0.8 + 0.4 * rng.random(shape)).astype(dtype),
+        beta=(0.05 + 0.02 * rng.random(shape)).astype(dtype),
+    )
+
+
+class TestVarcoRounds:
+    """Variable coefficients: each round gathers every coefficient plane
+    pair into a small ring of expanded planes once, and stays on the naive
+    hash, mixed precision included."""
+
+    @pytest.mark.parametrize("dtype,coef", [
+        (np.float32, np.float32),
+        (np.float64, np.float64),
+        (np.float32, np.float64),  # products formed in float64
+    ])
+    @pytest.mark.parametrize("tile", [
+        9,   # several tiles, kappa 3.8 > dim_T: still batched
+        12,  # several tiles, kappa 2.6
+        30,  # one whole-plane tile
+    ])
+    def test_batched_vs_naive(self, dtype, coef, tile):
+        shape = (12, 21, 19)
+        kernel = _varco(shape, coef)
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 3, tile, tile)
+        for seed in (1, 2):  # warm runners, a new shell
+            field = Field3D.random(shape, dtype=dtype, seed=seed)
+            out = ex.run(field, 7)  # rounds of 3, 3 and a partial 1
+            assert out.data.dtype == dtype
+            assert _sha(out) == _sha(run_naive(kernel, field, 7))
+        assert {type(r) for r in ex.sweep_runners} == {_BatchedRunner}
+
+        field = Field3D.random(shape, dtype=dtype, seed=3)
+        src, dst, traffic = _round(ex, field, 3)
+        oracle = Blocking35D(wrap_kernel(kernel, "numpy"), 3, tile, tile)
+        _, ref, ref_traffic = _round(oracle, field, 3)
+        assert dst.data.tobytes() == ref.data.tobytes()
+        assert _traffic(traffic) == _traffic(ref_traffic)
+
+    def test_coefficient_planes_gathered_once_per_round(self):
+        shape = (16, 20, 20)
+        kernel = _varco(shape, np.float32)
+        dim_t = 4
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), dim_t, 16, 16)
+        field = Field3D.random(shape, dtype=np.float32, seed=5)
+        out = Field3D(np.full_like(field.data, np.nan))
+        copy_shell(field, out, 1)
+        runner = ex.kernel.sweep_runner(ex, field, out, dim_t)
+        ntiles = len(ex._plan_tiles(20, 20, dim_t))
+        assert ntiles > 1
+        # a ring of lag * (dim_T - 1) + 1 expanded pairs, not the volume
+        alphas, betas, *_ = runner._scratch.coef
+        lag = ex._get_schedule(16, dim_t).lag
+        assert alphas.shape[0] == betas.shape[0] == lag * (dim_t - 1) + 1
+        assert alphas.shape[0] < shape[0]
+        gathers = [
+            sum(fn is _copy and np.shares_memory(b, coef)
+                for fn, a, b, _ in runner._ops)
+            for coef in (kernel.alpha, kernel.beta)
+        ]
+        # every interior plane once, one copy per tile
+        assert gathers == [(shape[0] - 2) * ntiles] * 2
+        runner.run(None)
+        ref = run_naive(kernel, field, dim_t)
+        inner = (slice(None), slice(1, 15), slice(1, 19), slice(1, 19))
+        assert out.data[inner].tobytes() == ref.data[inner].tobytes()

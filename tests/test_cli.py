@@ -1,7 +1,14 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.cli import build_parser, main
 
@@ -255,11 +262,11 @@ class TestResilienceExitCodes:
 class TestObservabilityCLI:
     """--trace/--metrics emission and the `repro trace` summary command."""
 
-    # one whole-plane tile (kappa 1.0): rounds run the per-tile plan, so
-    # the trace carries tile and z_iter spans (multi-tile rounds run
-    # batched, see test_multi_tile_round_is_one_batched_span)
+    # the numpy rung runs every round stepwise, so the trace carries tile
+    # and z_iter spans (fused-numpy runs the same rounds batched, see
+    # test_multi_tile_round_is_one_batched_span)
     _base = ["run", "--grid", "16", "--steps", "2", "--tile", "16",
-             "--dim-t", "2"]
+             "--dim-t", "2", "--backend", "numpy"]
 
     def test_trace_and_metrics_files_validate(self, tmp_path, capsys):
         import json
@@ -475,6 +482,39 @@ class TestFaultsCommand:
         assert "rank.crash" in capsys.readouterr().out
 
 
+class TestFaultsFromTheEnvironment:
+    """``$REPRO_FAULTS`` is armed once per CLI process, so each env spec
+    fires with its own budget.  These run a fresh interpreter, as CI does:
+    in a test process the environment is set after the import."""
+
+    #: the resilience job's repair smoke: one NaN, repaired, exit 3
+    _repair = ["run", "--grid", "24", "--steps", "8", "--dim-t", "2",
+               "--tile", "16", "--health", "repair"]
+
+    @staticmethod
+    def _python(args, faults):
+        env = {**os.environ, "REPRO_FAULTS": faults,
+               "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    def test_ci_repair_smoke_exits_3(self):
+        proc = self._python(["-m", "repro.cli", *self._repair], "grid.nan@1")
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "bit-identical to the naive reference" in proc.stdout
+
+    def test_an_env_spec_fires_once_per_main_run(self):
+        code = ("import sys\n"
+                "from repro.cli import main\n"
+                "from repro.resilience import FAULTS\n"
+                "rc = main(sys.argv[1:])\n"
+                "print('fired', [s for s, _ in FAULTS.fired])\n"
+                "sys.exit(rc)\n")
+        proc = self._python(["-c", code, *self._repair], "grid.nan@1")
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        assert "fired ['grid.nan']" in proc.stdout
+
+
 class TestChaosCommand:
     _base = ["chaos", "--ranks", "4", "--grid", "16", "--steps", "4",
              "--dim-t", "2"]
@@ -538,10 +578,8 @@ class TestRankRecoveryCLI:
         FAULTS.disarm()
 
     def _crashing(self, monkeypatch):
+        # main arms the environment itself
         monkeypatch.setenv("REPRO_FAULTS", "rank.crash=2@2")
-        from repro.resilience import FAULTS
-
-        FAULTS.load_env()
 
     def test_recovered_run_is_degraded_but_correct(self, monkeypatch, capsys):
         self._crashing(monkeypatch)

@@ -670,16 +670,16 @@ class TestWarmRankBuffers:
                                                        overlap):
         from repro.core.blocking35d import Blocking35D
         from repro.perf.backends import wrap_kernel
-        from repro.perf.fused import _BatchedRunner, _NumpyFusedRunner
+        from repro.perf.fused import _BatchedRunner, _VolumeRunner
 
         executors, plans = [], []
         self._count(monkeypatch, Blocking35D, "__init__", executors)
-        self._count(monkeypatch, _NumpyFusedRunner, "_build_plan", plans)
         self._count(monkeypatch, _BatchedRunner, "__init__", plans)
+        self._count(monkeypatch, _VolumeRunner, "__init__", plans)
         k = SevenPointStencil()
         # tile 10 keeps the full rounds blocked (kappa 1.71 < 2), so they
-        # build fused plans (per tile, or batched for multi-tile regions);
-        # the partial round runs as a volume round
+        # build batched rounds (one tile or several per region); the
+        # partial round runs as a volume round
         dj = DistributedJacobi(wrap_kernel(k, "fused-numpy"), 3, dim_t=2,
                                tile_y=10, tile_x=10, overlap=overlap)
         first = Field3D.random((24, 12, 14), dtype=np.float32, seed=1)
@@ -850,11 +850,11 @@ def test_cone_trimmed_rounds_match_naive(monkeypatch, tmp_path, kind, rung,
     runners = {type(r) for ex in executors for r in ex.sweep_runners}
     if rung == "codegen":
         assert runners == {_CodegenSweepRunner}
-    elif rung == "fused-numpy" and kind != "varco":
-        expect = {"single": set(), "batched": {_BatchedRunner},
-                  "volume": {_VolumeRunner}}[layout]
-        assert runners == expect
-    else:  # no flat lowering (varco) or the reference rung: per-tile plans
+    elif rung == "fused-numpy":
+        # varco has no volume lowering: its rounds all run batched
+        volume = layout == "volume" and kind != "varco"
+        assert runners == {_VolumeRunner if volume else _BatchedRunner}
+    else:  # the reference rung: stepwise
         assert runners == set()
 
 

@@ -2,8 +2,9 @@
 
 Fused sweeps (:mod:`repro.perf.fused`) must be *bit-identical* to the naive
 reference for every executor, thread count, and dim_T — they re-order
-nothing, they only pre-lower the per-step work into one instruction plan per
-z-iteration.  The wall-clock autotuner must answer repeat invocations from
+nothing, they only pre-lower the per-step work of a round into one
+instruction tuple (batched or volume rounds), and every round they decline
+runs stepwise.  The wall-clock autotuner must answer repeat invocations from
 its persistent cache with zero probe runs.
 """
 
@@ -113,14 +114,14 @@ class TestFusedBitExactness:
 
     @pytest.mark.parametrize("backend", _fused_backends())
     def test_full_plane_tile(self, backend):
-        """tile >= plane exercises the direct-store (flat dst) path."""
+        """tile >= plane runs as a single-tile batched round."""
         field = Field3D.random((8, 12, 12), dtype=np.float32, seed=6)
         wrapped = wrap_kernel(SevenPointStencil(), backend)
         out = Blocking35D(wrapped, 2, 12, 12).run(field, 4)
         assert_fields_equal(out, run_naive(SevenPointStencil(), field, 4))
 
     def test_multicomponent_fallback(self):
-        """ncomp > 1 kernels (LBM) run through the per-plane fallback path."""
+        """ncomp > 1 kernels (LBM) run stepwise."""
         kernel, f = _lbm_case()
         wrapped = wrap_kernel(kernel, "fused-numpy")
         out = Blocking35D(wrapped, 2, 8, 8).run(f, 4)
@@ -145,62 +146,12 @@ class TestFusedBitExactness:
         ex = Blocking35D(kernel, 2, 16, 16)
         field = Field3D.random((8, 16, 16), dtype=np.float32, seed=2)
         ex.run(field, 4)
-        ctxs = [c for c in ex._contexts.values()]
-        sizes = [len(c.fused) for c in ctxs if c.fused is not None]
+        runners = list(ex.sweep_runners)
+        assert runners
         ex.run(field, 4)
         # the ping/pong buffers keep runner identity: no new runners appear
-        assert sizes == [len(c.fused) for c in ctxs if c.fused is not None]
-
-
-def _plan_operands(ex):
-    """Per tile context: (runner count, distinct array operand objects)."""
-    out = []
-    for ctx in ex._contexts.values():
-        runners = ctx.fused or []
-        objs = {
-            id(o): o
-            for r in runners
-            for ops, *_ in r._plans.values()
-            for ins in ops
-            for o in ins[1:]
-            if isinstance(o, np.ndarray)
-        }
-        out.append((len(runners), list(objs.values())))
-    return out
-
-
-class TestInternedPlans:
-    """Plans share operands: one object per distinct view of a tile."""
-
-    @pytest.mark.parametrize("name", ["7pt", "27pt", "star-r2"])
-    def test_operands_unique_and_grow_with_nz(self, name):
-        counts = {}
-        for nz in (16, 32):
-            kernel = _kernels((nz, 24, 24))[name]
-            # kappa under dim_T (1.36 radius 1, 1.78 radius 2): blocked.
-            # The serial executor runs such multi-tile rounds batched; the
-            # one-thread threaded executor keeps one plan per tile (its
-            # single row span)
-            tile = 16 if kernel.radius == 1 else 20
-            ex = ParallelBlocking35D(wrap_kernel(kernel, "fused-numpy"), 2,
-                                     tile, tile, n_threads=1)
-            field = Field3D.random((nz, 24, 24), dtype=np.float32, seed=3)
-            out = ex.run(field, 5)  # rounds of 2, 2, 1: ping and pong runners
-            assert_fields_equal(out, run_naive(kernel, field, 5))
-            tiles = _plan_operands(ex.inner)
-            assert len(tiles) > 1
-            assert max(n for n, _ in tiles) == 2
-            for _, objs in tiles:
-                mem = {
-                    (o.__array_interface__["data"][0], o.shape, o.strides)
-                    for o in objs
-                }
-                assert len(mem) == len(objs)  # no two objects alias a view
-            counts[nz] = [(n, len(objs)) for n, objs in tiles]
-        for (n, o16), (_, o32) in zip(counts[16], counts[32]):
-            # only the grid views (one load source, one store target per
-            # z and runner) are per plane; ring-side operands are shared
-            assert o32 - o16 <= 2 * n * 16
+        assert len(ex.sweep_runners) == len(runners)
+        assert all(a is b for a, b in zip(ex.sweep_runners, runners))
 
 
 def _lbm_case():
@@ -229,9 +180,11 @@ def _traffic_fields(t: TrafficStats) -> tuple:
 
 
 class TestTileRoundReplay:
-    """The serial executor replays each tile-round in one ``run_tile``
-    call; per-z-iteration replay and the plain numpy rung must agree with
-    it bit for bit and count for count."""
+    """Every fused-numpy round — batched for the kernels with a flat
+    lowering (here one whole-plane tile, or several tiles for varco),
+    stepwise for LBM — must agree bit for bit and count for count with the
+    ``numpy`` rung, which replays each tile's schedule one z-iteration at
+    a time, traced or not."""
 
     @pytest.mark.parametrize(
         "name,dtype",
@@ -239,68 +192,67 @@ class TestTileRoundReplay:
          for n in ("7pt", "27pt", "star-r2", "box-r1", "varco", "lbm")]
         + [(n, np.float64) for n in ("7pt", "27pt", "box-r1", "varco")],
     )
-    def test_matches_per_iteration_and_numpy_rung(
-        self, name, dtype, monkeypatch
-    ):
-        from repro.perf.fused import _NumpyFusedRunner
+    def test_matches_per_iteration_and_numpy_rung(self, name, dtype):
+        from repro.obs.trace import TRACE
+        from repro.perf.fused import _BatchedRunner
 
         kernel, field = _replay_case(name, dtype)
         steps = 5  # a round of 3 and a partial 2
         # kappa stays under round_t, so every round is blocked: tile 12
-        # (kappa 2.56 and 1.96) for the kernels without a flat lowering,
-        # whose multi-tile rounds keep per-tile plans; one whole-plane tile
-        # for the others (their multi-tile rounds run batched)
+        # (kappa 2.56 and 1.96) for varco and LBM, one whole-plane tile for
+        # the others
         tile = 12 if name in ("varco", "lbm") else 20
 
-        def run(backend):
+        def run(backend, traced=False):
             traffic = TrafficStats()
             ex = Blocking35D(wrap_kernel(kernel, backend), 3, tile, tile)
-            return ex.run(field, steps, traffic), traffic
+            if traced:
+                TRACE.arm()
+            try:
+                out = ex.run(field, steps, traffic)
+            finally:
+                TRACE.disarm()
+                TRACE.reset()
+            return ex, out, traffic
 
-        calls = []
-        whole_tile = _NumpyFusedRunner.run_tile
+        ex, out, t_fused = run("fused-numpy")
+        kinds = {type(r) for r in ex.sweep_runners}
+        assert kinds == (set() if name == "lbm" else {_BatchedRunner})
+        _, out_traced, t_traced = run("fused-numpy", traced=True)
+        _, out_ref, t_ref = run("numpy", traced=True)
+        assert_fields_equal(out, out_traced)
+        assert_fields_equal(out, out_ref)
+        assert_fields_equal(out, run_naive(kernel, field, steps))
+        assert _traffic_fields(t_fused) == _traffic_fields(t_traced)
+        assert _traffic_fields(t_fused) == _traffic_fields(t_ref)
 
-        def counted(self, traffic=None):
-            calls.append(self)
-            whole_tile(self, traffic)
-
-        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", counted)
-        out_tile, t_tile = run("fused-numpy")
-        assert calls  # the untraced serial path took the whole-tile replay
-        def per_iteration(self, traffic=None):
-            for k in self.iteration_keys:
-                self.run_iteration(k, traffic=traffic)
-
-        monkeypatch.setattr(_NumpyFusedRunner, "run_tile", per_iteration)
-        out_k, t_k = run("fused-numpy")
-        out_ref, t_ref = run("numpy")
-        assert_fields_equal(out_tile, out_k)
-        assert_fields_equal(out_tile, out_ref)
-        assert_fields_equal(out_tile, run_naive(kernel, field, steps))
-        assert _traffic_fields(t_tile) == _traffic_fields(t_k)
-        assert _traffic_fields(t_tile) == _traffic_fields(t_ref)
-
-    def test_backend_compute_fires_once_per_tile_per_round(self):
+    @pytest.mark.parametrize("layout", ["batched", "stepwise", "threaded"])
+    def test_backend_compute_fires_once_per_round(self, layout):
         from repro.resilience.faultinject import FAULTS, FaultSpec
 
-        # varco keeps per-tile plans on multi-tile rounds
-        kernel = _varco((10, 24, 24))
-        field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
-        # blocked rounds: kappa 2.25 < 3, then 1.78 < 2
-        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 3, 14, 14)
+        if layout == "stepwise":  # no flat lowering
+            kernel, field = _lbm_case()
+        else:
+            kernel = _varco((10, 24, 24))
+            field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
+        wrapped = wrap_kernel(kernel, "fused-numpy")
+        # blocked rounds of 3 and 2 (varco: kappa 2.25 < 3, then 1.78 < 2)
+        if layout == "threaded":
+            ex = ParallelBlocking35D(wrapped, 3, 14, 14, n_threads=2)
+        else:
+            ex = Blocking35D(wrapped, 3, 14, 14)
         probe = FaultSpec("backend.compute", "fused-numpy", after=10**6)
         with FAULTS.injected(probe):
-            ex.run(field, 5)
-        expected = sum(len(ex._plan_tiles(24, 24, rt)) for rt in (3, 2))
-        assert 10**6 - probe.after == expected
+            out = ex.run(field, 5)
+        assert 10**6 - probe.after == 2
+        assert_fields_equal(out, run_naive(kernel, field, 5))
 
     def test_traced_run_spans_every_iteration_with_identical_bits(self):
         from repro.obs.trace import TRACE
 
-        # varco keeps per-tile plans (and their spans) on multi-tile rounds
-        kernel = _varco((10, 24, 24))
-        field = Field3D.random((10, 24, 24), dtype=np.float32, seed=2)
-        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 12, 12)
+        # LBM has no flat lowering: its rounds run stepwise, tile by tile
+        kernel, field = _lbm_case()
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 8, 8)
         untraced = ex.run(field, 4)
         TRACE.arm()
         try:
@@ -312,10 +264,84 @@ class TestTileRoundReplay:
         assert_fields_equal(traced, untraced)
         tiles = [s for s in spans if s.name == "tile"]
         z_iters = [s for s in spans if s.name == "z_iter"]
-        keys = len(ex._get_schedule(10, 2).iterations())
-        assert len(tiles) == 2 * len(ex._plan_tiles(24, 24, 2))
+        keys = len(ex._get_schedule(8, 2).iterations())
+        assert len(tiles) == 2 * len(ex._plan_tiles(10, 10, 2)) > 2
         assert len(z_iters) == len(tiles) * keys
-        assert all(s.attrs["fused"] for s in z_iters)
+        assert "batched_round" not in {s.name for s in spans}
+
+
+class TestStepwiseRounds:
+    """Rounds the fused-numpy runners decline run the executors' stepwise
+    path and stay on the naive hash: the threaded executor's row spans,
+    kernels without a flat lowering and buffers that are not one
+    contiguous component."""
+
+    @pytest.mark.parametrize("name", ["7pt", "varco"])
+    def test_two_threads(self, name):
+        shape = (9, 18, 18)
+        kernel = _kernels(shape)[name]
+        field = Field3D.random(shape, dtype=np.float32, seed=4)
+        ex = ParallelBlocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 12,
+                                 12, n_threads=2)
+        traffic, ref_traffic = TrafficStats(), TrafficStats()
+        out = ex.run(field, 5, traffic)
+        assert ex.inner.sweep_runners == []
+        assert_fields_equal(out, run_naive(kernel, field, 5))
+        Blocking35D(wrap_kernel(kernel, "numpy"), 2, 12, 12).run(
+            field, 5, ref_traffic)
+        # bytes and updates; row spans charge no whole-plane counts
+        assert _traffic_fields(traffic)[:4] == _traffic_fields(ref_traffic)[:4]
+
+    def test_lbm(self):
+        from repro.lbm import LBMKernel, Lattice
+
+        shape = (12, 14, 14)
+        rng = np.random.default_rng(5)
+        lat = Lattice.from_moments(
+            (1.0 + 0.02 * rng.random(shape)).astype(np.float32),
+            (0.01 * (rng.random((3,) + shape) - 0.5)).astype(np.float32),
+        )
+        lat.set_solid(rng.random(shape) < 0.05)
+        kernel = LBMKernel(lat.flags, omega=1.3)
+        for tile in (8, 14):  # several tiles, one whole-plane tile
+            ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, tile, tile)
+            out = ex.run(lat.f, 5)
+            assert ex.sweep_runners == [] and ex._contexts
+            assert_fields_equal(out, run_naive(kernel, lat.f, 5))
+
+    def test_multicomponent_mrt_field(self):
+        from repro.lbm import Lattice
+        from repro.lbm.mrt import MRTLBMKernel
+
+        shape = (8, 10, 10)
+        rng = np.random.default_rng(6)
+        lat = Lattice.from_moments(
+            (1.0 + 0.02 * rng.random(shape)).astype(np.float64),
+            (0.01 * (rng.random((3,) + shape) - 0.5)).astype(np.float64),
+        )
+        kernel = MRTLBMKernel(lat.flags, s_nu=1.2)
+        assert lat.f.ncomp > 1
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 10, 10)
+        out = ex.run(lat.f, 4)
+        assert ex.sweep_runners == []
+        assert_fields_equal(out, run_naive(kernel, lat.f, 4))
+
+    def test_non_contiguous_buffers(self):
+        from repro.stencils.grid import copy_shell
+
+        kernel = SevenPointStencil()
+        field = Field3D.random((8, 14, 14), dtype=np.float32, seed=7)
+        wide = np.zeros((2, 1, 8, 14, 17), np.float32)
+        src, dst = (Field3D(wide[i, :, :, :, 1:15]) for i in range(2))
+        assert not src.data.flags.c_contiguous
+        np.copyto(src.data, field.data)
+        copy_shell(src, dst, 1)
+        ex = Blocking35D(wrap_kernel(kernel, "fused-numpy"), 2, 14, 14)
+        ex.sweep_round(src, dst, 2)
+        assert ex.sweep_runners == []
+        ref = run_naive(kernel, field, 2)
+        inner = (slice(None), slice(1, 7), slice(1, 13), slice(1, 13))
+        assert dst.data[inner].tobytes() == ref.data[inner].tobytes()
 
 
 class TestMixedPrecisionVarco:

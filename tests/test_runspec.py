@@ -197,6 +197,30 @@ def test_one_spec_one_hash_through_every_entry_point(
     assert _printed_sha(out) == oracle
 
 
+def test_every_command_offers_every_kernel():
+    from repro.cli import build_parser
+    from repro.runspec import KERNELS
+
+    parser = build_parser()
+    for command in ("run", "tune", "submit"):
+        for kernel in KERNELS:
+            assert parser.parse_args([command, "--kernel", kernel]).kernel \
+                == kernel
+
+
+def test_lbm_job_submitted_from_the_cli_is_on_the_naive_hash(served, capsys):
+    _, sock = served
+    spec = RunSpec(kernel="lbm", grid=10, steps=4, dim_t=2, tile=8, seed=2)
+    oracle = data_digest(
+        run_naive(make_kernel(spec), make_field(spec), spec.steps).data)
+    rc = main(["submit", "--socket", sock, "--kernel", "lbm", "--grid", "10",
+               "--steps", "4", "--dim-t", "2", "--tile", "8", "--seed", "2",
+               "--no-verify", "--wait", "--timeout", "60"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert _printed_sha(out) == oracle
+
+
 # ----------------------------------------------------------------------
 # adapters and the pieces they share
 # ----------------------------------------------------------------------

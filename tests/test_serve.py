@@ -951,28 +951,28 @@ class TestCheckpointFiles:
 @pytest.fixture()
 def recorded_executors(monkeypatch):
     """Serve's executors, each with the thread that built it, the thread
-    of every run, and the fused plans (per-tile plans or batched round
-    runners) built during each run."""
+    of every run, and the round runners (batched or volume) built during
+    each run."""
     import repro.core
     from repro.core import Blocking35D
-    from repro.perf.fused import _BatchedRunner, _NumpyFusedRunner
+    from repro.perf.fused import _BatchedRunner, _VolumeRunner
 
     executors = []
     builds: dict[int, int] = {}
-    build_plan = _NumpyFusedRunner._build_plan
     build_batched = _BatchedRunner.__init__
+    build_volume = _VolumeRunner.__init__
 
     def count_build():
         tid = threading.get_ident()
         builds[tid] = builds.get(tid, 0) + 1
 
-    def counting_build_plan(self, rows):
-        count_build()
-        return build_plan(self, rows)
-
     def counting_build_batched(self, *args):
         count_build()
         build_batched(self, *args)
+
+    def counting_build_volume(self, *args):
+        count_build()
+        build_volume(self, *args)
 
     class Recorded(Blocking35D):
         def __init__(self, *args, **kwargs):
@@ -991,8 +991,8 @@ def recorded_executors(monkeypatch):
             finally:
                 self.runs.append((tid, builds.get(tid, 0) - before))
 
-    monkeypatch.setattr(_NumpyFusedRunner, "_build_plan", counting_build_plan)
     monkeypatch.setattr(_BatchedRunner, "__init__", counting_build_batched)
+    monkeypatch.setattr(_VolumeRunner, "__init__", counting_build_volume)
     # the executor serve's build() constructs
     monkeypatch.setattr(repro.core, "Blocking35D", Recorded)
     return executors
@@ -1006,7 +1006,7 @@ class TestWarmExecutors:
                          tenant_quota=32, fsync=False)
         core.start()
         # tile 10 keeps kappa (1.78) under dim_T, so rounds stay blocked
-        # and build fused plans
+        # and build batched rounds
         specs = [JobSpec(grid=12, steps=6, dim_t=2, tile=10, seed=i % 3,
                          verify=False) for i in range(20)]
         ids = [core.submit(s.to_dict())["id"] for s in specs]
@@ -1025,7 +1025,7 @@ class TestWarmExecutors:
         assert 1 <= len(owners) == len(set(owners)) <= 2
         for ex in executors:
             assert {tid for tid, _ in ex.runs} == {ex.owner}
-            # plans are built in the executor's first run only
+            # runners are built in the executor's first run only
             assert ex.runs[0][1] > 0
             assert sum(n for _, n in ex.runs[1:]) == 0
         assert sum(len(ex.runs) for ex in executors) == 20 * 3

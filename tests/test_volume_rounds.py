@@ -182,8 +182,8 @@ class TestWhenRoundsAreVolumeRounds:
         (16, 2, 12),    # kappa 1.56
     ])
     def test_blocking_that_pays_stays_blocked(self, grid, dim_t, tile):
-        """Multi-tile rounds run batched (still blocked, see
-        test_batched_rounds.py); single-tile rounds keep the tile path."""
+        """Rounds blocking pays for run batched (still blocked, see
+        test_batched_rounds.py), a single whole-plane tile included."""
         kernel = wrap_kernel(SevenPointStencil(), "fused-numpy")
         ex = Blocking35D(kernel, dim_t, tile, tile)
         field = Field3D.random((2 * dim_t + 3, grid, grid),
@@ -191,12 +191,8 @@ class TestWhenRoundsAreVolumeRounds:
         assert ex.kappa(grid, grid, dim_t) <= dim_t
         runner = kernel.sweep_runner(ex, field, field.like(), dim_t)
         assert not _volume_runners(ex)
-        if tile < grid:
-            assert type(runner) is _BatchedRunner
-            assert ex.sweep_runners == [runner]
-        else:
-            assert runner is None
-            assert ex.sweep_runners == []
+        assert type(runner) is _BatchedRunner
+        assert ex.sweep_runners == [runner]
 
     def test_bare_and_threaded_rungs_stay_blocked(self):
         kernel = SevenPointStencil()
