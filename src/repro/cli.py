@@ -42,7 +42,9 @@ __all__ = ["main", "build_parser"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.runspec import KERNELS
+    from repro.runspec import (HEALTH_POLICIES, INTEGRITY_TIERS, KERNELS,
+                               PRECISIONS, SCHEMES)
+    from repro.serve.protocol import JobSpec
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -54,14 +56,14 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kernel", choices=KERNELS, default="7pt")
     run.add_argument(
         "--scheme",
-        choices=["naive", "3d", "2.5d", "4d", "3.5d", "cache-oblivious"],
+        choices=SCHEMES,
         default="3.5d",
     )
     run.add_argument("--grid", type=int, default=48, help="cubic grid side")
     run.add_argument("--steps", type=int, default=4)
     run.add_argument("--dim-t", type=int, default=2)
     run.add_argument("--tile", type=int, default=32, help="dim_X = dim_Y")
-    run.add_argument("--precision", choices=["sp", "dp"], default="sp")
+    run.add_argument("--precision", choices=PRECISIONS, default="sp")
     run.add_argument("--threads", type=int, default=1)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument(
@@ -90,14 +92,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--health",
-        choices=["off", "raise", "warn", "repair"],
+        choices=HEALTH_POLICIES,
         default="raise",
         help="per-round NaN/Inf policy (default 'raise'); 'repair' rolls "
         "the round back to its input and re-executes it",
     )
     run.add_argument(
         "--verify",
-        choices=["off", "spot", "seal", "full"],
+        choices=INTEGRITY_TIERS,
         default="off",
         help="silent-data-corruption integrity tier (default off): 'spot' "
         "CRC-seals planes per round plus sampled re-execution, 'seal' adds "
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser("tune", help="Section VI parameter selection")
     tune.add_argument("--kernel", choices=KERNELS, default="7pt")
     tune.add_argument("--machine", choices=["corei7", "gtx285"], default="corei7")
-    tune.add_argument("--precision", choices=["sp", "dp"], default="sp")
+    tune.add_argument("--precision", choices=PRECISIONS, default="sp")
     tune.add_argument("--capacity", type=int, default=None, help="override bytes")
     tune.add_argument(
         "--mode",
@@ -269,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--dim-t", type=int, default=2)
     chaos.add_argument("--jobs", type=int, default=12, metavar="N",
                        help="jobs per seed (--target serve, default 12)")
-    chaos.add_argument("--tier", choices=["spot", "seal", "full"],
+    chaos.add_argument("--tier", choices=INTEGRITY_TIERS[1:],
                        default="full",
                        help="integrity tier to soak (--target sdc, "
                        "default full)")
@@ -318,25 +320,26 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one job to a running serve daemon"
     )
     submit.add_argument("--socket", default="repro-serve.sock", metavar="PATH")
-    submit.add_argument("--kernel", choices=KERNELS, default="7pt")
-    submit.add_argument("--grid", type=int, default=16)
-    submit.add_argument("--steps", type=int, default=4)
-    submit.add_argument("--dim-t", type=int, default=2)
-    submit.add_argument("--tile", type=int, default=8)
-    submit.add_argument("--precision", choices=["sp", "dp"], default="sp")
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--backend", default=None)
-    submit.add_argument("--priority", type=int, default=1,
+    submit.add_argument("--kernel", choices=KERNELS, default=JobSpec.kernel)
+    submit.add_argument("--grid", type=int, default=JobSpec.grid)
+    submit.add_argument("--steps", type=int, default=JobSpec.steps)
+    submit.add_argument("--dim-t", type=int, default=JobSpec.dim_t)
+    submit.add_argument("--tile", type=int, default=JobSpec.tile)
+    submit.add_argument("--precision", choices=PRECISIONS,
+                        default=JobSpec.precision)
+    submit.add_argument("--seed", type=int, default=JobSpec.seed)
+    submit.add_argument("--backend", default=JobSpec.backend)
+    submit.add_argument("--priority", type=int, default=JobSpec.priority,
                         help="0 = highest; larger numbers shed first")
-    submit.add_argument("--tenant", default="default")
-    submit.add_argument("--deadline", type=float, default=None,
+    submit.add_argument("--tenant", default=JobSpec.tenant)
+    submit.add_argument("--deadline", type=float, default=JobSpec.deadline_s,
                         metavar="SECONDS")
     submit.add_argument("--no-verify", action="store_true",
                         help="run at --integrity alone; by default a job "
                         "is verified at least at the full tier")
     submit.add_argument("--integrity",
-                        choices=["off", "spot", "seal", "full"],
-                        default="off",
+                        choices=INTEGRITY_TIERS,
+                        default=JobSpec.integrity,
                         help="silent-data-corruption integrity tier for the "
                         "job (default off); verification cpu is metered to "
                         "the tenant and the tier is shed under amber "

@@ -38,9 +38,10 @@ import numpy as np
 
 from ..obs.trace import TRACE
 from ..stencils.base import PlaneKernel
-from ..stencils.grid import Field3D, copy_shell, interior_points
+from ..stencils.grid import Field3D
 from .buffer import RingSet
 from .regions import Tile2D, compute_range, plan_tiles_2d
+from .rounds import PingPong, run_rounds
 from .schedule import Schedule, StepKind, build_schedule
 from .traffic import TrafficStats
 
@@ -149,7 +150,8 @@ class Blocking35D:
         self._contexts: dict = {}
         self._tile_plans: dict = {}
         self._schedules: dict = {}
-        self._run_buffers: dict = {}
+        #: persistent source/destination grids of every run
+        self.buffers = PingPong()
         self._kappas: dict = {}
         #: whole-round runners bound by sweep-runner backends (codegen and
         #: fused-numpy batched and volume rounds), kept here so they live
@@ -168,25 +170,9 @@ class Blocking35D:
         self._contexts.clear()
         self._tile_plans.clear()
         self._schedules.clear()
-        self._run_buffers.clear()
+        self.buffers.clear()
         self._kappas.clear()
         self.sweep_runners.clear()
-
-    def _ping_pong(self, field: Field3D) -> tuple[Field3D, Field3D]:
-        """Persistent source/destination buffers for ``run``.
-
-        Reusing the same two arrays across ``run`` calls keeps every cached
-        view — tile contexts, shell planes and especially the sweep
-        runners' instruction tuples, which prebind views of the exact
-        buffers — valid from one run to the next, so the steady state
-        allocates nothing and rebinds nothing.  ``run`` returns a *copy* of the final buffer, so
-        results stay independent of later runs.
-        """
-        key = (field.shape, field.ncomp, field.dtype)
-        bufs = self._run_buffers.get(key)
-        if bufs is None:
-            bufs = self._run_buffers[key] = (field.like(), field.like())
-        return bufs
 
     # ------------------------------------------------------------------
     def run(
@@ -195,30 +181,15 @@ class Blocking35D:
         steps: int,
         traffic: TrafficStats | None = None,
     ) -> Field3D:
-        """Advance ``field`` by ``steps`` time steps; input is untouched."""
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return field.copy()
-        src, dst = self._ping_pong(field)
-        np.copyto(src.data, field.data)
-        copy_shell(src, dst, self.kernel.radius)
-        # One shell token per run: the boundary shell is constant in time, so
-        # cached shell planes are filled on the first round and reused after.
-        token = object()
-        with TRACE.span("sweep", executor="blocking35d", steps=steps,
-                        dim_t=self.dim_t):
-            remaining = steps
-            round_index = 0
-            while remaining > 0:
-                round_t = min(self.dim_t, remaining)
-                with TRACE.span("round", index=round_index, round_t=round_t):
-                    self.sweep_round(src, dst, round_t, traffic,
-                                     _shell_token=token)
-                src, dst = dst, src
-                remaining -= round_t
-                round_index += 1
-        return src.copy()
+        """Advance ``field`` by ``steps`` time steps; input is untouched
+        (GuardedSweep's loop over :meth:`open_rounds`, see :func:`run_rounds`)."""
+        return run_rounds(self, field, steps, traffic, executor="blocking35d")
+
+    def open_rounds(self, field: Field3D, sdc=None):
+        """GuardedSweep's hook: ``(state, step, close)`` over this
+        executor's persistent ping-pong buffers, one :meth:`sweep_round`
+        per step (see :meth:`PingPong.open`)."""
+        return self.buffers.open(field, self.kernel.radius, self.sweep_round)
 
     # ------------------------------------------------------------------
     def sweep_round(
@@ -264,22 +235,12 @@ class Blocking35D:
         if sweep_runner is not None:
             runner = sweep_runner(self, src, dst, round_t, z_core=z_core)
             if runner is not None:
-                if TRACE.armed:
-                    with TRACE.span(runner.span, tiles=len(tiles),
-                                    round_t=round_t):
-                        runner.run(token, traffic)
-                else:
+                with TRACE.span(runner.span, tiles=len(tiles), round_t=round_t):
                     runner.run(token, traffic)
                 return
-        if TRACE.armed:
-            for tile in tiles:
-                with TRACE.span("tile", y0=tile.y.core[0], y1=tile.y.core[1],
-                                x0=tile.x.core[0], x1=tile.x.core[1]):
-                    ctx = self._tile_context(src, tile, round_t)
-                    self._load_shell_planes(src, ctx, traffic, token)
-                    self._run_schedule(src, dst, ctx, schedule, round_t, traffic)
-        else:
-            for tile in tiles:
+        for tile in tiles:
+            with TRACE.span("tile", y0=tile.y.core[0], y1=tile.y.core[1],
+                            x0=tile.x.core[0], x1=tile.x.core[1]):
                 ctx = self._tile_context(src, tile, round_t)
                 self._load_shell_planes(src, ctx, traffic, token)
                 self._run_schedule(src, dst, ctx, schedule, round_t, traffic)

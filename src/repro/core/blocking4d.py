@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from ..obs.trace import TRACE
 from ..stencils.base import PlaneKernel, ScratchArena
-from ..stencils.grid import Field3D, copy_shell
+from ..stencils.grid import Field3D
 from .regions import axis_tiles
+from .rounds import PingPong, run_rounds
 from .temporal import advance_tile_trapezoid
 from .traffic import TrafficStats
 
@@ -39,10 +40,12 @@ class Blocking4D:
         self.tile_y = tile_y
         self.tile_x = tile_x
         self.scratch = ScratchArena()
+        self.buffers = PingPong()
 
     def clear_cache(self) -> None:
-        """Drop the trapezoid scratch buffers."""
+        """Drop the trapezoid scratch and the run buffers."""
         self.scratch.clear()
+        self.buffers.clear()
 
     def run(
         self,
@@ -50,25 +53,14 @@ class Blocking4D:
         steps: int,
         traffic: TrafficStats | None = None,
     ) -> Field3D:
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return field.copy()
-        src = field.copy()
-        dst = field.like()
-        copy_shell(src, dst, self.kernel.radius)
-        with TRACE.span("sweep", executor="blocking4d", steps=steps,
-                        dim_t=self.dim_t):
-            remaining = steps
-            round_index = 0
-            while remaining > 0:
-                round_t = min(self.dim_t, remaining)
-                with TRACE.span("round", index=round_index, round_t=round_t):
-                    self.sweep_round(src, dst, round_t, traffic)
-                src, dst = dst, src
-                remaining -= round_t
-                round_index += 1
-        return src
+        """Advance ``field`` by ``steps`` time steps; input is untouched
+        (GuardedSweep's loop over :meth:`open_rounds`, see :func:`run_rounds`)."""
+        return run_rounds(self, field, steps, traffic, executor="blocking4d")
+
+    def open_rounds(self, field: Field3D, sdc=None):
+        """GuardedSweep's hook: ``(state, step, close)`` over persistent
+        ping-pong buffers, one :meth:`sweep_round` per step."""
+        return self.buffers.open(field, self.kernel.radius, self.sweep_round)
 
     def sweep_round(
         self,
@@ -76,29 +68,23 @@ class Blocking4D:
         dst: Field3D,
         round_t: int,
         traffic: TrafficStats | None = None,
+        *,
+        _shell_token: object | None = None,
     ) -> None:
-        """One round of ``round_t`` time steps over all space-time tiles."""
+        """One round of ``round_t`` time steps over all space-time tiles
+        (a tile reads its shell from ``src``: ``_shell_token`` is unused)."""
         r = self.kernel.radius
         nz, ny, nx = src.shape
         if traffic is not None:
             traffic.notes.setdefault("dim_t", self.dim_t)
             traffic.notes.setdefault("round_t", []).append(round_t)
-        armed = TRACE.armed
         for tz in axis_tiles(nz, r, round_t, self.tile_z):
             for ty in axis_tiles(ny, r, round_t, self.tile_y):
                 for tx in axis_tiles(nx, r, round_t, self.tile_x):
-                    if armed:
-                        with TRACE.span("tile", z0=tz.core[0], y0=ty.core[0],
-                                        x0=tx.core[0]):
-                            advance_tile_trapezoid(
-                                self.kernel, src, dst,
-                                (tz.core, ty.core, tx.core),
-                                round_t, traffic, scratch=self.scratch,
-                            )
-                    else:
+                    with TRACE.span("tile", z0=tz.core[0], y0=ty.core[0],
+                                    x0=tx.core[0]):
                         advance_tile_trapezoid(
-                            self.kernel, src, dst,
-                            (tz.core, ty.core, tx.core),
+                            self.kernel, src, dst, (tz.core, ty.core, tx.core),
                             round_t, traffic, scratch=self.scratch,
                         )
 

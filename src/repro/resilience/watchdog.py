@@ -1,13 +1,12 @@
 """Guarded sweep execution: the one round loop of every entry point.
 
-:class:`GuardedSweep` wraps any executor with a ``run(field, steps[,
-traffic])`` method (the blocking executors, the threaded 3.5D executor, or
-a plain function adapter) and drives it **round by round** — chunks of
+:class:`GuardedSweep` drives an executor **round by round** — chunks of
 ``round_steps`` time steps, the executor's natural ``dim_T`` granularity.
 Driving rounds externally is bit-exact (each round reads only the full
 grid state of the previous one) and is what makes the guards possible.
-``repro run``, every serve job and
-:class:`~repro.distributed.DistributedJacobi` run through this loop:
+Every blocked executor supplies ``open_rounds``, and its unguarded ``run``
+is this loop with health off; the schemes without rounds step through
+``run``.  ``repro run`` and every serve job run through this loop:
 
 * after every round the grid is health-checked for NaN/Inf; the ``health``
   policy decides whether a poisoned grid raises
@@ -22,10 +21,10 @@ grid state of the previous one) and is what makes the guards possible.
   resumes from a matching snapshot — the crash/restart path of long sweeps.
 
 The trusted base that a repair and the integrity replays read is the
-verified input of the current round, held by reference: executors leave
-their input untouched and return a private field.  The ``grid.nan`` fault
-site fires here (poisoning one plane after a round) so every policy is
-testable without a genuinely unstable kernel.
+verified input of the current round, held by reference: a step leaves its
+input untouched.  The ``grid.nan`` fault site fires here (poisoning one
+plane after a round, in an unguarded blocked ``run`` too) so every policy
+is testable without a genuinely unstable kernel.
 """
 
 from __future__ import annotations
@@ -87,14 +86,15 @@ class SweepInterruptedError(ResilienceError):
 
 
 class GuardedSweep:
-    """Watchdog wrapper around an executor's ``run`` method.
+    """Watchdog round loop around an executor.
 
     Parameters
     ----------
     executor:
-        Anything with ``run(field, steps, traffic=None) -> Field3D`` that
-        leaves ``field`` untouched, or an executor that keeps its own
-        buffers and supplies ``open_rounds`` (see :meth:`_open`).
+        A blocked executor that keeps its own buffers and supplies
+        ``open_rounds`` (see :meth:`_open`), or anything with
+        ``run(field, steps, traffic=None) -> Field3D`` that leaves
+        ``field`` untouched.
     round_steps:
         Steps advanced per guarded round; defaults to ``executor.dim_t``
         (falling back to 1), the granularity at which chunked execution is
@@ -208,8 +208,8 @@ class GuardedSweep:
     def run(self, field, steps: int, traffic=None, resume: bool = False):
         """Advance ``field`` by ``steps`` under the configured guards.
 
-        The result is the executor's own output, not a further copy:
-        executors leave their input untouched and return a private field.
+        The result is the opened run's close (one copy out of the
+        executor's buffers) or the executor's own ``run`` output.
         """
         if steps < 0:
             raise ValueError("steps must be >= 0")
@@ -298,11 +298,11 @@ class GuardedSweep:
     def _open(self, state):
         """``(state, step, close)`` of a run.
 
-        An executor that keeps its own buffers across rounds supplies them
-        through ``open_rounds(field, sdc)``: the state is its view of them
-        (a :class:`SplitField`), ``step(state, round_t, traffic)`` runs one
-        round and ``close(state)`` returns the result field.  Any other
-        executor steps through ``run`` and its output is the result.
+        Every blocked executor supplies its buffers through
+        ``open_rounds(field, sdc)``: the state is its view of them (a field
+        or a :class:`SplitField`), ``step(state, round_t, traffic)`` runs
+        one round and ``close(state)`` returns the result field.  Any
+        other executor steps through ``run`` and its output is the result.
         """
         open_rounds = getattr(self.executor, "open_rounds", None)
         if open_rounds is None:

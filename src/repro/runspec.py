@@ -21,15 +21,18 @@ from .resilience.sdc import INTEGRITY_TIERS
 from .resilience.watchdog import GuardedSweep
 from .stencils.grid import Field3D
 
-__all__ = ["KERNELS", "SCHEMES", "RunSpec", "bind", "build",
-           "make_executor", "make_field", "make_kernel"]
+__all__ = ["HEALTH_POLICIES", "INTEGRITY_TIERS", "KERNELS", "PRECISIONS",
+           "SCHEMES", "RunSpec", "bind", "build", "make_executor",
+           "make_field", "make_kernel"]
 
 #: kernels a spec can name; each has radius 1
 KERNELS = ("7pt", "27pt", "lbm")
 SCHEMES = ("naive", "3d", "2.5d", "4d", "3.5d", "cache-oblivious")
+PRECISIONS = ("sp", "dp")
+HEALTH_POLICIES = ("off", "raise", "warn", "repair")
 _CHOICES = (("kernel", KERNELS), ("scheme", SCHEMES),
-            ("precision", ("sp", "dp")), ("integrity", INTEGRITY_TIERS),
-            ("health", ("off", "raise", "warn", "repair")))
+            ("precision", PRECISIONS), ("integrity", INTEGRITY_TIERS),
+            ("health", HEALTH_POLICIES))
 #: a radius-1 stencil updates nothing on fewer than 2R+1 planes
 _LEAST = (("grid", 3), ("steps", 1), ("dim_t", 1), ("tile", 1),
           ("threads", 1), ("ranks", 1), ("checkpoint_every", 1),

@@ -20,15 +20,15 @@ bandwidth use is imbalanced (the Section II critique of Habich/Wellein).
 
 from __future__ import annotations
 
-import numpy as np
+from functools import partial
 
 from ..core.blocking35d import Blocking35D
-from ..core.schedule import build_schedule
+from ..core.rounds import run_rounds
 from ..core.traffic import TrafficStats
 from ..obs.metrics import METRICS
 from ..obs.trace import TRACE
 from ..stencils.base import PlaneKernel
-from ..stencils.grid import Field3D, copy_shell
+from ..stencils.grid import Field3D
 from .partition import partition_span
 from .threadpool import WorkerPool
 
@@ -63,6 +63,7 @@ class ParallelBlocking35D:
         self.n_threads = n_threads
         self._pool = pool
         self._owns_pool = pool is None
+        self._thread_stats: list[TrafficStats] = []  # the run's, per thread
         #: watchdog bound (seconds) on each SPMD launch — i.e. on each
         #: z-iteration barrier interval; ``None`` waits forever (the launch
         #: still fails fast if a worker thread dies).
@@ -81,121 +82,91 @@ class ParallelBlocking35D:
         traffic: TrafficStats | None = None,
         per_thread_traffic: list[TrafficStats] | None = None,
     ) -> Field3D:
-        """Advance ``field`` by ``steps``; optionally collect per-thread stats."""
-        if steps < 0:
-            raise ValueError("steps must be >= 0")
-        if steps == 0:
-            return field.copy()
-        pool = self._pool or WorkerPool(self.n_threads)
-        try:
-            # Persistent ping/pong buffers (see Blocking35D._ping_pong): keeps
-            # tile contexts and sweep runners bound across runs; the result
-            # is copied out below, so returned fields stay independent.
-            src, dst = self.inner._ping_pong(field)
-            np.copyto(src.data, field.data)
-            copy_shell(src, dst, self.kernel.radius)
-            thread_stats = [TrafficStats() for _ in range(self.n_threads)]
-            token = object()  # shell planes are loaded once per run
-            with TRACE.span("sweep", executor="parallel35d", steps=steps,
-                            dim_t=self.inner.dim_t, threads=self.n_threads):
-                remaining = steps
-                round_index = 0
-                while remaining > 0:
-                    round_t = min(self.inner.dim_t, remaining)
-                    with TRACE.span("round", index=round_index,
-                                    round_t=round_t):
-                        self._sweep_round(
-                            pool, src, dst, round_t, traffic, thread_stats,
-                            token
-                        )
-                    src, dst = dst, src
-                    remaining -= round_t
-                    round_index += 1
-            if traffic is not None:
-                for ts in thread_stats:
-                    traffic.merge(ts)
-            if METRICS.armed:
-                METRICS.merge_per_thread_traffic(thread_stats)
-            if per_thread_traffic is not None:
-                per_thread_traffic.extend(thread_stats)
-            return src.copy()
-        finally:
-            if self._owns_pool:
-                pool.shutdown()
+        """Advance ``field`` by ``steps``; optionally collect per-thread stats
+        (GuardedSweep's loop over :meth:`open_rounds`, see :func:`run_rounds`)."""
+        out = run_rounds(self, field, steps, traffic, executor="parallel35d",
+                         threads=self.n_threads)
+        if per_thread_traffic is not None:
+            per_thread_traffic.extend(self._thread_stats)
+        return out
 
-    # ------------------------------------------------------------------
-    def _sweep_round(
-        self,
-        pool: WorkerPool,
-        src: Field3D,
-        dst: Field3D,
-        round_t: int,
-        traffic: TrafficStats | None,
-        thread_stats: list[TrafficStats],
-        shell_token: object | None = None,
-    ) -> None:
+    def open_rounds(self, field: Field3D, sdc=None):
+        """GuardedSweep's hook: the serial executor's ping-pong buffers
+        (see :meth:`PingPong.open`), stepped by the pool round.  Closing
+        the run records its per-thread traffic in METRICS."""
+        self._thread_stats = [TrafficStats() for _ in range(self.n_threads)]
+        return self.inner.buffers.open(
+            field, self.kernel.radius, self._sweep_round,
+            partial(METRICS.merge_per_thread_traffic, self._thread_stats))
+
+    def _sweep_round(self, src: Field3D, dst: Field3D, round_t: int,
+                     traffic: TrafficStats | None = None, *,
+                     _shell_token: object | None = None) -> None:
+        """One round, each tile's z-iterations split row-wise over the
+        worker pool.  A pool this executor creates lives for the round
+        only, so no worker outlives a round that raises.  Per-thread
+        traffic folds into ``traffic`` (this attempt's counter) and into
+        the run's per-thread totals."""
         inner = self.inner
         nz, ny, nx = src.shape
         tiles = inner._plan_tiles(ny, nx, round_t)
-        schedule = inner._get_schedule(nz, round_t)
         if traffic is not None:
             traffic.notes.setdefault("tiles_per_round", len(tiles))
             traffic.notes.setdefault("threads", self.n_threads)
             traffic.notes.setdefault("round_t", []).append(round_t)
+        stats = [TrafficStats() for _ in range(self.n_threads)]
         # Whole-sweep codegen backends (repro.perf.codegen) execute the
         # entire round in one generated call whose tile loop is a numba
         # ``prange`` — the compiled threads replace the WorkerPool here, and
         # the aggregate traffic lands on thread 0's counters.  Every other
         # backend runs each tile stepwise, each worker on its row span.
         sweep_runner = getattr(self.kernel, "sweep_runner", None)
-        if sweep_runner is not None:
-            runner = sweep_runner(inner, src, dst, round_t, parallel=True)
-            if runner is not None:
-                if TRACE.armed:
-                    with TRACE.span("codegen_round", tiles=len(tiles),
-                                    round_t=round_t, threads=self.n_threads):
-                        runner.run(shell_token, thread_stats[0])
-                else:
-                    runner.run(shell_token, thread_stats[0])
-                return
-        iterations = schedule.iterations()
-        armed = TRACE.armed
-        for tile in tiles:
-            tile_span = TRACE.span(
-                "tile", y0=tile.y.core[0], y1=tile.y.core[1],
-                x0=tile.x.core[0], x1=tile.x.core[1],
-            ) if armed else None
-            if tile_span is not None:
-                tile_span.__enter__()
+        runner = None if sweep_runner is None else sweep_runner(
+            inner, src, dst, round_t, parallel=True)
+        if runner is not None:
+            with TRACE.span("codegen_round", tiles=len(tiles),
+                            round_t=round_t, threads=self.n_threads):
+                runner.run(_shell_token, stats[0])
+        else:
+            iterations = inner._get_schedule(nz, round_t).iterations()
+            pool = self._pool or WorkerPool(self.n_threads)
             try:
-                ctx = inner._tile_context(src, tile, round_t)
-                inner._load_shell_planes(src, ctx, traffic, shell_token)
-                rows = partition_span(ctx.ey[0], ctx.ey[1], self.n_threads)
-                regions = inner.instance_regions(ctx, src.shape, round_t)
-                for k in sorted(iterations):
-                    steps_k = iterations[k]
-
-                    def run_iteration(tid: int, steps_k=steps_k) -> None:
-                        row = rows[tid]
-                        if row[0] >= row[1]:
-                            return
-                        for step in steps_k:
-                            inner.execute_step(
-                                src, dst, ctx, step, regions,
-                                thread_stats[tid], rows=row
-                            )
-
-                    # run_spmd joins all workers: the per-iteration barrier
-                    if armed:
-                        with TRACE.span("z_iter", k=k):
-                            pool.run_spmd(
-                                run_iteration, deadline=self.spmd_deadline
-                            )
-                    else:
-                        pool.run_spmd(run_iteration, deadline=self.spmd_deadline)
+                for tile in tiles:
+                    with TRACE.span("tile", y0=tile.y.core[0],
+                                    y1=tile.y.core[1], x0=tile.x.core[0],
+                                    x1=tile.x.core[1]):
+                        self._pool_tile(pool, src, dst, tile, iterations,
+                                        round_t, traffic, stats, _shell_token)
             finally:
-                if tile_span is not None:
-                    tile_span.__exit__(None, None, None)
+                if self._owns_pool:
+                    pool.shutdown()
+        for total, ts in zip(self._thread_stats, stats):
+            total.merge(ts)
+            if traffic is not None:
+                traffic.merge(ts)
+
+    def _pool_tile(self, pool, src, dst, tile, iterations, round_t, traffic,
+                   stats, shell_token) -> None:
+        """One tile's round, one SPMD launch per z-iteration."""
+        inner = self.inner
+        ctx = inner._tile_context(src, tile, round_t)
+        inner._load_shell_planes(src, ctx, traffic, shell_token)
+        rows = partition_span(ctx.ey[0], ctx.ey[1], self.n_threads)
+        regions = inner.instance_regions(ctx, src.shape, round_t)
+        for k in sorted(iterations):
+            steps_k = iterations[k]
+
+            def run_iteration(tid: int, steps_k=steps_k) -> None:
+                row = rows[tid]
+                if row[0] >= row[1]:
+                    return
+                for step in steps_k:
+                    inner.execute_step(src, dst, ctx, step, regions,
+                                       stats[tid], rows=row)
+
+            # run_spmd joins all workers: the per-iteration barrier
+            with TRACE.span("z_iter", k=k):
+                pool.run_spmd(run_iteration, deadline=self.spmd_deadline)
 
 
 def run_parallel_3_5d(

@@ -35,6 +35,7 @@ Robustness invariants (each one is load-bearing and tested):
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import queue
 import socket
@@ -1015,11 +1016,11 @@ class ServeCore:
 class _JobSweep(GuardedSweep):
     """GuardedSweep's round loop as one serve job runs it.
 
-    The job brings its step (one executor round, metered to the tenant),
-    its stop reasons and its checkpoint file: the sweep is its own
-    ``stop`` and ``checkpoint``.  A stop records its :attr:`reason`,
-    ``kill``, ``cancel``, ``deadline`` or ``preempt``; only a preempt
-    checkpoints.  The rest of the run policy comes from the job's
+    The job meters the executor's opened step (one round, charged to the
+    tenant) and brings its stop reasons and its checkpoint file: the sweep
+    is its own ``stop`` and ``checkpoint``.  A stop records its
+    :attr:`reason`, ``kill``, ``cancel``, ``deadline`` or ``preempt``; only
+    a preempt checkpoints.  The rest of the run policy comes from the job's
     :class:`~repro.runspec.RunSpec` through :func:`~repro.runspec.build`:
     health off, no retries, the job's integrity tier.
     """
@@ -1053,11 +1054,12 @@ class _JobSweep(GuardedSweep):
             self.ctx.owns_checkpoint = True
 
     def _open(self, state):
-        return state, self._round, None
+        state, step, close = super()._open(state)
+        return state, functools.partial(self._round, step), close
 
-    def _round(self, state, round_t: int, traffic=None):
-        """One executor round, metered: modeled traffic and worker cpu
-        time, charged to the tenant."""
+    def _round(self, step, state, round_t: int, traffic=None):
+        """One step of the executor's opened run, metered: modeled
+        traffic and worker cpu time, charged to the tenant."""
         ctx = self.ctx
         record = ctx.record
         if FAULTS.should("serve.stall"):
@@ -1065,7 +1067,7 @@ class _JobSweep(GuardedSweep):
         traffic = TrafficStats()
         cpu_t0 = time.perf_counter_ns()
         round_w0 = time.time_ns()
-        out = self.executor.run(state, round_t, traffic)
+        out = step(state, round_t, traffic)
         cpu_ns = time.perf_counter_ns() - cpu_t0
         record.done_steps += round_t
         if ctx.trace is not None:

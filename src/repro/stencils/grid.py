@@ -142,10 +142,8 @@ def copy_shell(src: Field3D, dst: Field3D, radius: int) -> None:
     """Copy the fixed boundary shell of width ``radius`` from src to dst.
 
     Jacobi double-buffering keeps two grids; both must carry the (constant)
-    boundary values.  Executors call this once per ``run``, not per time
-    step — and :class:`~repro.resilience.watchdog.GuardedSweep` calls
-    ``run`` once per round, so a guarded run (every serve job) copies the
-    shell once per round.
+    boundary values.  Executors call this once per run, not per time step
+    or round (see :class:`~repro.core.rounds.PingPong`).
     """
     if radius <= 0:
         return

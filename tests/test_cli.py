@@ -284,7 +284,9 @@ class TestObservabilityCLI:
         assert validate_file(mx) == []
         doc = json.loads(open(tr).read())
         names = {e["name"] for e in doc["traceEvents"] if e["ph"] == "X"}
-        assert {"sweep", "round", "z_iter", "tile"} <= names
+        # a guarded run steps the executor's rounds: guarded_run >
+        # guard_round > round > tile > z_iter
+        assert {"guarded_run", "round", "z_iter", "tile"} <= names
         mdoc = json.loads(open(mx).read())
         assert mdoc["counters"]["traffic.bytes_read"] > 0
         assert mdoc["validation"]["kappa_ratio"] == pytest.approx(

@@ -263,7 +263,8 @@ class TestGuardedSweep:
     ):
         # 5 steps in rounds of 2: the trusted base is each round's input,
         # held by reference, so not even repair copies it before a
-        # rollback; the result is the last round's private output
+        # rollback; the rounds run in the executor's own buffers and the
+        # result is copied out of them once
         made = []
         original = type(small_field).copy
 
@@ -274,8 +275,8 @@ class TestGuardedSweep:
         guard = GuardedSweep(self._executor(seven_point), health=health)
         monkeypatch.setattr(type(small_field), "copy", counting_copy)
         out = guard.run(small_field, 5)
-        # one copy per executor round (3), none by the guard
-        assert len(made) == 3 + copies
+        # one copy out of the run's buffers, none per round or by the guard
+        assert len(made) == 1 + copies
         assert_fields_equal(out, run_naive(seven_point, small_field, 5))
 
     def test_repair_exhaustion_raises(self, seven_point, small_field):

@@ -208,6 +208,46 @@ def test_every_command_offers_every_kernel():
                 == kernel
 
 
+def test_run_flag_choices_and_submit_defaults_come_from_the_spec():
+    import argparse
+
+    from repro.cli import build_parser
+    from repro.runspec import (
+        HEALTH_POLICIES,
+        INTEGRITY_TIERS,
+        KERNELS,
+        PRECISIONS,
+        SCHEMES,
+    )
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    run, tune, chaos, submit = (
+        {a.dest: a for a in commands[name]._actions}
+        for name in ("run", "tune", "chaos", "submit")
+    )
+    for flags, dest, known in [
+        (run, "kernel", KERNELS), (run, "scheme", SCHEMES),
+        (run, "precision", PRECISIONS), (run, "health", HEALTH_POLICIES),
+        (run, "verify", INTEGRITY_TIERS), (tune, "kernel", KERNELS),
+        (tune, "precision", PRECISIONS), (chaos, "tier", INTEGRITY_TIERS[1:]),
+        (submit, "kernel", KERNELS), (submit, "precision", PRECISIONS),
+        (submit, "integrity", INTEGRITY_TIERS),
+    ]:
+        assert tuple(flags[dest].choices) == known, dest
+    job = JobSpec()
+    for dest, field in [
+        ("kernel", "kernel"), ("grid", "grid"), ("steps", "steps"),
+        ("dim_t", "dim_t"), ("tile", "tile"), ("precision", "precision"),
+        ("seed", "seed"), ("backend", "backend"), ("priority", "priority"),
+        ("tenant", "tenant"), ("deadline", "deadline_s"),
+        ("integrity", "integrity"),
+    ]:
+        assert submit[dest].default == getattr(job, field), dest
+    # repro run keeps its own plan defaults
+    assert (run["grid"].default, run["tile"].default) == (48, 32)
+
+
 def test_lbm_job_submitted_from_the_cli_is_on_the_naive_hash(served, capsys):
     _, sock = served
     spec = RunSpec(kernel="lbm", grid=10, steps=4, dim_t=2, tile=8, seed=2)

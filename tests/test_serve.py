@@ -980,16 +980,26 @@ def recorded_executors(monkeypatch):
             self.owner = threading.get_ident()
             self.shape = None
             self.runs = []  # (thread, plans built during the run)
+            self.rounds = []  # thread of every round
             executors.append(self)
 
-        def run(self, field, steps, traffic=None):
+        def open_rounds(self, field, sdc=None):
+            # serve steps the opened run round by round; it ends at close
             tid = threading.get_ident()
             self.shape = self.shape or field.shape
             before = builds.get(tid, 0)
-            try:
-                return super().run(field, steps, traffic)
-            finally:
-                self.runs.append((tid, builds.get(tid, 0) - before))
+            state, step, close = super().open_rounds(field, sdc)
+
+            def recorded_step(state, round_t, traffic=None):
+                self.rounds.append(threading.get_ident())
+                return step(state, round_t, traffic)
+
+            def recorded_close(state):
+                self.runs.append((threading.get_ident(),
+                                  builds.get(tid, 0) - before))
+                return close(state)
+
+            return state, recorded_step, recorded_close
 
     monkeypatch.setattr(_BatchedRunner, "__init__", counting_build_batched)
     monkeypatch.setattr(_VolumeRunner, "__init__", counting_build_volume)
@@ -1025,10 +1035,12 @@ class TestWarmExecutors:
         assert 1 <= len(owners) == len(set(owners)) <= 2
         for ex in executors:
             assert {tid for tid, _ in ex.runs} == {ex.owner}
+            assert set(ex.rounds) == {ex.owner}
             # runners are built in the executor's first run only
             assert ex.runs[0][1] > 0
             assert sum(n for _, n in ex.runs[1:]) == 0
-        assert sum(len(ex.runs) for ex in executors) == 20 * 3
+        assert sum(len(ex.runs) for ex in executors) == 20
+        assert sum(len(ex.rounds) for ex in executors) == 20 * 3
         assert core.drain()
 
     def test_signature_change_replaces_the_executor(
